@@ -21,7 +21,7 @@ from .groups import Rotation3, quadrature_grid
 from .fields import (FieldType, GroupFunction, TensorField,
                      field_from_spin_coeffs, induced_action, is_mackey, lift,
                      lift_spectrum, project, spin_coeffs)
-from .harmonics import wigner_D_real
+from .harmonics import real_basis_change, real_sph_harm_matrix, wigner_D_real
 from .nonlin import (ActivationSpec, activate, delta_projection_kernel,
                      lift_sum, nonlinearity, point_sphere_nonlin,
                      project_column, project_kernel)
@@ -32,7 +32,6 @@ from .spectral_conv import (SparseKernelSpec, conv_field, conv_spectral,
                             conv_vjp, kernel_degrees)
 from .transforms import (SpectralBlocks, sht_forward, sht_inverse,
                          so3_ft_forward, so3_ft_inverse)
-from .harmonics import real_basis_change
 
 __all__ = ["CheckResult", "CheckReport", "run_suite", "SUITES",
            "default_config"]
@@ -84,7 +83,7 @@ class CheckReport:
 
 def default_config() -> dict:
     return {"bandwidth": 8, "seed": 42, "trials": 20, "oversample": 2,
-            "threads": 1, "tolerances": {}}
+            "tolerances": {}}
 
 
 def _rng_for(cfg: dict, name: str):
@@ -399,7 +398,6 @@ def _check_prior_pipeline(rng, cfg):
     """The per-point sphere nonlinearity must match the group-lift pipeline
     restricted to the scalar column (synthesize, activate, re-analyze).
     """
-    from .harmonics import real_sph_harm_matrix
     B = max(cfg["bandwidth"], 3)
     lmax = min(2, B - 1)
     feats = [0.3 * rng.standard_normal((1, 1, 2 * l + 1))

@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .checks import SUITES, run_suite
@@ -36,10 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=20)
     check.add_argument("--oversample", type=int, default=2,
                        help="activation-grid oversampling factor")
-    check.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: HOMHARM_THREADS env "
-                            "var, else 1); execution is sequential either "
-                            "way so reports stay deterministic")
     check.add_argument("--report", metavar="PATH",
                        help="write the report to this path")
     check.add_argument("--format", choices=("json", "csv"), default="json",
@@ -52,24 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = int(os.environ.get("HOMHARM_THREADS", "1"))
-        except ValueError:
-            print("error: HOMHARM_THREADS must be an integer",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    if args.bandwidth < 1 or args.trials < 1 or args.oversample < 1 or threads < 1:
-        print("error: bandwidth, trials, oversample and threads must be "
-              "positive", file=sys.stderr)
+    if args.bandwidth < 1 or args.trials < 1 or args.oversample < 1:
+        print("error: bandwidth, trials and oversample must be positive",
+              file=sys.stderr)
         return EXIT_USAGE
     config = {
         "bandwidth": args.bandwidth,
         "seed": args.seed,
         "trials": args.trials,
         "oversample": args.oversample,
-        "threads": threads,
     }
     try:
         report = run_suite(args.suite, config)
@@ -98,10 +84,7 @@ def _cmd_check(args) -> int:
 def _cmd_convert(args) -> int:
     try:
         convert_field(args.input, args.output)
-    except FieldFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (FieldFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

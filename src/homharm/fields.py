@@ -21,7 +21,8 @@ import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .harmonics import wigner_D_matrix, wigner_d_stack
-from .transforms import SpectralBlocks, _alpha_phase
+from .transforms import (SpectralBlocks, _spin_analysis, _spin_synthesis,
+                         so3_ft_forward, so3_ft_inverse)
 
 # ---------------------------------------------------------------------------
 # Types
@@ -171,20 +172,11 @@ def spin_coeffs(field: TensorField) -> list:
     [channels, 2l+1].
     """
     _check_s2_order(field)
-    B = field.grid.bandwidth
-    k = field.field_type.order
-    n = 2 * B
-    f = field.flat().reshape(-1, n, n)
-    E = _alpha_phase(B, +1)
-    F = np.einsum("mi,cij->cmj", E, f) / n
-    wb = field.grid.beta_weights
-    stack = wigner_d_stack(B - 1, field.grid.betas)
-    out: list = [None] * B
-    for l in range(abs(k), B):
-        dmk = stack[l][:, :, l + k]            # [2B, 2l+1]
-        Fl = F[:, (B - 1 - l):(B + l), :]
-        out[l] = np.einsum("cmj,jm,j->cm", Fl, dmk, wb)
-    return out
+    grid = field.grid
+    n = 2 * grid.bandwidth
+    return _spin_analysis(field.flat().reshape(-1, n, n), grid,
+                          field.field_type.order,
+                          wigner_d_stack(grid.bandwidth - 1, grid.betas))
 
 
 def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid,
@@ -194,25 +186,14 @@ def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid,
     coeffs may come from a grid of different bandwidth; degrees above the
     target grid's resolvable range must be absent.
     """
-    B = grid.bandwidth
-    k = order
-    n = 2 * B
     lmax = max((l for l, c in enumerate(coeffs) if c is not None), default=-1)
-    if lmax >= B:
+    if lmax >= grid.bandwidth:
         raise ValueError("coefficients exceed the target grid bandwidth")
     if channels is None:
         channels = next(c.shape[0] for c in coeffs if c is not None)
-    F = np.zeros((channels, 2 * B - 1, n), dtype=complex)
-    stack = wigner_d_stack(max(lmax, 0), grid.betas)
-    for l in range(abs(k), lmax + 1):
-        if coeffs[l] is None:
-            continue
-        dmk = stack[l][:, :, l + k]
-        F[:, (B - 1 - l):(B + l), :] += (2 * l + 1) * np.einsum(
-            "cm,jm->cmj", coeffs[l], dmk)
-    E = _alpha_phase(B, -1)                    # synthesis carries e^{-i m alpha}
-    f = np.einsum("mi,cmj->cij", E, F)
-    return f.reshape(channels, n * n)
+    f = _spin_synthesis(coeffs, grid, order,
+                        wigner_d_stack(max(lmax, 0), grid.betas), channels)
+    return f.reshape(channels, grid.n_nodes)
 
 
 def field_from_spin_coeffs(coeffs: list, order: int,
@@ -262,7 +243,6 @@ def regular_action(g: Rotation3, gf: GroupFunction,
 
     Exact for functions bandlimited below the grid bandwidth.
     """
-    from .transforms import so3_ft_forward, so3_ft_inverse
     blocks = so3_ft_forward(gf.flat(), gf.grid, bandwidth)
     rotated = []
     for l, b in enumerate(blocks.blocks):

@@ -317,14 +317,6 @@ class QuadratureGrid:
         """Colatitude weights, normalized so they sum to 1."""
         return _dh_beta_weights(self.bandwidth) / 2.0
 
-    def grid_shape(self) -> tuple[int, ...]:
-        B = self.bandwidth
-        if self.space == "S2":
-            return (2 * B, 2 * B)
-        if self.space == "SO3":
-            return (2 * B, 2 * B, 2 * B)
-        return (2 * B,)
-
 
 def _dh_beta_weights(B: int) -> np.ndarray:
     """Equiangular colatitude weights exact for Legendre degrees < 2B.

@@ -15,9 +15,7 @@ Conventions (fixed once, inherited by every other module):
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -106,14 +104,6 @@ def wigner_d(l: int, beta: float) -> np.ndarray:
     return wigner_d_stack(l, [beta])[l][0]
 
 
-@dataclass(frozen=True)
-class WignerBlock:
-    """Dense unitary irrep block D^l(g)."""
-
-    degree: int
-    entries: np.ndarray
-
-
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
     if l < 0:
@@ -122,10 +112,6 @@ def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     d = wigner_d(l, g.beta)
     return (np.exp(-1j * m * g.alpha)[:, None] * d
             * np.exp(-1j * m * g.gamma)[None, :])
-
-
-def wigner_D(l: int, g: Rotation3) -> WignerBlock:
-    return WignerBlock(l, wigner_D_matrix(l, g))
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +222,6 @@ def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l: int, m: int) -> float:
     if max(l1, l2, l) <= _EXACT_L_LIMIT:
         return _clebsch_gordan_exact(l1, m1, l2, m2, l, m)
     return _clebsch_gordan_lgamma(l1, m1, l2, m2, l, m)
-
-
-@dataclass
-class CGTable:
-    """Dense table of Clebsch-Gordan coefficients for degrees <= max_degree."""
-
-    max_degree: int
-    coefficients: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.coefficients:
-            L = self.max_degree
-            for l1 in range(L + 1):
-                for l2 in range(L + 1):
-                    for l in range(abs(l1 - l2), min(l1 + l2, L) + 1):
-                        for m1 in range(-l1, l1 + 1):
-                            for m2 in range(-l2, l2 + 1):
-                                m = m1 + m2
-                                if abs(m) > l:
-                                    continue
-                                v = clebsch_gordan(l1, m1, l2, m2, l, m)
-                                if v != 0.0:
-                                    self.coefficients[(l1, m1, l2, m2, l, m)] = v
-
-    def get(self, l1, m1, l2, m2, l, m) -> float:
-        return self.coefficients.get((l1, m1, l2, m2, l, m), 0.0)
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l1", "m1", "l2", "m2", "l", "m", "value"])
-            for key in sorted(self.coefficients):
-                writer.writerow([*key, repr(self.coefficients[key])])
 
 
 def cg_matrix(t: int, l_in: int, l_out: int) -> np.ndarray:

@@ -66,11 +66,19 @@ def _dump(doc: dict, path: str):
         fh.write("\n")
 
 
-def _check_version(doc: dict, path: str):
+def _check_doc(doc, path: str):
+    """Reject a field document of another version or missing a required key."""
+    if not isinstance(doc, dict):
+        raise FieldFormatError(f"{path}: expected a JSON object")
     v = doc.get("format_version")
     if v != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format_version {v!r} "
                                f"(this reader handles {FORMAT_VERSION})")
+    extra = "positions" if doc.get("space") == "R3points" else "bandwidth"
+    missing = [key for key in ("space", "channels", "field_orders", "data", extra)
+               if key not in doc]
+    if missing:
+        raise FieldFormatError(f"{path}: missing key(s) {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +117,7 @@ def load_fields(path: str) -> list:
     except json.JSONDecodeError as e:
         raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}") from e
-    _check_version(doc, path)
+    _check_doc(doc, path)
     space = doc.get("space")
     if space not in ("S2", "SO3"):
         raise FieldFormatError(f"{path}: space must be S2 or SO3 in a grid "
@@ -159,7 +167,7 @@ def load_point_cloud(path: str) -> PointCloud:
     except json.JSONDecodeError as e:
         raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}") from e
-    _check_version(doc, path)
+    _check_doc(doc, path)
     if doc.get("space") != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
                                f"{doc.get('space')!r}")
@@ -272,13 +280,15 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
     n_fields = len(orders)
     data = []
     for fi in range(n_fields):
-        n_ch = max(r[1] for r in rows if r[0] == fi) + 1
-        n_nd = max(r[2] for r in rows if r[0] == fi) + 1
-        n_d = max(r[3] for r in rows if r[0] == fi) + 1
+        field_rows = [r for r in rows if r[0] == fi]
+        if not field_rows:
+            raise FieldFormatError(f"{path}: no data rows for field {fi}")
+        n_ch = max(r[1] for r in field_rows) + 1
+        n_nd = max(r[2] for r in field_rows) + 1
+        n_d = max(r[3] for r in field_rows) + 1
         arr = np.zeros((n_ch, n_nd, n_d, 2))
-        for rfi, c, nd, d, re, im in rows:
-            if rfi == fi:
-                arr[c, nd, d] = (re, im)
+        for _, c, nd, d, re, im in field_rows:
+            arr[c, nd, d] = (re, im)
         data.append(arr.tolist())
     doc = {
         "format_version": version,
@@ -306,7 +316,7 @@ def convert_field(in_path: str, out_path: str):
         except json.JSONDecodeError as e:
             raise FieldFormatError(f"{in_path}: invalid JSON at line "
                                    f"{e.lineno}, column {e.colno}: {e.msg}") from e
-        _check_version(doc, in_path)
+        _check_doc(doc, in_path)
         with open(out_path, "w") as fh:
             fh.write(_field_doc_to_csv(doc))
     elif src.endswith(".csv") and dst.endswith(".json"):

@@ -18,7 +18,8 @@ import numpy as np
 from .groups import quadrature_grid
 from .fields import (FieldType, GroupFunction, TensorField,
                      field_from_spin_coeffs, lift, resample, spin_coeffs)
-from .harmonics import real_sph_harm_matrix, wigner_d_stack
+from .harmonics import real_sph_harm_matrix
+from .spectral_conv import kernel_to_spatial, spectral_identity_kernel
 from .transforms import fiber_dft, so3_ft_forward
 
 __all__ = [
@@ -122,16 +123,8 @@ def delta_projection_kernel(out_order: int, bandwidth: int) -> GroupFunction:
     kappa(g) = sum_l (2l+1) D^l_{mm}(g), the bandlimited delta of order m.
     """
     grid = quadrature_grid("SO3", bandwidth)
-    n = 2 * bandwidth
-    m = out_order
-    stack = wigner_d_stack(bandwidth - 1, grid.betas)
-    vals = np.zeros((n, n, n), dtype=complex)
-    phase = np.exp(-1j * m * grid.alphas)
-    for l in range(abs(m), bandwidth):
-        d = stack[l][:, m + l, m + l]
-        vals += (2 * l + 1) * (phase[:, None, None] * d[None, :, None]
-                               * phase[None, None, :])
-    return GroupFunction(grid, vals.reshape(1, -1))
+    return GroupFunction(grid, kernel_to_spatial(
+        spectral_identity_kernel(out_order, bandwidth), grid))
 
 
 def project_kernel(gf: GroupFunction, kernel: GroupFunction, out_order: int,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .harmonics import wigner_d_stack
-from .fields import FieldType, TensorField, field_from_spin_coeffs, spin_coeffs
+from .fields import (FieldType, TensorField, field_from_spin_coeffs, lift,
+                     spin_coeffs)
 from .transforms import SpectralBlocks
 
 __all__ = [
@@ -98,6 +99,15 @@ def spectral_identity_kernel(m: int, bandwidth: int,
 # ---------------------------------------------------------------------------
 
 
+def _scale_degrees(kernel: SparseKernelSpec, cols) -> list:
+    """out[l] = (c^l / (2l+1)) @ cols[l] on the kernel degrees: the whole
+    convolution, acting on one column of the lifted spectrum."""
+    out: list = [None] * kernel.bandwidth
+    for l in kernel.degrees:
+        out[l] = np.einsum("oi,im->om", kernel.coeff(l) / (2 * l + 1), cols[l])
+    return out
+
+
 def conv_spectral(blocks: SpectralBlocks, kernel: SparseKernelSpec,
                   sparsity_tol: float = 1e-8) -> SpectralBlocks:
     """Convolve column-sparse spectral blocks with a sparse kernel.
@@ -118,11 +128,11 @@ def conv_spectral(blocks: SpectralBlocks, kernel: SparseKernelSpec,
     if total > 0 and off / total > sparsity_tol ** 2:
         raise ValueError("input spectrum is not column-sparse at the kernel's "
                          f"input order (relative off-column energy {off / total:.3e})")
+    scaled = _scale_degrees(kernel, [None] * abs(kernel.m_in)
+                            + blocks.column(kernel.m_in))
     out = SpectralBlocks.zeros(blocks.bandwidth, kernel.c_out)
     for l in kernel.degrees:
-        col = blocks.blocks[l][:, :, kernel.m_in + l]       # [c_in, 2l+1]
-        scale = kernel.coeff(l) / (2 * l + 1)               # [c_out, c_in]
-        out.blocks[l][:, :, kernel.m_out + l] = np.einsum("oi,im->om", scale, col)
+        out.blocks[l][:, :, kernel.m_out + l] = scaled[l]
     return out
 
 
@@ -135,12 +145,8 @@ def conv_field(field: TensorField, kernel: SparseKernelSpec) -> TensorField:
                          f"field has order {field.field_type.order}")
     if field.channels != kernel.c_in:
         raise ValueError("channel mismatch between field and kernel")
-    a = spin_coeffs(field)
-    out: list = [None] * kernel.bandwidth
-    for l in kernel.degrees:
-        scale = kernel.coeff(l) / (2 * l + 1)
-        out[l] = np.einsum("oi,im->om", scale, a[l])
-    return field_from_spin_coeffs(out, kernel.m_out, field.grid)
+    return field_from_spin_coeffs(_scale_degrees(kernel, spin_coeffs(field)),
+                                  kernel.m_out, field.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +159,20 @@ def kernel_to_spatial(kernel: SparseKernelSpec,
     """Sample the kernel's Mackey function kappa(g) = sum_l c^l D^l_{m_in,m_out}(g)
     on an SO(3) grid.  Channel pairs are flattened row-major to
     [c_out * c_in, n_nodes].
+
+    kappa is the lift of the order-m_out field whose only spin coefficients
+    are a^l_{m_in} = c^l / (2l+1).
     """
     if grid is None:
         grid = quadrature_grid("SO3", kernel.bandwidth)
     elif grid.space != "SO3":
         raise ValueError("kernel_to_spatial needs an SO(3) grid")
-    stack = wigner_d_stack(kernel.bandwidth - 1, grid.betas)
-    n = 2 * grid.bandwidth
-    a = grid.alphas.reshape(n, 1, 1)
-    b_idx = np.arange(n)
-    g = grid.gammas.reshape(1, 1, n)
-    vals = np.zeros((kernel.c_out * kernel.c_in, n, n, n), dtype=complex)
+    coeffs: list = [None] * kernel.bandwidth
     for l in kernel.degrees:
-        d = stack[l][:, kernel.m_in + l, kernel.m_out + l]   # [n] over beta
-        basis = (np.exp(-1j * kernel.m_in * a) * d[b_idx].reshape(1, n, 1)
-                 * np.exp(-1j * kernel.m_out * g))
-        c = kernel.coeff(l).reshape(-1)                      # [c_out*c_in]
-        vals += c[:, None, None, None] * basis[None]
-    return vals.reshape(-1, grid.n_nodes)
+        coeffs[l] = np.zeros((kernel.c_out * kernel.c_in, 2 * l + 1), dtype=complex)
+        coeffs[l][:, kernel.m_in + l] = kernel.coeff(l).reshape(-1) / (2 * l + 1)
+    s2_grid = quadrature_grid("S2", grid.bandwidth)
+    return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid), grid).flat()
 
 
 def _relative_euler(alpha_out, beta_out, alphas_in, betas_in):

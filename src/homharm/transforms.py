@@ -8,6 +8,13 @@ Normalization: the forward transforms are plain weighted inner products with
 the conjugated basis functions (matching the integral definition verbatim);
 the (2l+1) plancherel weight sits in the inverse transforms.  Consequently
 the forward SO(3) transform of D^l_{mn} itself is 1/(2l+1) at (l, m, n).
+
+Every grid transform runs one spin transform pair (``_spin_analysis`` /
+``_spin_synthesis``: alpha DFT, then the weighted d^l_{mk}(beta) sum).  An
+order-k field's spin coefficients a^l_m are column n = k of its lift's SO(3)
+spectrum.  The SO(3) transform is a gamma DFT, then the pair at k = n on each
+gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid).
+The SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 
 from __future__ import annotations
@@ -121,6 +128,44 @@ def _alpha_phase(B: int, sign: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The spin transform pair: alpha DFT plus weighted d^l_{mk}(beta) sum
+# ---------------------------------------------------------------------------
+
+
+def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
+                   stack: list) -> list:
+    """a^l_m = sum_{i,j} w_j e^{i m alpha_i} d^l_{mk}(beta_j) f[c, i, j] / 2B.
+
+    f holds samples [channels, alpha, beta]; stack is a wigner_d_stack on
+    grid.betas and sets the degrees computed, l = |k|..len(stack)-1.  Returns
+    a list indexed by l (None below |k|) of arrays [channels, 2l+1].
+    """
+    B = grid.bandwidth
+    F = np.einsum("mi,cij->cmj", _alpha_phase(B, +1), f) / (2 * B)
+    out: list = [None] * len(stack)
+    for l in range(abs(k), len(stack)):
+        out[l] = np.einsum("cmj,jm,j->cm", F[:, (B - 1 - l):(B + l), :],
+                           stack[l][:, :, l + k], grid.beta_weights)
+    return out
+
+
+def _spin_synthesis(coeffs: list, grid: QuadratureGrid, k: int, stack: list,
+                    channels: int) -> np.ndarray:
+    """f[c, i, j] = sum_l (2l+1) sum_m a^l_m e^{-i m alpha_i} d^l_{mk}(beta_j).
+
+    Degrees l = |k|..len(stack)-1 are summed; None entries are skipped.
+    Returns samples [channels, alpha, beta].
+    """
+    B = grid.bandwidth
+    F = np.zeros((channels, 2 * B - 1, 2 * B), dtype=complex)
+    for l in range(abs(k), len(stack)):
+        if coeffs[l] is not None:
+            F[:, (B - 1 - l):(B + l), :] += (2 * l + 1) * np.einsum(
+                "cm,jm->cmj", coeffs[l], stack[l][:, :, l + k])
+    return np.einsum("mi,cmj->cij", _alpha_phase(B, -1), F)
+
+
+# ---------------------------------------------------------------------------
 # Spherical harmonic transform
 # ---------------------------------------------------------------------------
 
@@ -131,20 +176,10 @@ def sht_forward(samples, grid: QuadratureGrid, bandwidth: int | None = None) -> 
     B = grid.bandwidth
     if bandwidth is not None and bandwidth != B:
         raise ValueError("grid bandwidth and requested bandwidth differ")
-    n = 2 * B
-    f = _as_channels(samples, n * n).reshape(-1, n, n)
-    # conj(Y^l_m) = sqrt(2l+1) exp(-i m alpha) d^l_{m0}(beta)
-    E = _alpha_phase(B, -1)                      # [2B-1, 2B]
-    F = np.einsum("mi,cij->cmj", E, f) / n       # alpha average
-    wb = grid.beta_weights
-    stack = wigner_d_stack(B - 1, grid.betas)
-    data = []
-    for l in range(B):
-        dm0 = stack[l][:, :, l]                  # [2B, 2l+1] over beta
-        Fl = F[:, (B - 1 - l):(B + l), :]        # rows m = -l..l
-        coeff = np.sqrt(2 * l + 1) * np.einsum("cmj,jm,j->cm", Fl, dm0, wb)
-        data.append(coeff)
-    return ShtCoeffs(B, data)
+    f = _as_channels(samples, 4 * B * B).reshape(-1, 2 * B, 2 * B)
+    a = _spin_analysis(f, grid, 0, wigner_d_stack(B - 1, grid.betas))
+    return ShtCoeffs(B, [np.sqrt(2 * l + 1) * (-1.0) ** np.arange(-l, l + 1)
+                         * a[l][:, ::-1] for l in range(B)])
 
 
 def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
@@ -156,17 +191,11 @@ def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
     B = grid.bandwidth
     if coeffs.bandwidth > B:
         raise ValueError("coefficient bandwidth exceeds grid bandwidth")
-    n = 2 * B
-    C = coeffs.channels
-    F = np.zeros((C, 2 * B - 1, n), dtype=complex)   # [c, m, beta]
-    stack = wigner_d_stack(coeffs.bandwidth - 1, grid.betas)
-    for l in range(coeffs.bandwidth):
-        dm0 = stack[l][:, :, l]
-        F[:, (B - 1 - l):(B + l), :] += np.sqrt(2 * l + 1) * np.einsum(
-            "cm,jm->cmj", coeffs.data[l], dm0)
-    E = _alpha_phase(B, +1)                          # Y carries exp(+i m alpha)
-    f = np.einsum("mi,cmj->cij", E, F)
-    return f.reshape(C, n * n)
+    a = [(-1.0) ** np.arange(-l, l + 1) * c[:, ::-1] / np.sqrt(2 * l + 1)
+         for l, c in enumerate(coeffs.data)]
+    f = _spin_synthesis(a, grid, 0, wigner_d_stack(coeffs.bandwidth - 1, grid.betas),
+                        coeffs.channels)
+    return f.reshape(coeffs.channels, 4 * B * B)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +207,8 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
                    bandwidth: int | None = None) -> SpectralBlocks:
     """f_hat^l_{mn} = integral of f(g) conj(D^l_{mn}(g)) over normalized Haar.
 
-    Separable evaluation: gamma DFT, then alpha DFT, then the weighted
-    small-d sum over beta.
+    Separable evaluation: gamma DFT, then the spin analysis of each gamma
+    frequency n as column n.
     """
     _require_grid(grid, "SO3")
     B = grid.bandwidth
@@ -189,36 +218,34 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
         raise ValueError("requested bandwidth exceeds grid bandwidth")
     n = 2 * B
     f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
-    E = _alpha_phase(B, +1)                      # conj(D) carries e^{+i m alpha}
-    G = np.einsum("nk,cijk->cijn", E, f) / n     # gamma first
-    G = np.einsum("mi,cijn->cmjn", E, G) / n     # then alpha
-    wb = grid.beta_weights
+    G = np.einsum("nk,cijk->ncij", _alpha_phase(B, +1), f) / n
     stack = wigner_d_stack(bandwidth - 1, grid.betas)
-    blocks = []
-    for l in range(bandwidth):
-        d = stack[l]                             # [2B, 2l+1, 2l+1]
-        Gl = G[:, (B - 1 - l):(B + l), :, (B - 1 - l):(B + l)]
-        blocks.append(np.einsum("cmjn,jmn,j->cmn", Gl, d, wb))
-    return SpectralBlocks(bandwidth, blocks)
+    blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
+    for col in range(-(bandwidth - 1), bandwidth):
+        a = _spin_analysis(G[B - 1 + col], grid, col, stack)
+        for l in range(abs(col), bandwidth):
+            blocks.blocks[l][:, :, col + l] = a[l]
+    return blocks
 
 
 def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
-    """f(g) = sum_l (2l+1) tr(f_hat^l.T D^l(g)); returns [channels, n_nodes]."""
+    """f(g) = sum_l (2l+1) tr(f_hat^l.T D^l(g)); returns [channels, n_nodes].
+
+    Each column n is a spin synthesis of order n; the gamma DFT joins them.
+    """
     _require_grid(grid, "SO3")
     B = grid.bandwidth
-    if blocks.bandwidth > B:
+    L = blocks.bandwidth
+    if L > B:
         raise ValueError("block bandwidth exceeds grid bandwidth")
     n = 2 * B
     C = blocks.channels
-    G = np.zeros((C, 2 * B - 1, n, 2 * B - 1), dtype=complex)  # [c, m, beta, n]
-    stack = wigner_d_stack(blocks.bandwidth - 1, grid.betas)
-    for l in range(blocks.bandwidth):
-        d = stack[l]
-        G[:, (B - 1 - l):(B + l), :, (B - 1 - l):(B + l)] += (
-            (2 * l + 1) * np.einsum("cmn,jmn->cmjn", blocks.blocks[l], d))
-    E = _alpha_phase(B, -1)                      # D carries e^{-i m alpha}
-    f = np.einsum("nk,cmjn->cmjk", E, G)
-    f = np.einsum("mi,cmjk->cijk", E, f)
+    G = np.zeros((2 * B - 1, C, n, n), dtype=complex)        # [n, c, alpha, beta]
+    stack = wigner_d_stack(L - 1, grid.betas)
+    for col in range(-(L - 1), L):
+        G[B - 1 + col] = _spin_synthesis([None] * abs(col) + blocks.column(col),
+                                         grid, col, stack, C)
+    f = np.einsum("nk,ncij->cijk", _alpha_phase(B, -1), G)
     return f.reshape(C, n ** 3)
 
 

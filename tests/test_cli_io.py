@@ -154,9 +154,10 @@ class TestCli:
         assert len(doc_lines) >= 3
 
     def test_failing_tolerance_sets_exit_code(self, tmp_path, capsys):
-        # an impossible tolerance forces a failure -> exit code 1
+        # an impossible tolerance forces a failure -> exit code 1; a measured
+        # error can round to exactly 0.0, so only a negative one is impossible
         from homharm import checks
-        cfg_patch = {"tolerances": {"parseval": 0.0}}
+        cfg_patch = {"tolerances": {"parseval": -1.0}}
         report = checks.run_suite("transforms", {"bandwidth": 3, "seed": 1,
                                                  **cfg_patch})
         assert not report.passed
@@ -170,16 +171,29 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["convert", str(missing), str(out)]) == 3
 
+    @pytest.mark.parametrize("key", ["channels", "bandwidth", "field_orders",
+                                     "data"])
+    def test_missing_key_is_a_format_error(self, tmp_path, key):
+        path = tmp_path / "f.json"
+        save_fields(path, random_s2_fields())
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match=key):
+            load_fields(path)
+        assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+
+    def test_csv_without_data_rows(self, tmp_path):
+        p_json, p_csv = tmp_path / "f.json", tmp_path / "f.csv"
+        save_fields(p_json, random_s2_fields())
+        convert_field(p_json, p_csv)
+        lines = p_csv.read_text().splitlines()
+        header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        p_csv.write_text("\n".join(lines[:header_idx + 1]) + "\n")
+        assert main(["convert", str(p_csv), str(tmp_path / "back.json")]) == 3
+
     def test_report_write_failure(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "r.json"
         code = main(["check", "--suite", "sparsity", "--bandwidth", "3",
                      "--report", str(target)])
         assert code == 3
-
-    def test_threads_env_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOMHARM_THREADS", "2")
-        path = tmp_path / "r.json"
-        assert main(["check", "--suite", "sparsity", "--bandwidth", "3",
-                     "--report", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        assert doc["config"]["threads"] == 2

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import (CGTable, cg_matrix, clebsch_gordan,
+from homharm.harmonics import (cg_matrix, clebsch_gordan,
                                _clebsch_gordan_exact, _clebsch_gordan_lgamma,
                                real_basis_change, real_sph_harm_matrix,
                                sph_harm, sph_harm_matrix, wigner_D_matrix,
@@ -178,16 +178,7 @@ class TestClebschGordan:
                     expect = 1.0 if (l == lp and abs(m) <= min(l, lp)) else 0.0
                     assert total == pytest.approx(expect, abs=1e-12)
 
-    def test_table_and_matrix(self, tmp_path):
-        table = CGTable(2)
-        assert table.get(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(3))
-        assert table.get(1, 1, 1, 1, 0, 2) == 0.0
-        path = tmp_path / "cg.csv"
-        table.export_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "l1,m1,l2,m2,l,m,value"
-        assert len(lines) == len(table.coefficients) + 1
-
+    def test_table_and_matrix(self):
         C = cg_matrix(1, 1, 2)
         assert C.shape == (5, 3, 3)
         assert C[4, 2, 2] == pytest.approx(clebsch_gordan(1, 1, 1, 1, 2, 2))

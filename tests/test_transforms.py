@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homharm.fields import spin_synthesis
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import sph_harm_matrix, wigner_D_matrix
 from homharm.transforms import (ShtCoeffs, SpectralBlocks, fiber_dft,
@@ -132,6 +133,49 @@ class TestSo3Ft:
             assert np.allclose(low.blocks[l], blocks.blocks[l], atol=1e-12)
         with pytest.raises(ValueError):
             so3_ft_forward(f, grid, bandwidth=B + 1)
+
+
+class TestSynthesisAgainstDirectSums:
+    """Every grid synthesis runs through one spin transform pair; check it at
+    a few nodes against sums of Wigner-D entries and harmonics evaluated
+    directly at each node."""
+
+    B = 5
+
+    def nodes(self, grid):
+        return rng.choice(grid.n_nodes, 10, replace=False)
+
+    @pytest.mark.parametrize("k", [-2, 1])
+    def test_spin_synthesis(self, k):
+        grid = quadrature_grid("S2", self.B)
+        coeffs = [None] * abs(k) + [
+            rng.standard_normal((2, 2 * l + 1))
+            + 1j * rng.standard_normal((2, 2 * l + 1))
+            for l in range(abs(k), self.B)]
+        f = spin_synthesis(coeffs, k, grid)
+        for p in self.nodes(grid):
+            g = Rotation3(*grid.nodes[p], 0.0)
+            want = sum((2 * l + 1) * coeffs[l] @ wigner_D_matrix(l, g)[:, l + k]
+                       for l in range(abs(k), self.B))
+            assert np.abs(f[:, p] - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_so3_inverse(self):
+        grid = quadrature_grid("SO3", self.B)
+        blocks = random_blocks(self.B, channels=2)
+        f = so3_ft_inverse(blocks, grid)
+        for p in self.nodes(grid):
+            g = Rotation3(*grid.nodes[p])
+            want = sum((2 * l + 1) * np.einsum("cmn,mn->c", b, wigner_D_matrix(l, g))
+                       for l, b in enumerate(blocks.blocks))
+            assert np.abs(f[:, p] - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_sht_inverse(self):
+        grid = quadrature_grid("S2", self.B)
+        coeffs = random_sht_coeffs(self.B, channels=2)
+        Y = sph_harm_matrix(self.B - 1, grid.nodes[:, 0], grid.nodes[:, 1])
+        want = np.concatenate(coeffs.data, axis=1) @ Y.T
+        got = sht_inverse(coeffs, grid)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 class TestSpectralBlocks:
