@@ -6,6 +6,11 @@ reports.  Each check draws from its own generator seeded by (global seed,
 crc32 of the check name), so adding or reordering checks never changes the
 random draws of existing ones.  Wall times are printed for humans but
 serialized as null so report bytes stay stable.
+
+run_suite is the one gate for a configuration: it raises CheckConfigError
+for an unknown suite, bandwidth < 2, trials < 1 or oversample < 1 before any
+check runs, so every check may assume B >= 2.  (At B = 1 every S^2 field is
+a constant, so no order-1 field, kernel or cotangent exists.)
 """
 
 from __future__ import annotations
@@ -18,23 +23,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import Rotation3, quadrature_grid
-from .fields import (FieldType, GroupFunction, TensorField,
-                     field_from_spin_coeffs, induced_action, is_mackey, lift,
-                     lift_spectrum, project, spin_coeffs)
-from .harmonics import real_basis_change, real_sph_harm_matrix, wigner_D_real
+from .fields import (FieldType, TensorField, field_from_spin_coeffs,
+                     induced_action, is_mackey, lift, lift_spectrum, project,
+                     spin_coeffs)
+from .harmonics import real_sph_harm_matrix, wigner_D_real
 from .nonlin import (ActivationSpec, activate, delta_projection_kernel,
                      lift_sum, nonlinearity, point_sphere_nonlin,
                      project_column, project_kernel)
 from .se_kernels import (PointCloud, SE2KernelBasis, SE3KernelBasis,
                          se2_kernel_eval, se3_kernel_eval,
                          se3_kernel_eval_many, se3_layer, tfn_point_conv)
-from .spectral_conv import (SparseKernelSpec, conv_field, conv_spectral,
-                            conv_vjp, kernel_degrees)
-from .transforms import (SpectralBlocks, sht_forward, sht_inverse,
+from .spectral_conv import (SparseKernelSpec, conv_field, conv_spatial_oracle,
+                            conv_spectral, conv_vjp, kernel_degrees)
+from .transforms import (ShtCoeffs, SpectralBlocks, sht_forward, sht_inverse,
                          so3_ft_forward, so3_ft_inverse)
 
-__all__ = ["CheckResult", "CheckReport", "run_suite", "SUITES",
-           "default_config"]
+__all__ = ["CheckResult", "CheckReport", "CheckConfigError", "run_suite",
+           "SUITES", "default_config"]
+
+
+class CheckConfigError(ValueError):
+    """A check configuration that run_suite rejects before any check runs."""
 
 
 @dataclass
@@ -91,14 +100,21 @@ def _rng_for(cfg: dict, name: str):
     return np.random.default_rng([cfg["seed"], sub]), sub
 
 
+def _cplx(rng, *shape) -> np.ndarray:
+    """Complex standard-normal draw: real part first, then imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _rand_field(rng, B: int, k: int, channels: int = 1,
                 scale: float = 1.0) -> TensorField:
-    grid = quadrature_grid("S2", B)
-    coeffs: list = [None] * B
-    for l in range(abs(k), B):
-        coeffs[l] = scale * (rng.standard_normal((channels, 2 * l + 1))
-                             + 1j * rng.standard_normal((channels, 2 * l + 1)))
-    return field_from_spin_coeffs(coeffs, k, grid)
+    coeffs = [None] * abs(k) + [scale * _cplx(rng, channels, 2 * l + 1)
+                                for l in range(abs(k), B)]
+    return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", B))
+
+
+def _rand_blocks(rng, B: int) -> SpectralBlocks:
+    return SpectralBlocks(B, [_cplx(rng, 3, 2 * l + 1, 2 * l + 1)
+                              for l in range(B)])
 
 
 def _rand_rotation(rng) -> Rotation3:
@@ -109,18 +125,40 @@ def _rand_rotation(rng) -> Rotation3:
 def _rand_kernel(rng, B: int, m_in: int, m_out: int, c_out: int = 1,
                  c_in: int = 1) -> SparseKernelSpec:
     n = len(kernel_degrees(m_in, m_out, B))
-    c = rng.standard_normal((c_out, c_in, n)) + 1j * rng.standard_normal(
-        (c_out, c_in, n))
+    return SparseKernelSpec(m_in, m_out, B, _cplx(rng, c_out, c_in, n))
+
+
+def _probe_kernel(m_in: int, m_out: int, B: int, i: int) -> SparseKernelSpec:
+    """The kernel whose only nonzero coefficient is a 1 at degree index i."""
+    c = np.zeros((1, 1, len(kernel_degrees(m_in, m_out, B))), dtype=complex)
+    c[0, 0, i] = 1.0
     return SparseKernelSpec(m_in, m_out, B, c)
 
 
-def _orders(B: int, max_order: int = 2):
-    lim = min(max_order, B - 1)
+def _orders(B: int):
+    """Orders -2..2, clipped to |k| < B."""
+    lim = min(2, B - 1)
     return range(-lim, lim + 1)
+
+
+def _worst_over_orders(rng, B: int, measure) -> float:
+    """Largest measure(f) over random fields f of each order in _orders(B)."""
+    return max(measure(_rand_field(rng, B, k)) for k in _orders(B))
 
 
 def _rel(num: float, den: float) -> float:
     return float(num / den) if den > 0 else float(num)
+
+
+def _rel_err(a: np.ndarray, ref: np.ndarray) -> float:
+    """max|a - ref| relative to max|ref|."""
+    return _rel(np.abs(a - ref).max(), np.abs(ref).max())
+
+
+def _rel_blocks(a: list, ref: list) -> float:
+    """_rel_err over paired lists of blocks, maxima taken over all blocks."""
+    return _rel(max(np.abs(x - r).max() for x, r in zip(a, ref)),
+                max(np.abs(r).max() for r in ref))
 
 
 # ---------------------------------------------------------------------------
@@ -131,39 +169,23 @@ def _rel(num: float, den: float) -> float:
 def _check_sht_round_trip(rng, cfg):
     B = cfg["bandwidth"]
     grid = quadrature_grid("S2", B)
-    from .transforms import ShtCoeffs
-    data = [rng.standard_normal((3, 2 * l + 1))
-            + 1j * rng.standard_normal((3, 2 * l + 1)) for l in range(B)]
-    coeffs = ShtCoeffs(B, data)
-    samples = sht_inverse(coeffs, grid)
-    back = sht_forward(samples, grid)
-    err = max(np.abs(back.data[l] - data[l]).max() for l in range(B))
-    scale = max(np.abs(d).max() for d in data)
-    return _rel(err, scale)
+    data = [_cplx(rng, 3, 2 * l + 1) for l in range(B)]
+    back = sht_forward(sht_inverse(ShtCoeffs(B, data), grid), grid)
+    return _rel_blocks(back.data, data)
 
 
 def _check_so3_round_trip(rng, cfg):
     B = cfg["bandwidth"]
     grid = quadrature_grid("SO3", B)
-    blocks = SpectralBlocks(B, [
-        rng.standard_normal((3, 2 * l + 1, 2 * l + 1))
-        + 1j * rng.standard_normal((3, 2 * l + 1, 2 * l + 1))
-        for l in range(B)])
-    samples = so3_ft_inverse(blocks, grid)
-    back = so3_ft_forward(samples, grid)
-    err = max(np.abs(back.blocks[l] - blocks.blocks[l]).max()
-              for l in range(B))
-    scale = max(np.abs(b).max() for b in blocks.blocks)
-    return _rel(err, scale)
+    blocks = _rand_blocks(rng, B)
+    back = so3_ft_forward(so3_ft_inverse(blocks, grid), grid)
+    return _rel_blocks(back.blocks, blocks.blocks)
 
 
 def _check_parseval(rng, cfg):
     B = cfg["bandwidth"]
     grid = quadrature_grid("SO3", B)
-    blocks = SpectralBlocks(B, [
-        rng.standard_normal((3, 2 * l + 1, 2 * l + 1))
-        + 1j * rng.standard_normal((3, 2 * l + 1, 2 * l + 1))
-        for l in range(B)])
+    blocks = _rand_blocks(rng, B)
     samples = so3_ft_inverse(blocks, grid)
     spatial = float(np.sum(np.abs(samples) ** 2 * grid.weights[None, :]))
     spectral = blocks.norm_squared()
@@ -178,27 +200,18 @@ def _check_sht_aliasing(rng, cfg):
     B = cfg["bandwidth"]
     fine = quadrature_grid("S2", 2 * B)
     coarse = quadrature_grid("S2", B)
-    from .transforms import ShtCoeffs
-    data = [np.zeros((1, 2 * l + 1), dtype=complex) for l in range(2 * B)]
-    for l in range(B):
-        data[l] = (rng.standard_normal((1, 2 * l + 1))
-                   + 1j * rng.standard_normal((1, 2 * l + 1)))
-    low = sht_inverse(ShtCoeffs(2 * B, [d.copy() for d in data]), fine)
-    for l in range(B, 2 * B):
-        data[l] = (rng.standard_normal((1, 2 * l + 1))
-                   + 1j * rng.standard_normal((1, 2 * l + 1)))
-    full = sht_inverse(ShtCoeffs(2 * B, data), fine)
     idx = np.arange(fine.n_nodes).reshape(4 * B, 4 * B)[::2, ::2].ravel()
-    low_coeffs = sht_forward(low[:, idx], coarse)
-    full_coeffs = sht_forward(full[:, idx], coarse)
-    exact_err = max(np.abs(low_coeffs.data[l] - data[l][:, :]).max()
-                    if l < B else 0.0 for l in range(B))
-    aliased_err = max(np.abs(full_coeffs.data[l] - data[l]).max()
-                      for l in range(B))
-    scale = max(np.abs(data[l]).max() for l in range(B))
-    if aliased_err / scale <= 1e-3:
+    low = [_cplx(rng, 1, 2 * l + 1) for l in range(B)]
+    high = [_cplx(rng, 1, 2 * l + 1) for l in range(B, 2 * B)]
+    zeros = [np.zeros((1, 2 * l + 1), dtype=complex) for l in range(B, 2 * B)]
+
+    def on_coarse(data: list) -> list:
+        samples = sht_inverse(ShtCoeffs(2 * B, data), fine)
+        return sht_forward(samples[:, idx], coarse).data
+
+    if _rel_blocks(on_coarse(low + high), low) <= 1e-3:
         return 1.0
-    return _rel(exact_err, scale)
+    return _rel_blocks(on_coarse(low + zeros), low)
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +221,24 @@ def _check_sht_aliasing(rng, cfg):
 
 def _check_lift_off_column(rng, cfg):
     B = cfg["bandwidth"]
-    worst = 0.0
-    for k in _orders(B):
-        f = _rand_field(rng, B, k)
+
+    def off_column(f):
+        k = f.field_type.order
         blocks = so3_ft_forward(lift(f).flat(), quadrature_grid("SO3", B))
-        worst = max(worst, blocks.off_column_energy(k) / blocks.norm_squared())
-    return worst
+        return blocks.off_column_energy(k) / blocks.norm_squared()
+
+    return _worst_over_orders(rng, B, off_column)
 
 
 def _check_lift_mackey(rng, cfg):
-    B = cfg["bandwidth"]
-    worst = 0.0
-    for k in _orders(B):
-        f = _rand_field(rng, B, k)
-        _, res = is_mackey(lift(f), f.field_type)
-        worst = max(worst, res)
-    return worst
+    return _worst_over_orders(rng, cfg["bandwidth"],
+                              lambda f: is_mackey(lift(f), f.field_type)[1])
 
 
 def _check_lift_project_round_trip(rng, cfg):
-    B = cfg["bandwidth"]
-    worst = 0.0
-    for k in _orders(B):
-        f = _rand_field(rng, B, k)
-        back = project(lift(f), f.field_type)
-        worst = max(worst, _rel(np.abs(back.flat() - f.flat()).max(),
-                                np.abs(f.flat()).max()))
-    return worst
+    return _worst_over_orders(
+        rng, cfg["bandwidth"],
+        lambda f: _rel_err(project(lift(f), f.field_type).flat(), f.flat()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +272,16 @@ def _check_dense_zeroed(rng, cfg):
     worst = 0.0
     for (m_in, m_out) in [(0, 0), (1, -1), (min(2, B - 1), 0)]:
         ker = _rand_kernel(rng, B, m_in, m_out)
-        f = _rand_field(rng, B, m_in)
-        blocks = lift_spectrum(f)
+        blocks = lift_spectrum(_rand_field(rng, B, m_in))
         sparse_out = conv_spectral(blocks, ker)
         # dense path: full block product with a dense kernel whose
         # off-(m_in, m_out) entries are zeroed
-        dense_out = SpectralBlocks.zeros(B, 1)
-        lo = max(abs(m_in), abs(m_out))
-        for l in range(B):
-            dense = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
-            if l >= lo:
-                dense[m_in + l, m_out + l] = ker.coeff(l)[0, 0] / (2 * l + 1)
-            dense_out.blocks[l][0] = blocks.blocks[l][0] @ dense
-        num = max(np.abs(dense_out.blocks[l] - sparse_out.blocks[l]).max()
-                  for l in range(B))
-        scale = max(np.abs(b).max() for b in sparse_out.blocks)
-        worst = max(worst, _rel(num, scale))
+        dense = [np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
+                 for l in range(B)]
+        for l in kernel_degrees(m_in, m_out, B):
+            dense[l][m_in + l, m_out + l] = ker.coeff(l)[0, 0] / (2 * l + 1)
+        dense_out = [b[0] @ d for b, d in zip(blocks.blocks, dense)]
+        worst = max(worst, _rel_blocks(dense_out, sparse_out.blocks))
     return worst
 
 
@@ -292,15 +290,9 @@ def _check_basis_independence(rng, cfg):
     input must be linearly independent; measured = threshold / sigma_min.
     """
     B = cfg["bandwidth"]
-    m_in, m_out = min(1, B - 1), min(1, B - 1)
-    f = _rand_field(rng, B, m_in)
-    degs = list(kernel_degrees(m_in, m_out, B))
-    rows = []
-    for i in range(len(degs)):
-        c = np.zeros((1, 1, len(degs)), dtype=complex)
-        c[0, 0, i] = 1.0
-        out = conv_field(f, SparseKernelSpec(m_in, m_out, B, c))
-        rows.append(out.flat()[0])
+    f = _rand_field(rng, B, 1)
+    rows = [conv_field(f, _probe_kernel(1, 1, B, i)).flat()[0]
+            for i in range(len(kernel_degrees(1, 1, B)))]
     sv = np.linalg.svd(np.stack(rows), compute_uv=False)
     return float(1e-8 / sv[-1])
 
@@ -311,17 +303,13 @@ def _check_basis_independence(rng, cfg):
 
 
 def _check_spectral_vs_spatial(rng, cfg):
-    from .spectral_conv import conv_spatial_oracle
     B = min(cfg["bandwidth"], 4)
     worst = 0.0
-    for (m_in, m_out) in [(0, 0), (1, -1), (min(2, B - 1), 1 if B > 1 else 0)]:
+    for (m_in, m_out) in [(0, 0), (1, -1), (min(2, B - 1), 1)]:
         ker = _rand_kernel(rng, B, m_in, m_out)
         f = _rand_field(rng, B, m_in)
-        spectral = conv_field(f, ker)
-        spatial = conv_spatial_oracle(f, ker)
-        worst = max(worst, _rel(
-            np.abs(spectral.flat() - spatial.flat()).max(),
-            np.abs(spatial.flat()).max()))
+        worst = max(worst, _rel_err(conv_field(f, ker).flat(),
+                                    conv_spatial_oracle(f, ker).flat()))
     return worst
 
 
@@ -330,21 +318,17 @@ def _check_identity_kernel(rng, cfg):
     then verify the round trip.
     """
     B = cfg["bandwidth"]
-    m = min(1, B - 1)
-    degs = list(kernel_degrees(m, m, B))
-    f = _rand_field(rng, B, m)
+    degs = list(kernel_degrees(1, 1, B))
+    f = _rand_field(rng, B, 1)
     a_in = spin_coeffs(f)
     # one unit coefficient per degree; the response ratio gives the scale
     c = np.zeros((1, 1, len(degs)), dtype=complex)
     for i, l in enumerate(degs):
-        probe = np.zeros((1, 1, len(degs)), dtype=complex)
-        probe[0, 0, i] = 1.0
-        out = conv_field(f, SparseKernelSpec(m, m, B, probe))
-        ratio = spin_coeffs(out)[l][0, 0] / a_in[l][0, 0]
-        c[0, 0, i] = 1.0 / ratio
-    g = _rand_field(rng, B, m)
-    out = conv_field(g, SparseKernelSpec(m, m, B, c))
-    return _rel(np.abs(out.flat() - g.flat()).max(), np.abs(g.flat()).max())
+        out = conv_field(f, _probe_kernel(1, 1, B, i))
+        c[0, 0, i] = 1.0 / (spin_coeffs(out)[l][0, 0] / a_in[l][0, 0])
+    g = _rand_field(rng, B, 1)
+    return _rel_err(conv_field(g, SparseKernelSpec(1, 1, B, c)).flat(),
+                    g.flat())
 
 
 # ---------------------------------------------------------------------------
@@ -352,46 +336,38 @@ def _check_identity_kernel(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+def _relu_equivariance_err(f: TensorField, g: Rotation3, ov: int) -> float:
+    """Relative error of nonlinearity(L_g f) against L_g nonlinearity(f)."""
+    spec, k = ActivationSpec("relu"), [f.field_type.order]
+    lhs = nonlinearity([induced_action(g, f)], spec, k, oversample=ov)[0]
+    rhs = induced_action(g, nonlinearity([f], spec, k, oversample=ov)[0])
+    return _rel_err(lhs.flat(), rhs.flat())
+
+
 def _check_grid_aligned_nonlin(rng, cfg):
     B = cfg["bandwidth"]
-    k = min(1, B - 1)
-    f = _rand_field(rng, B, k, scale=0.5)
-    g = Rotation3(np.pi / B, 0.0, 0.0)
-    spec = ActivationSpec("relu")
-    ov = cfg["oversample"]
-    lhs = nonlinearity([induced_action(g, f)], spec, [k], oversample=ov)[0]
-    rhs = induced_action(g, nonlinearity([f], spec, [k], oversample=ov)[0])
-    return _rel(np.abs(lhs.flat() - rhs.flat()).max(),
-                np.abs(rhs.flat()).max())
+    f = _rand_field(rng, B, 1, scale=0.5)
+    return _relu_equivariance_err(f, Rotation3(np.pi / B, 0.0, 0.0),
+                                  cfg["oversample"])
 
 
 def _check_oversampling_monotone(rng, cfg):
     """Random-rotation equivariance error must shrink as the activation grid
     is oversampled x1 -> x2 -> x4; measured is the largest error ratio.
     """
-    B = min(cfg["bandwidth"], 4)
-    f = _rand_field(rng, B, 0, scale=0.5)
+    f = _rand_field(rng, min(cfg["bandwidth"], 4), 0, scale=0.5)
     g = _rand_rotation(rng)
-    spec = ActivationSpec("relu")
-    errs = []
-    for ov in (1, 2, 4):
-        lhs = nonlinearity([induced_action(g, f)], spec, [0], oversample=ov)[0]
-        rhs = induced_action(g, nonlinearity([f], spec, [0], oversample=ov)[0])
-        errs.append(_rel(np.abs(lhs.flat() - rhs.flat()).max(),
-                         np.abs(rhs.flat()).max()))
+    errs = [_relu_equivariance_err(f, g, ov) for ov in (1, 2, 4)]
     return float(max(errs[1] / errs[0], errs[2] / errs[1]))
 
 
 def _check_delta_kernel_projection(rng, cfg):
     B = cfg["bandwidth"]
-    k = min(1, B - 1)
-    fields = [_rand_field(rng, B, 0, scale=0.5),
-              _rand_field(rng, B, k, scale=0.5)]
-    lifted = lift_sum(fields)    # bandlimited, so both projections agree
-    col = project_column(lifted, k)
-    ker = project_kernel(lifted, delta_projection_kernel(k, B), k)
-    return _rel(np.abs(col.flat() - ker.flat()).max(),
-                np.abs(col.flat()).max())
+    # bandlimited, so both projections agree
+    lifted = lift_sum([_rand_field(rng, B, k, scale=0.5) for k in (0, 1)])
+    col = project_column(lifted, 1)
+    ker = project_kernel(lifted, delta_projection_kernel(1, B), 1)
+    return _rel_err(ker.flat(), col.flat())
 
 
 def _check_prior_pipeline(rng, cfg):
@@ -399,7 +375,7 @@ def _check_prior_pipeline(rng, cfg):
     restricted to the scalar column (synthesize, activate, re-analyze).
     """
     B = max(cfg["bandwidth"], 3)
-    lmax = min(2, B - 1)
+    lmax = 2
     feats = [0.3 * rng.standard_normal((1, 1, 2 * l + 1))
              for l in range(lmax + 1)]
     out_point = point_sphere_nonlin(feats, ActivationSpec("relu"), B)
@@ -471,9 +447,7 @@ def _check_se3_orthogonality(rng, cfg):
         Ks = {t: se3_kernel_eval_many(
             SE3KernelBasis(l_in, l_out, t, radii, flat), dirs) for t in ts}
         for t1 in ts:
-            for t2 in ts:
-                if t2 <= t1:
-                    continue
+            for t2 in range(t1 + 1, ts.stop):
                 ip = np.einsum("nij,nij,n->", Ks[t1], Ks[t2], grid.weights)
                 worst = max(worst, abs(float(ip)))
     return worst
@@ -508,14 +482,10 @@ def _tame_terms(cloud: PointCloud, terms: list, radius: float,
 
 
 def _rototranslate(cloud: PointCloud, g: Rotation3, t: np.ndarray) -> PointCloud:
-    R = g.matrix()
-    feats = []
-    for l, f in enumerate(cloud.features):
-        if f is None:
-            feats.append(None)
-            continue
-        feats.append(np.einsum("ij,njc->nic", wigner_D_real(l, g), f))
-    return PointCloud(cloud.positions @ R.T + t, feats)
+    feats = [None if f is None
+             else np.einsum("ij,njc->nic", wigner_D_real(l, g), f)
+             for l, f in enumerate(cloud.features)]
+    return PointCloud(cloud.positions @ g.matrix().T + t, feats)
 
 
 def _feat_err(a: list, b: list, g: Rotation3) -> float:
@@ -532,40 +502,38 @@ def _feat_err(a: list, b: list, g: Rotation3) -> float:
 def _check_tfn_equivariance(rng, cfg):
     cloud, terms = _tfn_setup(rng, 64)
     g = _rand_rotation(rng)
-    t = rng.standard_normal(3)
-    out = tfn_point_conv(cloud, terms, radius=2.0)
-    out_t = tfn_point_conv(_rototranslate(cloud, g, t), terms, radius=2.0)
-    return _feat_err(out_t, out, g)
+    moved = _rototranslate(cloud, g, rng.standard_normal(3))
+    return _feat_err(tfn_point_conv(moved, terms, radius=2.0),
+                     tfn_point_conv(cloud, terms, radius=2.0), g)
+
+
+def _se3_layer_setup(rng, cfg):
+    """A 16-point cloud, tamed terms, and the layer as a function of both."""
+    cloud, terms = _tfn_setup(rng, 16)
+    terms = _tame_terms(cloud, terms, 2.0)
+    spec = ActivationSpec("tanh")
+    sphere_bw = max(cfg["bandwidth"], 8)
+    return cloud, terms, lambda c, ts: se3_layer(c, ts, 2.0, spec, sphere_bw)
 
 
 def _check_layer_equivariance(rng, cfg):
-    cloud, terms = _tfn_setup(rng, 16)
-    terms = _tame_terms(cloud, terms, 2.0)
+    cloud, terms, layer = _se3_layer_setup(rng, cfg)
     g = _rand_rotation(rng)
-    t = rng.standard_normal(3)
-    spec = ActivationSpec("tanh")
-    sphere_bw = max(cfg["bandwidth"], 8)
-    out = se3_layer(cloud, terms, 2.0, spec, sphere_bw)
-    out_t = se3_layer(_rototranslate(cloud, g, t), terms, 2.0, spec, sphere_bw)
-    return _feat_err(out_t, out, g)
+    moved = _rototranslate(cloud, g, rng.standard_normal(3))
+    return _feat_err(layer(moved, terms), layer(cloud, terms), g)
 
 
 def _check_two_layer_equivariance(rng, cfg):
-    cloud, terms = _tfn_setup(rng, 16)
-    terms = _tame_terms(cloud, terms, 2.0)
-    spec = ActivationSpec("tanh")
-    sphere_bw = max(cfg["bandwidth"], 8)
-    mid = se3_layer(cloud, terms, 2.0, spec, sphere_bw)
+    cloud, terms, layer = _se3_layer_setup(rng, cfg)
+    mid = layer(cloud, terms)
     terms2 = _tame_terms(PointCloud(cloud.positions, mid), terms, 2.0)
     g = _rand_rotation(rng)
-    t = rng.standard_normal(3)
+    moved = _rototranslate(cloud, g, rng.standard_normal(3))
 
     def two(c: PointCloud) -> list:
-        first = se3_layer(c, terms, 2.0, spec, sphere_bw)
-        return se3_layer(PointCloud(c.positions, first), terms2, 2.0, spec,
-                         sphere_bw)
+        return layer(PointCloud(c.positions, layer(c, terms)), terms2)
 
-    return _feat_err(two(_rototranslate(cloud, g, t)), two(cloud), g)
+    return _feat_err(two(moved), two(cloud), g)
 
 
 # ---------------------------------------------------------------------------
@@ -577,39 +545,38 @@ def _pairing(a: list, b: list) -> float:
     return float(sum(np.sum(np.conj(x) * y).real for x, y in zip(a, b)))
 
 
-def _check_vjp_adjoint(rng, cfg):
-    B = cfg["bandwidth"]
-    m_in, m_out = min(1, B - 1), -min(1, B - 1)
-    ker = _rand_kernel(rng, B, m_in, m_out, c_out=2, c_in=2)
-    f = _rand_field(rng, B, m_in, channels=2)
-    blocks = lift_spectrum(f)
-    out = conv_spectral(blocks, ker)
+def _vjp_setup(rng, B: int):
+    """A 2x2-channel (1 -> -1) kernel, the lifted spectrum of a random order-1
+    field, and a random cotangent on the output column n = -1.
+    """
+    ker = _rand_kernel(rng, B, 1, -1, c_out=2, c_in=2)
+    blocks = lift_spectrum(_rand_field(rng, B, 1, channels=2))
     cot = SpectralBlocks.zeros(B, 2)
-    for l in kernel_degrees(m_in, m_out, B):
-        cot.blocks[l][:, :, m_out + l] = (
-            rng.standard_normal((2, 2 * l + 1))
-            + 1j * rng.standard_normal((2, 2 * l + 1)))
+    for l in kernel_degrees(1, -1, B):
+        cot.blocks[l][:, :, l - 1] = _cplx(rng, 2, 2 * l + 1)
+    return ker, blocks, cot
+
+
+def _check_vjp_adjoint(rng, cfg):
+    ker, blocks, cot = _vjp_setup(rng, cfg["bandwidth"])
     vin, _ = conv_vjp(blocks, ker, cot)
-    lhs = _pairing(cot.blocks, out.blocks)
+    lhs = _pairing(cot.blocks, conv_spectral(blocks, ker).blocks)
     rhs = _pairing(vin.blocks, blocks.blocks)
     return _rel(abs(lhs - rhs), abs(lhs))
 
 
 def _check_vjp_finite_difference(rng, cfg):
     B = cfg["bandwidth"]
-    m_in, m_out = min(1, B - 1), -min(1, B - 1)
-    ker = _rand_kernel(rng, B, m_in, m_out, c_out=2, c_in=2)
-    f = _rand_field(rng, B, m_in, channels=2)
-    blocks = lift_spectrum(f)
-    cot = SpectralBlocks.zeros(B, 2)
-    for l in kernel_degrees(m_in, m_out, B):
-        cot.blocks[l][:, :, m_out + l] = (
-            rng.standard_normal((2, 2 * l + 1))
-            + 1j * rng.standard_normal((2, 2 * l + 1)))
+    ker, blocks, cot = _vjp_setup(rng, B)
     _, vc = conv_vjp(blocks, ker, cot)
     step = 1e-5
     worst = 0.0
     scale = np.abs(vc).max()
+
+    def paired(c: np.ndarray) -> float:
+        out = conv_spectral(blocks, SparseKernelSpec(1, -1, B, c))
+        return _pairing(cot.blocks, out.blocks)
+
     picks = [(o, i, li) for o in range(2) for i in range(2)
              for li in range(min(3, ker.coeffs.shape[2]))]
     for (o, i, li) in picks:
@@ -621,10 +588,7 @@ def _check_vjp_finite_difference(rng, cfg):
             cm = ker.coeffs.copy()
             cp[o, i, li] += direction * step
             cm[o, i, li] -= direction * step
-            up = conv_spectral(blocks, SparseKernelSpec(m_in, m_out, B, cp))
-            dn = conv_spectral(blocks, SparseKernelSpec(m_in, m_out, B, cm))
-            fd = (_pairing(cot.blocks, up.blocks)
-                  - _pairing(cot.blocks, dn.blocks)) / (2 * step)
+            fd = (paired(cp) - paired(cm)) / (2 * step)
             worst = max(worst, abs(fd - grad))
     return _rel(worst, scale)
 
@@ -687,8 +651,12 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
     elif suite in SUITES:
         names = [suite]
     else:
-        raise KeyError(f"unknown suite {suite!r}; choose from "
-                       f"{', '.join(list(SUITES) + ['all'])}")
+        raise CheckConfigError(f"unknown suite {suite!r}; choose from "
+                               f"{', '.join(list(SUITES) + ['all'])}")
+    for key, least in (("bandwidth", 2), ("trials", 1), ("oversample", 1)):
+        if cfg[key] < least:
+            raise CheckConfigError(f"{key} must be at least {least}, "
+                                   f"got {cfg[key]}")
     echo = {k: v for k, v in cfg.items() if k != "tolerances"}
     echo["suites"] = names
     report = CheckReport(suite, echo)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import SUITES, run_suite
+from .checks import SUITES, CheckConfigError, run_suite
 from .io import FieldFormatError, convert_field
 
 EXIT_OK = 0
@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--suite", default="all",
                        help="suite name or 'all' (choices: "
                             + ", ".join(list(SUITES) + ["all"]) + ")")
-    check.add_argument("--bandwidth", type=int, default=8, metavar="B")
+    check.add_argument("--bandwidth", type=int, default=8, metavar="B",
+                       help="grid bandwidth, at least 2 (default 8)")
     check.add_argument("--seed", type=int, default=42)
     check.add_argument("--trials", type=int, default=20)
     check.add_argument("--oversample", type=int, default=2,
@@ -47,10 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    if args.bandwidth < 1 or args.trials < 1 or args.oversample < 1:
-        print("error: bandwidth, trials and oversample must be positive",
-              file=sys.stderr)
-        return EXIT_USAGE
     config = {
         "bandwidth": args.bandwidth,
         "seed": args.seed,
@@ -59,8 +56,8 @@ def _cmd_check(args) -> int:
     }
     try:
         report = run_suite(args.suite, config)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
+    except CheckConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     for c in sorted(report.checks, key=lambda c: c.name):
         status = "PASS" if c.passed else "FAIL"

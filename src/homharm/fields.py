@@ -179,20 +179,21 @@ def spin_coeffs(field: TensorField) -> list:
                           wigner_d_stack(grid.bandwidth - 1, grid.betas))
 
 
-def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid,
-                   channels: int | None = None) -> np.ndarray:
+def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray:
     """Synthesize samples of an order-k field from its spin coefficients.
 
     coeffs may come from a grid of different bandwidth; degrees above the
-    target grid's resolvable range must be absent.
+    target grid's resolvable range must be absent, and at least one degree
+    must be present (it sets the channel count).
     """
-    lmax = max((l for l, c in enumerate(coeffs) if c is not None), default=-1)
-    if lmax >= grid.bandwidth:
+    present = [l for l, c in enumerate(coeffs) if c is not None]
+    if not present:
+        raise ValueError("no spin coefficients to synthesize")
+    if present[-1] >= grid.bandwidth:
         raise ValueError("coefficients exceed the target grid bandwidth")
-    if channels is None:
-        channels = next(c.shape[0] for c in coeffs if c is not None)
+    channels = coeffs[present[0]].shape[0]
     f = _spin_synthesis(coeffs, grid, order,
-                        wigner_d_stack(max(lmax, 0), grid.betas), channels)
+                        wigner_d_stack(present[-1], grid.betas), channels)
     return f.reshape(channels, grid.n_nodes)
 
 
@@ -205,12 +206,15 @@ def field_from_spin_coeffs(coeffs: list, order: int,
 def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     """Bandlimited resampling of an order-k field onto a finer/coarser grid.
 
-    Coarsening silently truncates degrees >= new bandwidth.
+    Coarsening silently truncates degrees >= new bandwidth; only the degrees
+    kept are analysed.
     """
-    coeffs = spin_coeffs(field)
-    coeffs = coeffs[:new_bandwidth]
-    grid = quadrature_grid("S2", new_bandwidth)
-    return field_from_spin_coeffs(coeffs, field.field_type.order, grid)
+    _check_s2_order(field)
+    grid, k = field.grid, field.field_type.order
+    n = 2 * grid.bandwidth
+    stack = wigner_d_stack(min(grid.bandwidth, new_bandwidth) - 1, grid.betas)
+    coeffs = _spin_analysis(field.flat().reshape(-1, n, n), grid, k, stack)
+    return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))
 
 
 # ---------------------------------------------------------------------------

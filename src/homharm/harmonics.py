@@ -156,16 +156,19 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
 # Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
 
-_EXACT_L_LIMIT = 20
 
+def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l: int, m: int) -> float:
+    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m> via the Racah formula.
 
-def _cg_sum_range(l1, m1, l2, m2, l):
-    kmin = max(0, l2 - l - m1, l1 - l + m2)
-    kmax = min(l1 + l2 - l, l1 - m1, l2 + m2)
-    return kmin, kmax
-
-
-def _clebsch_gordan_exact(l1, m1, l2, m2, l, m) -> float:
+    The prefactor and the alternating sum are exact rationals; the value is
+    squared exactly and takes one float square root.
+    """
+    if min(l1, l2, l) < 0:
+        raise ValueError("degrees must be nonnegative")
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m) > l:
+        raise ValueError("|m| must not exceed the degree")
+    if m != m1 + m2 or not (abs(l1 - l2) <= l <= l1 + l2):
+        return 0.0
     f = math.factorial
     pref = Fraction(
         (2 * l + 1) * f(l1 + l2 - l) * f(l1 - l2 + l) * f(-l1 + l2 + l),
@@ -173,7 +176,8 @@ def _clebsch_gordan_exact(l1, m1, l2, m2, l, m) -> float:
     ) * Fraction(
         f(l + m) * f(l - m) * f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2)
     )
-    kmin, kmax = _cg_sum_range(l1, m1, l2, m2, l)
+    kmin = max(0, l2 - l - m1, l1 - l + m2)
+    kmax = min(l1 + l2 - l, l1 - m1, l2 + m2)
     total = Fraction(0)
     for k in range(kmin, kmax + 1):
         denom = (f(k) * f(l1 + l2 - l - k) * f(l1 - m1 - k) * f(l2 + m2 - k)
@@ -185,43 +189,6 @@ def _clebsch_gordan_exact(l1, m1, l2, m2, l, m) -> float:
     # value = total * sqrt(pref); square exactly, take one float sqrt
     sq = pref * total * total
     return sign * math.sqrt(sq.numerator / sq.denominator)
-
-
-def _clebsch_gordan_lgamma(l1, m1, l2, m2, l, m) -> float:
-    lg = math.lgamma
-
-    def lf(n):
-        return lg(n + 1)
-
-    logpref = 0.5 * (math.log(2 * l + 1)
-                     + lf(l1 + l2 - l) + lf(l1 - l2 + l) + lf(-l1 + l2 + l)
-                     - lf(l1 + l2 + l + 1)
-                     + lf(l + m) + lf(l - m) + lf(l1 - m1) + lf(l1 + m1)
-                     + lf(l2 - m2) + lf(l2 + m2))
-    kmin, kmax = _cg_sum_range(l1, m1, l2, m2, l)
-    total = 0.0
-    for k in range(kmin, kmax + 1):
-        logden = (lf(k) + lf(l1 + l2 - l - k) + lf(l1 - m1 - k) + lf(l2 + m2 - k)
-                  + lf(l - l2 + m1 + k) + lf(l - l1 - m2 + k))
-        total += (-1.0) ** k * math.exp(logpref - logden)
-    return total
-
-
-def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l: int, m: int) -> float:
-    """Clebsch-Gordan coefficient <l1 m1 l2 m2 | l m> via the Racah formula.
-
-    The prefactor is evaluated with exact integer arithmetic up to degree 20
-    and with log-gamma beyond that.
-    """
-    if min(l1, l2, l) < 0:
-        raise ValueError("degrees must be nonnegative")
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m) > l:
-        raise ValueError("|m| must not exceed the degree")
-    if m != m1 + m2 or not (abs(l1 - l2) <= l <= l1 + l2):
-        return 0.0
-    if max(l1, l2, l) <= _EXACT_L_LIMIT:
-        return _clebsch_gordan_exact(l1, m1, l2, m2, l, m)
-    return _clebsch_gordan_lgamma(l1, m1, l2, m2, l, m)
 
 
 def cg_matrix(t: int, l_in: int, l_out: int) -> np.ndarray:

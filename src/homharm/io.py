@@ -66,8 +66,16 @@ def _dump(doc: dict, path: str):
         fh.write("\n")
 
 
-def _check_doc(doc, path: str):
-    """Reject a field document of another version or missing a required key."""
+def _read_doc(path: str) -> dict:
+    """Read a JSON field document; reject invalid JSON, another version, a
+    missing required key, and field_orders and data of unequal length.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
+                               f"column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise FieldFormatError(f"{path}: expected a JSON object")
     v = doc.get("format_version")
@@ -79,6 +87,12 @@ def _check_doc(doc, path: str):
                if key not in doc]
     if missing:
         raise FieldFormatError(f"{path}: missing key(s) {', '.join(missing)}")
+    orders, data = doc["field_orders"], doc["data"]
+    if not (isinstance(orders, list) and isinstance(data, list)
+            and len(orders) == len(data)):
+        raise FieldFormatError(f"{path}: field_orders and data must be lists "
+                               f"of equal length")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +125,7 @@ def save_fields(path: str, fields: list):
 
 def load_fields(path: str) -> list:
     """Read a field file back into TensorFields or GroupFunctions."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
-                               f"column {e.colno}: {e.msg}") from e
-    _check_doc(doc, path)
+    doc = _read_doc(path)
     space = doc.get("space")
     if space not in ("S2", "SO3"):
         raise FieldFormatError(f"{path}: space must be S2 or SO3 in a grid "
@@ -161,13 +169,7 @@ def save_point_cloud(path: str, cloud: PointCloud):
 
 
 def load_point_cloud(path: str) -> PointCloud:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
-                               f"column {e.colno}: {e.msg}") from e
-    _check_doc(doc, path)
+    doc = _read_doc(path)
     if doc.get("space") != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
                                f"{doc.get('space')!r}")
@@ -234,7 +236,7 @@ def _field_doc_to_csv(doc: dict) -> str:
 
 def _csv_to_field_doc(text: str, path: str) -> dict:
     meta = {}
-    positions = []
+    position_text = []
     rows = []
     header_seen = False
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -248,7 +250,7 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
                                        f"metadata comment {line!r}")
             key, val = body.split("=", 1)
             if key.strip() == "position":
-                positions.append([float(v) for v in val.split(",")])
+                position_text.append(val)
             else:
                 meta[key.strip()] = val.strip()
             continue
@@ -271,15 +273,20 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
         if key not in meta:
             raise FieldFormatError(f"{path}: missing metadata comment "
                                    f"'# {key}=...'")
-    version = int(meta["format_version"])
+    orders_raw = meta["field_orders"].split(",") if meta["field_orders"] else []
+    try:
+        version = int(meta["format_version"])
+        orders = [None if o == "None" else int(o) for o in orders_raw]
+        ints = {key: int(meta[key]) for key in ("channels", "bandwidth")
+                if key in meta}
+        positions = [[float(v) for v in p.split(",")] for p in position_text]
+    except ValueError as e:
+        raise FieldFormatError(f"{path}: non-numeric metadata: {e}") from e
     if version != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format_version {version} "
                                f"(this reader handles {FORMAT_VERSION})")
-    orders_raw = meta["field_orders"].split(",") if meta["field_orders"] else []
-    orders = [None if o == "None" else int(o) for o in orders_raw]
-    n_fields = len(orders)
     data = []
-    for fi in range(n_fields):
+    for fi in range(len(orders)):
         field_rows = [r for r in rows if r[0] == fi]
         if not field_rows:
             raise FieldFormatError(f"{path}: no data rows for field {fi}")
@@ -294,11 +301,9 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
         "format_version": version,
         "space": meta["space"],
         "field_orders": orders,
-        "channels": int(meta["channels"]),
         "data": data,
+        **ints,
     }
-    if "bandwidth" in meta:
-        doc["bandwidth"] = int(meta["bandwidth"])
     if positions:
         doc["positions"] = positions
     return doc
@@ -310,13 +315,7 @@ def convert_field(in_path: str, out_path: str):
     src = in_path.lower()
     dst = out_path.lower()
     if src.endswith(".json") and dst.endswith(".csv"):
-        try:
-            with open(in_path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FieldFormatError(f"{in_path}: invalid JSON at line "
-                                   f"{e.lineno}, column {e.colno}: {e.msg}") from e
-        _check_doc(doc, in_path)
+        doc = _read_doc(in_path)
         with open(out_path, "w") as fh:
             fh.write(_field_doc_to_csv(doc))
     elif src.endswith(".csv") and dst.endswith(".json"):

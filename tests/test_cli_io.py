@@ -163,8 +163,40 @@ class TestCli:
         assert not report.passed
 
     def test_usage_errors(self, capsys):
-        assert main(["check", "--suite", "nope"]) == 2
-        assert main(["check", "--bandwidth", "0"]) == 2
+        for argv in (["--suite", "nope"], ["--bandwidth", "0"],
+                     ["--bandwidth", "1"], ["--trials", "0"],
+                     ["--oversample", "0"]):
+            assert main(["check", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv                  # no check ran
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), argv
+
+    def test_config_gate_runs_before_any_check(self, monkeypatch):
+        from homharm import checks
+
+        def must_not_run(rng, cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(checks, "SUITES", {
+            suite: [(name, must_not_run, tol) for name, _, tol in entries]
+            for suite, entries in checks.SUITES.items()})
+        for bad in ({"bandwidth": 1}, {"trials": 0}, {"oversample": 0}):
+            with pytest.raises(checks.CheckConfigError, match=next(iter(bad))):
+                checks.run_suite("all", bad)
+        with pytest.raises(checks.CheckConfigError, match="unknown suite"):
+            checks.run_suite("nope")
+
+    def test_error_inside_a_check_is_not_a_usage_error(self, monkeypatch):
+        from homharm import checks
+
+        def broken(rng, cfg):
+            raise ValueError("broken check")
+
+        monkeypatch.setattr(checks, "SUITES", {"transforms": [
+            ("broken", broken, 1.0)]})
+        with pytest.raises(ValueError, match="broken check"):
+            main(["check", "--suite", "transforms"])
 
     def test_io_error_on_convert(self, tmp_path):
         missing = tmp_path / "missing.json"
@@ -182,6 +214,40 @@ class TestCli:
         with pytest.raises(FieldFormatError, match=key):
             load_fields(path)
         assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+
+    def test_orders_and_data_of_unequal_length(self, tmp_path):
+        path = tmp_path / "f.json"
+        save_fields(path, random_s2_fields())
+        doc = json.loads(path.read_text())
+        doc["data"] = doc["data"][:1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="equal length"):
+            load_fields(path)
+        assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+        cloud = tmp_path / "cloud.json"
+        save_point_cloud(cloud, PointCloud(np.zeros((2, 3)),
+                                           [np.ones((2, 1, 1))]))
+        doc = json.loads(cloud.read_text())
+        doc["field_orders"] = [0, 1]
+        cloud.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="equal length"):
+            load_point_cloud(cloud)
+
+    @pytest.mark.parametrize("line", ["# format_version=one",
+                                      "# field_orders=zero",
+                                      "# channels=two"])
+    def test_non_integer_csv_metadata(self, tmp_path, line):
+        p_json, p_csv = tmp_path / "f.json", tmp_path / "f.csv"
+        save_fields(p_json, random_s2_fields())
+        convert_field(p_json, p_csv)
+        key = line.split("=")[0]
+        lines = [line if l.startswith(key + "=") else l
+                 for l in p_csv.read_text().splitlines()]
+        assert line in lines
+        p_csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FieldFormatError, match="non-numeric"):
+            convert_field(p_csv, tmp_path / "back.json")
+        assert main(["convert", str(p_csv), str(tmp_path / "back.json")]) == 3
 
     def test_csv_without_data_rows(self, tmp_path):
         p_json, p_csv = tmp_path / "f.json", tmp_path / "f.csv"

@@ -4,7 +4,8 @@ import pytest
 from homharm.fields import (FieldType, GroupFunction, TensorField,
                             field_from_spin_coeffs, induced_action,
                             is_mackey, lift, lift_spectrum, project,
-                            regular_action, resample, spin_coeffs)
+                            regular_action, resample, spin_coeffs,
+                            spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
 
 rng = np.random.default_rng(404)
@@ -106,6 +107,18 @@ class TestSpinCoefficients:
         fine = resample(field, 7)
         back = resample(fine, 4)
         assert np.abs(back.samples - field.samples).max() < 1e-12
+
+    def test_coarsening_equals_truncated_full_analysis(self):
+        # resample analyses only the degrees it keeps; the result must be
+        # bitwise the truncation of the full analysis
+        field = random_field(9, -2, channels=2)
+        coarse = quadrature_grid("S2", 5)
+        full = field_from_spin_coeffs(spin_coeffs(field)[:5], -2, coarse)
+        assert np.array_equal(resample(field, 5).samples, full.samples)
+
+    def test_synthesis_needs_a_coefficient_block(self):
+        with pytest.raises(ValueError, match="no spin coefficients"):
+            spin_synthesis([None] * 3, 0, quadrature_grid("S2", 3))
 
 
 class TestActions:

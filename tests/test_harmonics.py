@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import (cg_matrix, clebsch_gordan,
-                               _clebsch_gordan_exact, _clebsch_gordan_lgamma,
                                real_basis_change, real_sph_harm_matrix,
                                sph_harm, sph_harm_matrix, wigner_D_matrix,
                                wigner_D_real, wigner_d, wigner_d_stack)
@@ -151,18 +150,6 @@ class TestClebschGordan:
             1 / math.sqrt(2), abs=1e-15)
         assert clebsch_gordan(2, 0, 2, 0, 0, 0) == pytest.approx(
             1 / math.sqrt(5), abs=1e-15)
-
-    def test_exact_vs_lgamma(self):
-        for _ in range(200):
-            l1, l2 = rng.integers(0, 7, 2)
-            for l in range(abs(l1 - l2), l1 + l2 + 1):
-                m1 = int(rng.integers(-l1, l1 + 1))
-                m2 = int(rng.integers(-l2, l2 + 1))
-                if abs(m1 + m2) > l:
-                    continue
-                a = _clebsch_gordan_exact(l1, m1, l2, m2, l, m1 + m2)
-                b = _clebsch_gordan_lgamma(l1, m1, l2, m2, l, m1 + m2)
-                assert a == pytest.approx(b, abs=1e-12)
 
     def test_orthogonality_rows(self):
         # sum over (m1, m2) of C(l m) C(l' m') = delta
