@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
-from .harmonics import wigner_D_matrix, wigner_d_stack
-from .transforms import (SpectralBlocks, _spin_analysis, _spin_synthesis,
-                         so3_ft_forward, so3_ft_inverse)
+from .harmonics import _wigner_D_blocks
+from .transforms import (SpectralBlocks, _spin_analysis, _spin_columns,
+                         _spin_synthesis, so3_ft_forward, so3_ft_inverse)
 
 # ---------------------------------------------------------------------------
 # Types
@@ -175,8 +175,7 @@ def spin_coeffs(field: TensorField) -> list:
     grid = field.grid
     n = 2 * grid.bandwidth
     return _spin_analysis(field.flat().reshape(-1, n, n), grid,
-                          field.field_type.order,
-                          wigner_d_stack(grid.bandwidth - 1, grid.betas))
+                          _spin_columns(grid, field.field_type.order))
 
 
 def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray:
@@ -192,8 +191,8 @@ def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray
     if present[-1] >= grid.bandwidth:
         raise ValueError("coefficients exceed the target grid bandwidth")
     channels = coeffs[present[0]].shape[0]
-    f = _spin_synthesis(coeffs, grid, order,
-                        wigner_d_stack(present[-1], grid.betas), channels)
+    f = _spin_synthesis(coeffs, grid, _spin_columns(grid, order)[:present[-1] + 1],
+                        channels)
     return f.reshape(channels, grid.n_nodes)
 
 
@@ -212,8 +211,8 @@ def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
     n = 2 * grid.bandwidth
-    stack = wigner_d_stack(min(grid.bandwidth, new_bandwidth) - 1, grid.betas)
-    coeffs = _spin_analysis(field.flat().reshape(-1, n, n), grid, k, stack)
+    cols = _spin_columns(grid, k)[:min(grid.bandwidth, new_bandwidth)]
+    coeffs = _spin_analysis(field.flat().reshape(-1, n, n), grid, cols)
     return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))
 
 
@@ -232,12 +231,8 @@ def induced_action(g: Rotation3, field: TensorField) -> TensorField:
     """
     _check_s2_order(field)
     coeffs = spin_coeffs(field)
-    out: list = [None] * len(coeffs)
-    for l, a in enumerate(coeffs):
-        if a is None:
-            continue
-        D = wigner_D_matrix(l, g)
-        out[l] = np.einsum("mn,cn->cm", np.conj(D), a)
+    out = [None if a is None else np.einsum("mn,cn->cm", np.conj(D), a)
+           for a, D in zip(coeffs, _wigner_D_blocks(len(coeffs) - 1, g))]
     return field_from_spin_coeffs(out, field.field_type.order, field.grid)
 
 
@@ -248,10 +243,8 @@ def regular_action(g: Rotation3, gf: GroupFunction,
     Exact for functions bandlimited below the grid bandwidth.
     """
     blocks = so3_ft_forward(gf.flat(), gf.grid, bandwidth)
-    rotated = []
-    for l, b in enumerate(blocks.blocks):
-        D = np.conj(wigner_D_matrix(l, g))
-        rotated.append(np.einsum("mj,cjn->cmn", D, b))
+    rotated = [np.einsum("mj,cjn->cmn", np.conj(D), b) for b, D in
+               zip(blocks.blocks, _wigner_D_blocks(blocks.bandwidth - 1, g))]
     out = so3_ft_inverse(SpectralBlocks(blocks.bandwidth, rotated), gf.grid)
     return GroupFunction(gf.grid, out)
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,8 +315,8 @@ class QuadratureGrid:
 
     @property
     def beta_weights(self) -> np.ndarray:
-        """Colatitude weights, normalized so they sum to 1."""
-        return _dh_beta_weights(self.bandwidth) / 2.0
+        """Colatitude weights, normalized so they sum to 1 (read-only)."""
+        return _beta_weights(self.bandwidth)
 
 
 def _dh_beta_weights(B: int) -> np.ndarray:
@@ -332,28 +333,44 @@ def _dh_beta_weights(B: int) -> np.ndarray:
     return (2.0 / B) * np.sin(theta) * S
 
 
+@functools.lru_cache(maxsize=None)
+def _beta_weights(B: int) -> np.ndarray:
+    w = _dh_beta_weights(B) / 2.0
+    w.setflags(write=False)
+    return w
+
+
 def quadrature_grid(space: str, bandwidth: int) -> QuadratureGrid:
-    """Equiangular quadrature grid with degree-exact beta weights."""
+    """Equiangular quadrature grid with degree-exact beta weights.
+
+    Built once per (space, bandwidth): repeated calls return the same grid,
+    whose node and weight arrays are read-only.
+    """
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
-    B = bandwidth
+    if space not in ("Circle", "S2", "SO3"):
+        raise ValueError(f"unknown space {space!r}")
+    return _grid(space, bandwidth)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(space: str, B: int) -> QuadratureGrid:
     n = 2 * B
     alphas = np.pi * np.arange(n) / B
+    betas = np.pi * np.arange(n) / n
+    wb = _beta_weights(B)
     if space == "Circle":
         nodes = alphas[:, None]
         weights = np.full(n, 1.0 / n)
-        return QuadratureGrid(space, B, nodes, weights)
-    betas = np.pi * np.arange(n) / n
-    wb = _dh_beta_weights(B) / 2.0
-    if space == "S2":
+    elif space == "S2":
         A, Bt = np.meshgrid(alphas, betas, indexing="ij")
         nodes = np.stack([A.ravel(), Bt.ravel()], axis=1)
         weights = (np.full((n, 1), 1.0 / n) * wb[None, :]).ravel()
-        return QuadratureGrid(space, B, nodes, weights)
-    if space == "SO3":
+    else:
         A, Bt, G = np.meshgrid(alphas, betas, alphas, indexing="ij")
         nodes = np.stack([A.ravel(), Bt.ravel(), G.ravel()], axis=1)
         weights = (np.full((n, 1, 1), 1.0 / n) * wb[None, :, None]
                    * np.full((1, 1, n), 1.0 / n)).ravel()
-        return QuadratureGrid(space, B, nodes, weights)
-    raise ValueError(f"unknown space {space!r}")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureGrid(space, B, nodes, weights)

@@ -15,6 +15,7 @@ Conventions (fixed once, inherited by every other module):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -27,73 +28,157 @@ from .groups import Rotation3
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _degree_constants(l: int) -> tuple:
+    """The beta-independent constants of degree l >= 1, as read-only vectors.
+
+    root[n + l] = sqrt(C(2l, l + n)) and sign[n + l] = (-1)^(l - n) for
+    n = -l..l serve the closed boundary form; m = -(l-1)..l-1 with
+    R = sqrt(l^2 - m^2), Q = sqrt((l-1)^2 - m^2), u = 1/R and v = Q/R serve
+    the interior recursion.
+    """
+    n = np.arange(-l, l + 1)
+    m = n[1:-1]
+    R = np.sqrt(l * l - m * m)
+    Q = np.sqrt((l - 1) ** 2 - m * m)
+    consts = (np.sqrt(np.array([math.comb(2 * l, l + j) for j in n], dtype=float)),
+              (-1.0) ** (l - n), m, Q, R, 1.0 / R, Q / R)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
+
+
+def _recursion_offset(l: int, m, n, Qm, Qn, Rm, Rn):
+    """A - C - 1 at beta = 0 for the recursion d^l = A d^{l-1} - C d^{l-2}:
+
+        (m-n)^2 / (Rm Rn) * (l(l-1) / ((l-1)^2 - mn + Qm Qn)
+                             + l^2 / (l^2 - mn + Rm Rn)),
+
+    a cancellation-free form that is exactly 0 at m = n.  The first
+    denominator vanishes only at m = n = +-(l-1).
+    """
+    mn = m * n
+    den = (l - 1) ** 2 - mn + Qm * Qn
+    return (m - n) ** 2 * (l * (l - 1) / np.where(den > 0, den, 1.0)
+                           + l * l / (l * l - mn + Rm * Rn)) / (Rm * Rn)
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_constants(l: int) -> tuple:
+    """The [2l-1, 2l-1] recursion matrices of degree l >= 2 for
+    wigner_d_stack: E, a u_m u_n and (c v_m v_n)[1:-1, 1:-1], read-only.
+    """
+    _, _, m, Q, R, u, v = _degree_constants(l)
+    consts = (_recursion_offset(l, m[:, None], m[None, :], Q[:, None], Q[None, :],
+                                R[:, None], R[None, :]),
+              (2 * l - 1) * l * np.outer(u, u),
+              (l / (l - 1) * np.outer(v, v))[1:-1, 1:-1])
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
+
+
+def _reduced_betas(lmax: int, betas):
+    """beta' = min(beta, pi - beta), the mask of reflected betas, and
+    cos(beta'), 1 - cos(beta') = 2 sin^2(beta'/2) and the tables
+    cos(beta'/2)^e, sin(beta'/2)^e for e = 0..2 lmax.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    flip = betas > np.pi / 2
+    b = np.where(flip, np.pi - betas, betas)
+    c, s = np.cos(b / 2.0), np.sin(b / 2.0)
+    e = np.arange(2 * lmax + 1)
+    return flip, np.cos(b), 2.0 * s * s, c[:, None] ** e, s[:, None] ** e
+
+
 def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     """All small-d matrices d^l(beta) for l = 0..lmax at each beta.
 
     Returns a list indexed by l of real arrays [n_beta, 2l+1, 2l+1].
-    Interior entries follow the three-term recursion in l (upward, the
-    numerically dominant direction); entries with |m| = l or |n| = l use the
-    closed boundary form in half-angle sines/cosines.
+    Entries with |m| = l or |n| = l use the closed boundary form in
+    half-angle sines/cosines.  Interior entries follow the three-term
+    recursion in l (upward, the numerically dominant direction), written for
+    the difference delta^l = d^l - d^{l-1}:
+
+        delta^l_{mn} = (E_{mn} - t a u_m u_n) d^{l-1}_{mn}
+                       + c v_m v_n delta^{l-1}_{mn}
+
+    with t = 1 - cos(beta), a = (2l-1) l, c = l/(l-1) and E from
+    _recursion_offset.  The plain recursion loses O(l^2) ulps near the
+    poles, where its two characteristic roots meet at 1; this form does not.
+    Betas above pi/2 are computed at pi - beta and reflected with
+    d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t stays small.
     """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    nb = betas.shape[0]
-    x = np.cos(betas)
-    c = np.cos(betas / 2.0)
-    s = np.sin(betas / 2.0)
-
+    flip, x, t, cp, sp = _reduced_betas(lmax, betas)
+    nb = x.shape[0]
     out = [np.ones((nb, 1, 1))]
-    if lmax == 0:
-        return out
-
-    d1 = np.zeros((nb, 3, 3))
-    sc = np.sqrt(2.0) * s * c  # sin(beta)/sqrt(2)
-    d1[:, 0, 0] = c * c
-    d1[:, 0, 1] = sc
-    d1[:, 0, 2] = s * s
-    d1[:, 1, 0] = -sc
-    d1[:, 1, 1] = x
-    d1[:, 1, 2] = sc
-    d1[:, 2, 0] = s * s
-    d1[:, 2, 1] = -sc
-    d1[:, 2, 2] = c * c
-    out.append(d1)
-
-    for l in range(2, lmax + 1):
-        d = np.zeros((nb, 2 * l + 1, 2 * l + 1))
-        # boundary rows m = -l, l (all n) and columns n = -l, l
-        n_all = np.arange(-l, l + 1)
-        binom = np.array([math.comb(2 * l, l - n) for n in n_all], dtype=float)
-        root = np.sqrt(binom)
-        cp = c[:, None] ** (l + n_all)[None, :]
-        sp = s[:, None] ** (l - n_all)[None, :]
-        sign = (-1.0) ** (l - n_all)
-        d[:, 2 * l, :] = sign[None, :] * root[None, :] * cp * sp       # m = l
-        cp2 = c[:, None] ** (l - n_all)[None, :]
-        sp2 = s[:, None] ** (l + n_all)[None, :]
-        root2 = np.sqrt(np.array([math.comb(2 * l, l + n) for n in n_all],
-                                 dtype=float))
-        d[:, 0, :] = root2[None, :] * cp2 * sp2                         # m = -l
-        m_in = np.arange(-l + 1, l)
-        rootc = np.sqrt(np.array([math.comb(2 * l, l - m) for m in m_in],
-                                 dtype=float))
-        d[:, 1:2 * l, 2 * l] = rootc[None, :] * (c[:, None] ** (l + m_in)
-                                                 * s[:, None] ** (l - m_in))
-        rootd = np.sqrt(np.array([math.comb(2 * l, l + m) for m in m_in],
-                                 dtype=float))
-        signd = (-1.0) ** (m_in + l)
-        d[:, 1:2 * l, 0] = signd[None, :] * rootd[None, :] * (
-            c[:, None] ** (l - m_in) * s[:, None] ** (l + m_in))
-
-        # interior |m|, |n| <= l-1 via the recursion
-        M, N = np.meshgrid(m_in, m_in, indexing="ij")
-        denom = (l - 1) * np.sqrt((l * l - M * M) * (l * l - N * N))
-        coefA = (2 * l - 1) * ((l - 1) * l * x[:, None, None] - M * N) / denom
-        coefB = l * np.sqrt(((l - 1) ** 2 - M * M) * ((l - 1) ** 2 - N * N)) / denom
-        prev = out[l - 1]
-        prev2 = np.zeros_like(prev)
-        prev2[:, 1:2 * l - 2, 1:2 * l - 2] = out[l - 2]
-        d[:, 1:2 * l, 1:2 * l] = coefA * prev - coefB * prev2
+    delta = -t[:, None, None]                     # d^1_00 - d^0_00
+    for l in range(1, lmax + 1):
+        root, sign, m, Q, R, u, v = _degree_constants(l)
+        hi = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n hi_n
+        d = np.empty((nb, 2 * l + 1, 2 * l + 1))
+        d[:, -1, :] = sign * hi                                   # m = l
+        d[:, 0, :] = hi[:, ::-1]                                  # m = -l
+        d[:, 1:-1, -1] = hi[:, 1:-1]                              # n = l
+        d[:, 1:-1, 0] = sign[1:-1] * hi[:, -2:0:-1]               # n = -l
+        if l == 1:
+            d[:, 1, 1] = x
+        else:
+            E, aUU, cVV = _stack_constants(l)
+            step = (E - t[:, None, None] * aUU) * out[l - 1]
+            step[:, 1:-1, 1:-1] += cVV * delta
+            d[:, 1:-1, 1:-1] = out[l - 1] + step
+            delta = step
         out.append(d)
+    if flip.any():
+        for l, d in enumerate(out):
+            d[flip] = d[flip][:, ::-1, :] * (-1.0) ** (l - np.arange(-l, l + 1))
+    return out
+
+
+def wigner_d_column(lmax: int, betas, k: int) -> list:
+    """Column n = k of the small-d matrices: d^l_{mk}(beta) for l = |k|..lmax.
+
+    Returns a list indexed by l (None below |k|) of real arrays
+    [n_beta, 2l+1], equal entry for entry to
+    wigner_d_stack(lmax, betas)[l][:, :, l + k]: the same recursion and
+    boundary form restricted to n = k, in O(lmax^2 n_beta) work.  Degree l
+    does not depend on lmax, so a shorter call is a prefix of a longer one.
+    """
+    K = abs(k)
+    out: list = [None] * (lmax + 1)
+    if K > lmax:
+        return out
+    flip, x, t, cp, sp = _reduced_betas(lmax, betas)
+    nb = x.shape[0]
+    delta = -t[:, None]                           # d^1_00 - d^0_00
+    for l in range(K, lmax + 1):
+        if l == 0:
+            out[0] = np.ones((nb, 1))
+            continue
+        root, sign, m, Q, R, u, v = _degree_constants(l)
+        hi = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n hi_n
+        if l == K:                                # the boundary column n = +-l
+            out[l] = hi if k > 0 else sign * hi[:, ::-1]
+            continue
+        p = l + k
+        col = np.empty((nb, 2 * l + 1))
+        col[:, -1] = sign[p] * hi[:, p]                            # m = l
+        col[:, 0] = hi[:, -1 - p]                                  # m = -l
+        if l == 1:
+            col[:, 1] = x
+        else:
+            q = p - 1
+            E = _recursion_offset(l, m, k, Q, Q[q], R, R[q])
+            step = (E - t[:, None] * ((2 * l - 1) * l * (u * u[q]))) * out[l - 1]
+            if l - 2 >= K:
+                step[:, 1:-1] += (l / (l - 1) * (v * v[q]))[1:-1] * delta
+            col[:, 1:-1] = out[l - 1] + step
+            delta = step
+        out[l] = col
+    if flip.any():
+        for l in range(K, lmax + 1):
+            out[l][flip] = out[l][flip][:, ::-1] * (-1.0) ** (l - k)
     return out
 
 
@@ -104,14 +189,23 @@ def wigner_d(l: int, beta: float) -> np.ndarray:
     return wigner_d_stack(l, [beta])[l][0]
 
 
+def _phased(d: np.ndarray, g: Rotation3) -> np.ndarray:
+    """D^l(g) from d^l(beta): exp(-i m alpha) d^l_{mn} exp(-i n gamma)."""
+    m = np.arange(d.shape[0]) - d.shape[0] // 2
+    return (np.exp(-1j * m * g.alpha)[:, None] * d
+            * np.exp(-1j * m * g.gamma)[None, :])
+
+
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
     if l < 0:
         raise ValueError("degree l must be >= 0")
-    m = np.arange(-l, l + 1)
-    d = wigner_d(l, g.beta)
-    return (np.exp(-1j * m * g.alpha)[:, None] * d
-            * np.exp(-1j * m * g.gamma)[None, :])
+    return _phased(wigner_d(l, g.beta), g)
+
+
+def _wigner_D_blocks(lmax: int, g: Rotation3) -> list:
+    """[D^l(g) for l = 0..lmax] from one small-d recursion."""
+    return [_phased(d[0], g) for d in wigner_d_stack(lmax, [g.beta])]
 
 
 # ---------------------------------------------------------------------------

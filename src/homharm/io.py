@@ -66,9 +66,17 @@ def _dump(doc: dict, path: str):
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (bool is an int subclass in Python, not in JSON)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_doc(path: str) -> dict:
     """Read a JSON field document; reject invalid JSON, another version, a
-    missing required key, and field_orders and data of unequal length.
+    missing required key, field_orders and data of unequal length, a grid
+    bandwidth that is not an integer >= 1, and a field order that is not an
+    integer (null is allowed in SO3 files, negative orders are not allowed in
+    point clouds).
     """
     try:
         with open(path) as fh:
@@ -92,6 +100,18 @@ def _read_doc(path: str) -> dict:
             and len(orders) == len(data)):
         raise FieldFormatError(f"{path}: field_orders and data must be lists "
                                f"of equal length")
+    space = doc["space"]
+    if space != "R3points" and not (_is_int(doc["bandwidth"])
+                                    and doc["bandwidth"] >= 1):
+        raise FieldFormatError(f"{path}: bandwidth must be an integer >= 1, "
+                               f"got {doc['bandwidth']!r}")
+    for order in orders:
+        if order is None and space == "SO3":
+            continue
+        if not _is_int(order) or (space == "R3points" and order < 0):
+            kind = "a non-negative integer" if space == "R3points" else "an integer"
+            raise FieldFormatError(f"{path}: field order must be {kind}, "
+                                   f"got {order!r}")
     return doc
 
 
@@ -130,7 +150,7 @@ def load_fields(path: str) -> list:
     if space not in ("S2", "SO3"):
         raise FieldFormatError(f"{path}: space must be S2 or SO3 in a grid "
                                f"field file, got {space!r}")
-    grid = quadrature_grid(space, int(doc["bandwidth"]))
+    grid = quadrature_grid(space, doc["bandwidth"])
     out = []
     for idx, (order, block) in enumerate(zip(doc["field_orders"], doc["data"])):
         samples = _unpairs(block, f"{path}: data[{idx}]")
@@ -140,7 +160,7 @@ def load_fields(path: str) -> list:
         if space == "SO3":
             out.append(GroupFunction(grid, samples.reshape(samples.shape[0], -1)))
         else:
-            out.append(TensorField(grid, FieldType("SO2", int(order)), samples))
+            out.append(TensorField(grid, FieldType("SO2", order), samples))
     return out
 
 
@@ -174,7 +194,7 @@ def load_point_cloud(path: str) -> PointCloud:
         raise FieldFormatError(f"{path}: expected space R3points, got "
                                f"{doc.get('space')!r}")
     positions = np.asarray(doc["positions"], dtype=float)
-    orders = [int(l) for l in doc["field_orders"]]
+    orders = doc["field_orders"]
     features: list = [None] * (max(orders) + 1 if orders else 0)
     for l, block in zip(orders, doc["data"]):
         arr = _unpairs(block, f"{path}: order {l}")

@@ -10,21 +10,40 @@ the (2l+1) plancherel weight sits in the inverse transforms.  Consequently
 the forward SO(3) transform of D^l_{mn} itself is 1/(2l+1) at (l, m, n).
 
 Every grid transform runs one spin transform pair (``_spin_analysis`` /
-``_spin_synthesis``: alpha DFT, then the weighted d^l_{mk}(beta) sum).  An
-order-k field's spin coefficients a^l_m are column n = k of its lift's SO(3)
-spectrum.  The SO(3) transform is a gamma DFT, then the pair at k = n on each
+``_spin_synthesis``): an FFT along alpha, then the weighted sum over beta of
+the columns d^l_{mk}(beta_j).  An order-k field's spin coefficients a^l_m
+are column n = k of its lift's SO(3) spectrum, so its transform reads only
+the columns n = k of the small-d matrices.
+
+Plan cache: ``_spin_columns(grid, k)`` holds d^l_{mk}(beta_j) for
+l = |k|..B-1 on a bandwidth-B grid's betas, built once per key (B, k) by
+``wigner_d_column`` and stored as read-only arrays.  It holds at most
+``_PLAN_BYTES`` (64 MiB) and evicts the least recently used plan; a plan
+larger than the bound is returned without being stored (at B = 256 one plan
+is about 256 MiB).  Callers needing fewer degrees take a prefix, since
+upward recursion makes degree l independent of the top degree.
+``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT pair and
+everything built on them read this cache.  ``_plan_cache_info()`` reports
+its hits, misses and bytes held.
+
+The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid).
-The SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
+It needs every column, so it builds one full ``wigner_d_stack`` per call and
+passes column views; so do the rotations in ``fields.induced_action`` and
+``fields.regular_action``, and the direct-space oracle
+``spectral_conv.conv_spatial_oracle``.  The SHT is the k = 0 pair
+relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import QuadratureGrid
-from .harmonics import wigner_d_stack
+from .harmonics import wigner_d_column, wigner_d_stack
 
 # ---------------------------------------------------------------------------
 # Coefficient containers
@@ -79,7 +98,8 @@ class SpectralBlocks:
                          for l, b in enumerate(self.blocks)))
 
     def column(self, n: int) -> list:
-        """Column-sparse view: the n-column of every block with 2l+1 > ...
+        """Column-sparse view: the n-column of every block with l >= |n|
+        (the blocks of lower degree have no column n).
 
         Returns a list over l >= |n| of arrays [channels, 2l+1].
         """
@@ -120,49 +140,88 @@ def _as_channels(samples: np.ndarray, n_nodes: int) -> np.ndarray:
     return arr.astype(complex, copy=False)
 
 
-def _alpha_phase(B: int, sign: int) -> np.ndarray:
-    """Matrix E[m + B - 1, i] = exp(sign * i * m * alpha_i), m in -(B-1)..B-1."""
-    m = np.arange(-(B - 1), B)
-    alphas = np.pi * np.arange(2 * B) / B
-    return np.exp(sign * 1j * np.outer(m, alphas))
+# ---------------------------------------------------------------------------
+# The plan cache: d^l_{mk}(beta_j) columns per (B, k)
+# ---------------------------------------------------------------------------
+
+_PLAN_BYTES = 64 * 2 ** 20
+_plans: OrderedDict = OrderedDict()
+_plan_counts = {"hits": 0, "misses": 0, "bytes": 0}
+
+
+def _plan_bytes(cols: tuple) -> int:
+    return sum(c.nbytes for c in cols if c is not None)
+
+
+def _spin_columns(grid: QuadratureGrid, k: int) -> tuple:
+    """d^l_{mk}(beta_j) on the grid's betas for l < B, indexed by l (None
+    below |k|), as read-only arrays [n_beta, 2l+1]; cached on (B, k).
+    """
+    key = (grid.bandwidth, k)
+    cols = _plans.get(key)
+    if cols is not None:
+        _plans.move_to_end(key)
+        _plan_counts["hits"] += 1
+        return cols
+    _plan_counts["misses"] += 1
+    cols = tuple(wigner_d_column(grid.bandwidth - 1, grid.betas, k))
+    for c in cols:
+        if c is not None:
+            c.setflags(write=False)
+    size = _plan_bytes(cols)
+    if size <= _PLAN_BYTES:
+        _plans[key] = cols
+        _plan_counts["bytes"] += size
+        while _plan_counts["bytes"] > _PLAN_BYTES:
+            _plan_counts["bytes"] -= _plan_bytes(_plans.popitem(last=False)[1])
+    return cols
+
+
+def _plan_cache_info() -> dict:
+    """Hits, misses and bytes held by the plan cache, and its keys from
+    least to most recently used."""
+    return {**_plan_counts, "keys": list(_plans)}
+
+
+def _stack_columns(stack: list, k: int) -> list:
+    """Column views d^l_{mk} of a wigner_d_stack, indexed by l (None below |k|)."""
+    return [d[:, :, l + k] if l >= abs(k) else None for l, d in enumerate(stack)]
 
 
 # ---------------------------------------------------------------------------
-# The spin transform pair: alpha DFT plus weighted d^l_{mk}(beta) sum
+# The spin transform pair: alpha FFT plus weighted d^l_{mk}(beta) sum
 # ---------------------------------------------------------------------------
 
 
-def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
-                   stack: list) -> list:
+def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, cols) -> list:
     """a^l_m = sum_{i,j} w_j e^{i m alpha_i} d^l_{mk}(beta_j) f[c, i, j] / 2B.
 
-    f holds samples [channels, alpha, beta]; stack is a wigner_d_stack on
-    grid.betas and sets the degrees computed, l = |k|..len(stack)-1.  Returns
-    a list indexed by l (None below |k|) of arrays [channels, 2l+1].
+    f holds samples [channels, alpha, beta]; cols[l] holds d^l_{mk} on
+    grid.betas (None below |k|) and sets the degrees computed,
+    l = |k|..len(cols)-1.  Returns a list indexed by l (None below |k|) of
+    arrays [channels, 2l+1].
     """
     B = grid.bandwidth
-    F = np.einsum("mi,cij->cmj", _alpha_phase(B, +1), f) / (2 * B)
-    out: list = [None] * len(stack)
-    for l in range(abs(k), len(stack)):
-        out[l] = np.einsum("cmj,jm,j->cm", F[:, (B - 1 - l):(B + l), :],
-                           stack[l][:, :, l + k], grid.beta_weights)
-    return out
+    # inverse FFT along alpha, frequency m moved to row B + m
+    F = np.fft.fftshift(np.fft.ifft(f, axis=1), axes=1) * grid.beta_weights
+    return [None if d is None else
+            np.einsum("cmj,jm->cm", F[:, B - l:B + l + 1, :], d)
+            for l, d in enumerate(cols)]
 
 
-def _spin_synthesis(coeffs: list, grid: QuadratureGrid, k: int, stack: list,
+def _spin_synthesis(coeffs: list, grid: QuadratureGrid, cols,
                     channels: int) -> np.ndarray:
     """f[c, i, j] = sum_l (2l+1) sum_m a^l_m e^{-i m alpha_i} d^l_{mk}(beta_j).
 
-    Degrees l = |k|..len(stack)-1 are summed; None entries are skipped.
-    Returns samples [channels, alpha, beta].
+    Degrees with a column in cols and an entry in coeffs are summed (None
+    entries of either are skipped).  Returns samples [channels, alpha, beta].
     """
     B = grid.bandwidth
-    F = np.zeros((channels, 2 * B - 1, 2 * B), dtype=complex)
-    for l in range(abs(k), len(stack)):
-        if coeffs[l] is not None:
-            F[:, (B - 1 - l):(B + l), :] += (2 * l + 1) * np.einsum(
-                "cm,jm->cmj", coeffs[l], stack[l][:, :, l + k])
-    return np.einsum("mi,cmj->cij", _alpha_phase(B, -1), F)
+    F = np.zeros((channels, 2 * B, 2 * B), dtype=complex)   # row B + m: frequency m
+    for l, (a, d) in enumerate(zip(coeffs, cols)):
+        if a is not None and d is not None:
+            F[:, B - l:B + l + 1, :] += (2 * l + 1) * np.einsum("cm,jm->cmj", a, d)
+    return np.fft.fft(np.fft.ifftshift(F, axes=1), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +236,7 @@ def sht_forward(samples, grid: QuadratureGrid, bandwidth: int | None = None) -> 
     if bandwidth is not None and bandwidth != B:
         raise ValueError("grid bandwidth and requested bandwidth differ")
     f = _as_channels(samples, 4 * B * B).reshape(-1, 2 * B, 2 * B)
-    a = _spin_analysis(f, grid, 0, wigner_d_stack(B - 1, grid.betas))
+    a = _spin_analysis(f, grid, _spin_columns(grid, 0))
     return ShtCoeffs(B, [np.sqrt(2 * l + 1) * (-1.0) ** np.arange(-l, l + 1)
                          * a[l][:, ::-1] for l in range(B)])
 
@@ -193,8 +252,7 @@ def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
         raise ValueError("coefficient bandwidth exceeds grid bandwidth")
     a = [(-1.0) ** np.arange(-l, l + 1) * c[:, ::-1] / np.sqrt(2 * l + 1)
          for l, c in enumerate(coeffs.data)]
-    f = _spin_synthesis(a, grid, 0, wigner_d_stack(coeffs.bandwidth - 1, grid.betas),
-                        coeffs.channels)
+    f = _spin_synthesis(a, grid, _spin_columns(grid, 0), coeffs.channels)
     return f.reshape(coeffs.channels, 4 * B * B)
 
 
@@ -207,8 +265,8 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
                    bandwidth: int | None = None) -> SpectralBlocks:
     """f_hat^l_{mn} = integral of f(g) conj(D^l_{mn}(g)) over normalized Haar.
 
-    Separable evaluation: gamma DFT, then the spin analysis of each gamma
-    frequency n as column n.
+    Separable evaluation: inverse FFT along gamma, then the spin analysis of
+    each gamma frequency n as column n.
     """
     _require_grid(grid, "SO3")
     B = grid.bandwidth
@@ -218,11 +276,11 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
         raise ValueError("requested bandwidth exceeds grid bandwidth")
     n = 2 * B
     f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
-    G = np.einsum("nk,cijk->ncij", _alpha_phase(B, +1), f) / n
+    G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
     stack = wigner_d_stack(bandwidth - 1, grid.betas)
     blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
     for col in range(-(bandwidth - 1), bandwidth):
-        a = _spin_analysis(G[B - 1 + col], grid, col, stack)
+        a = _spin_analysis(G[..., col % n], grid, _stack_columns(stack, col))
         for l in range(abs(col), bandwidth):
             blocks.blocks[l][:, :, col + l] = a[l]
     return blocks
@@ -231,7 +289,8 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
 def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     """f(g) = sum_l (2l+1) tr(f_hat^l.T D^l(g)); returns [channels, n_nodes].
 
-    Each column n is a spin synthesis of order n; the gamma DFT joins them.
+    Each column n is a spin synthesis of order n; an FFT along gamma joins
+    them.
     """
     _require_grid(grid, "SO3")
     B = grid.bandwidth
@@ -240,12 +299,12 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
         raise ValueError("block bandwidth exceeds grid bandwidth")
     n = 2 * B
     C = blocks.channels
-    G = np.zeros((2 * B - 1, C, n, n), dtype=complex)        # [n, c, alpha, beta]
+    G = np.zeros((n, C, n, n), dtype=complex)   # [n mod 2B, c, alpha, beta]
     stack = wigner_d_stack(L - 1, grid.betas)
     for col in range(-(L - 1), L):
-        G[B - 1 + col] = _spin_synthesis([None] * abs(col) + blocks.column(col),
-                                         grid, col, stack, C)
-    f = np.einsum("nk,ncij->cijk", _alpha_phase(B, -1), G)
+        G[col % n] = _spin_synthesis([None] * abs(col) + blocks.column(col),
+                                     grid, _stack_columns(stack, col), C)
+    f = np.moveaxis(np.fft.fft(G, axis=0), 0, -1)   # [c, alpha, beta, gamma]
     return f.reshape(C, n ** 3)
 
 

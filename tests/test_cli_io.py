@@ -215,6 +215,31 @@ class TestCli:
             load_fields(path)
         assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
 
+    @pytest.mark.parametrize("space,key,value,match", [
+        ("S2", "bandwidth", "two", "bandwidth must be"),
+        ("S2", "bandwidth", 0, "bandwidth must be"),
+        ("S2", "bandwidth", 2.7, "bandwidth must be"),
+        ("S2", "bandwidth", True, "bandwidth must be"),
+        ("S2", "field_orders", [None, 1], "field order must be"),
+        ("S2", "field_orders", ["x", 1], "field order must be"),
+        ("S2", "field_orders", [0.5, 1], "field order must be"),
+        ("R3points", "field_orders", [-1], "field order must be"),
+    ], ids=["bandwidth-str", "bandwidth-0", "bandwidth-float", "bandwidth-bool",
+            "order-null", "order-str", "order-float", "cloud-order-negative"])
+    def test_invalid_header_value(self, tmp_path, space, key, value, match):
+        path = tmp_path / "f.json"
+        if space == "S2":
+            save_fields(path, random_s2_fields())
+        else:
+            save_point_cloud(path, PointCloud(np.zeros((2, 3)),
+                                              [np.ones((2, 1, 1))]))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match=match):
+            (load_fields if space == "S2" else load_point_cloud)(path)
+        assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+
     def test_orders_and_data_of_unequal_length(self, tmp_path):
         path = tmp_path / "f.json"
         save_fields(path, random_s2_fields())

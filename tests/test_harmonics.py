@@ -8,7 +8,8 @@ from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import (cg_matrix, clebsch_gordan,
                                real_basis_change, real_sph_harm_matrix,
                                sph_harm, sph_harm_matrix, wigner_D_matrix,
-                               wigner_D_real, wigner_d, wigner_d_stack)
+                               wigner_D_real, wigner_d, wigner_d_column,
+                               wigner_d_stack)
 
 rng = np.random.default_rng(202)
 
@@ -85,6 +86,47 @@ class TestWignerD:
                 eye = np.eye(2 * l1 + 1)
                 expect = np.einsum("mu,nv->mnuv", eye, eye) / (2 * l1 + 1)
                 assert np.abs(ip - expect).max() < 1e-13
+
+
+class TestWignerDColumn:
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 24, 48, 64])
+    def test_against_matrix_exponential(self, l):
+        betas = rng.uniform(0.05, np.pi - 0.05, 2)
+        for k in sorted({-l, -1, 0, 1, l}):
+            if abs(k) > l:
+                continue
+            col = wigner_d_column(l, betas, k)[l]
+            for j, beta in enumerate(betas):
+                ref = d_matrix_oracle(l, beta)[:, l + k]
+                assert np.abs(col[j] - ref).max() < 5e-13
+
+    def test_matches_the_stack(self):
+        betas = quadrature_grid("S2", 32).betas
+        stack = wigner_d_stack(31, betas)
+        for k in (-31, -7, -1, 0, 1, 12, 31):
+            cols = wigner_d_column(31, betas, k)
+            assert all(c is None for c in cols[:abs(k)])
+            for l in range(abs(k), 32):
+                assert np.abs(cols[l] - stack[l][:, :, l + k]).max() <= 1e-14
+
+    def test_prefix(self):
+        betas = rng.uniform(0, np.pi, 5)
+        for k in (-3, 0, 2):
+            short = wigner_d_column(10, betas, k)
+            long = wigner_d_column(20, betas, k)
+            assert len(short) == 11
+            for a, b in zip(short, long[:11]):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_unit_norm_at_degree_200(self):
+        # both poles, points near them and interior points: the recursion
+        # runs on the difference d^l - d^{l-1}, so no region loses accuracy
+        betas = np.array([0.0, 0.004, 0.05, 0.9, 1.7, 2.6, np.pi - 0.01, np.pi])
+        for k in (-200, -57, -1, 0, 3, 150, 200):
+            cols = wigner_d_column(200, betas, k)
+            for l in range(abs(k), 201):
+                norms = np.sum(cols[l] ** 2, axis=1)
+                assert np.abs(norms - 1.0).max() <= 1e-13, (k, l)
 
 
 class TestSphericalHarmonics:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from homharm.fields import spin_synthesis
+from homharm import transforms
+from homharm.fields import FieldType, TensorField, spin_coeffs, spin_synthesis
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import sph_harm_matrix, wigner_D_matrix
-from homharm.transforms import (ShtCoeffs, SpectralBlocks, fiber_dft,
+from homharm.transforms import (_PLAN_BYTES, ShtCoeffs, SpectralBlocks,
+                                _plan_cache_info, _spin_columns, fiber_dft,
                                 sht_forward, sht_inverse, so3_ft_forward,
                                 so3_ft_inverse)
 
@@ -176,6 +178,57 @@ class TestSynthesisAgainstDirectSums:
         want = np.concatenate(coeffs.data, axis=1) @ Y.T
         got = sht_inverse(coeffs, grid)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+class TestPlanCache:
+    """Spin-column plans and quadrature grids are built once and shared, so
+    they must be read-only, and the plan cache must keep its byte bound."""
+
+    def test_repeated_spin_coeffs_is_a_hit(self):
+        grid = quadrature_grid("S2", 7)
+        f = TensorField(grid, FieldType("SO2", 2),
+                        rng.standard_normal((1, grid.n_nodes)))
+        first = spin_coeffs(f)
+        before = _plan_cache_info()
+        again = spin_coeffs(f)
+        after = _plan_cache_info()
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1,
+                                                    before["misses"])
+        assert after["keys"][-1] == (7, 2)
+        for a, b in zip(first, again):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_cached_arrays_are_read_only(self):
+        grid = quadrature_grid("S2", 4)
+        assert quadrature_grid("S2", 4) is grid
+        cols = _spin_columns(grid, 1)
+        assert cols[0] is None
+        for arr in (cols[2], grid.nodes, grid.weights, grid.beta_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_byte_bound_evicts_the_least_recently_used(self):
+        grid = quadrature_grid("S2", 128)
+        for k in (0, 1, 2):                   # about 32 MiB each
+            _spin_columns(grid, k)
+            info = _plan_cache_info()
+            assert info["bytes"] <= _PLAN_BYTES
+        assert (128, 0) not in info["keys"]
+        assert info["keys"][-2:] == [(128, 1), (128, 2)]
+        assert info["bytes"] == sum(c.nbytes for key in info["keys"]
+                                    for c in transforms._plans[key]
+                                    if c is not None)
+
+    def test_plan_over_the_bound_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_PLAN_BYTES", 1000)
+        grid = quadrature_grid("S2", 6)
+        before = _plan_cache_info()
+        cols = _spin_columns(grid, -5)        # 2B * 11 * 8 = 1056 bytes
+        after = _plan_cache_info()
+        assert cols[5].shape == (12, 11)
+        assert (6, -5) not in after["keys"]
+        assert after["bytes"] == before["bytes"]
+        assert after["misses"] == before["misses"] + 1
 
 
 class TestSpectralBlocks:
