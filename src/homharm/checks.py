@@ -25,7 +25,7 @@ import numpy as np
 from .groups import Rotation3, quadrature_grid
 from .fields import (FieldType, TensorField, field_from_spin_coeffs,
                      induced_action, is_mackey, lift, lift_spectrum, project,
-                     spin_coeffs)
+                     regular_action, spin_coeffs)
 from .harmonics import real_sph_harm_matrix, wigner_D_real
 from .nonlin import (ActivationSpec, activate, delta_projection_kernel,
                      lift_sum, nonlinearity, point_sphere_nonlin,
@@ -236,9 +236,17 @@ def _check_lift_mackey(rng, cfg):
 
 
 def _check_lift_project_round_trip(rng, cfg):
-    return _worst_over_orders(
-        rng, cfg["bandwidth"],
-        lambda f: _rel_err(project(lift(f), f.field_type).flat(), f.flat()))
+    """project(lift(f)) = f, and project(L'_g lift(f)) = L_g f: projection
+    undoes the lift also after the regular action of a random rotation."""
+    g = _rand_rotation(rng)
+
+    def err(f):
+        up = lift(f)
+        moved = project(regular_action(g, up), f.field_type)
+        return max(_rel_err(project(up, f.field_type).flat(), f.flat()),
+                   _rel_err(moved.flat(), induced_action(g, f).flat()))
+
+    return _worst_over_orders(rng, cfg["bandwidth"], err)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +384,19 @@ def _check_prior_pipeline(rng, cfg):
     """
     B = max(cfg["bandwidth"], 3)
     lmax = 2
-    feats = [0.3 * rng.standard_normal((1, 1, 2 * l + 1))
+    feats = [0.3 * rng.standard_normal((1, 2 * l + 1, 1))
              for l in range(lmax + 1)]
     out_point = point_sphere_nonlin(feats, ActivationSpec("relu"), B)
     # group path: the same signal as a scalar field, lifted and activated
     grid = quadrature_grid("S2", B)
     S = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
-    coeff_vec = np.concatenate([feats[l][0, 0] for l in range(lmax + 1)])
+    coeff_vec = np.concatenate([feats[l][0, :, 0] for l in range(lmax + 1)])
     f = TensorField(grid, FieldType("SO2", 0), (S @ coeff_vec)[None, :])
     acted = activate(lift(f), ActivationSpec("relu"))
     back = project_column(acted, 0).flat()[0]
     real_out = np.einsum("n,nd,n->d", back.real, S, grid.weights)
     imag_leak = np.abs(np.einsum("n,nd,n->d", back.imag, S, grid.weights)).max()
-    point_vec = np.concatenate([out_point[l][0, 0] for l in range(lmax + 1)])
+    point_vec = np.concatenate([out_point[l][0, :, 0] for l in range(lmax + 1)])
     worst = max(np.abs(real_out - point_vec).max(), imag_leak)
     return _rel(worst, np.abs(point_vec).max())
 

@@ -111,16 +111,13 @@ def _check_s2_order(field: TensorField):
         raise ValueError("field order must satisfy |k| < grid bandwidth")
 
 
-def lift(field: TensorField, group_grid: QuadratureGrid | None = None) -> GroupFunction:
+def lift(field: TensorField) -> GroupFunction:
     """Lift an order-k field on S^2 to its Mackey function on SO(3):
     f_up(alpha, beta, gamma) = exp(-i k gamma) f(alpha, beta).
     """
     _check_s2_order(field)
     B = field.grid.bandwidth
-    if group_grid is None:
-        group_grid = quadrature_grid("SO3", B)
-    elif group_grid.space != "SO3" or group_grid.bandwidth != B:
-        raise ValueError("group grid must be the SO(3) grid of the same bandwidth")
+    group_grid = quadrature_grid("SO3", B)
     n = 2 * B
     k = field.field_type.order
     phase = np.exp(-1j * k * group_grid.gammas)
@@ -128,15 +125,12 @@ def lift(field: TensorField, group_grid: QuadratureGrid | None = None) -> GroupF
     return GroupFunction(group_grid, vals.reshape(-1, n ** 3))
 
 
-def project(gf: GroupFunction, field_type: FieldType,
-            s2_grid: QuadratureGrid | None = None) -> TensorField:
+def project(gf: GroupFunction, field_type: FieldType) -> TensorField:
     """Restrict a (near-)Mackey function to the gamma = 0 slice."""
     B = gf.grid.bandwidth
-    if s2_grid is None:
-        s2_grid = quadrature_grid("S2", B)
     n = 2 * B
     vals = gf.flat().reshape(-1, n, n, n)[:, :, :, 0]
-    return TensorField(s2_grid, field_type, vals.reshape(-1, n * n))
+    return TensorField(quadrature_grid("S2", B), field_type, vals.reshape(-1, n * n))
 
 
 def is_mackey(gf: GroupFunction, field_type: FieldType,

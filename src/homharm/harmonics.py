@@ -108,6 +108,10 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     poles, where its two characteristic roots meet at 1; this form does not.
     Betas above pi/2 are computed at pi - beta and reflected with
     d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t stays small.
+
+    The library builds whole stacks only for the D^l of single rotations
+    (wigner_d, _wigner_D_blocks); transforms and harmonics that read one
+    column per beta use wigner_d_column.
     """
     flip, x, t, cp, sp = _reduced_betas(lmax, betas)
     nb = x.shape[0]
@@ -223,7 +227,7 @@ def sph_harm(l: int, m: int, alpha, beta):
         raise ValueError("|m| must not exceed l")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    d = wigner_d_stack(l, np.ravel(beta))[l][:, l + m, l]
+    d = wigner_d_column(l, np.ravel(beta), 0)[l][:, l + m]
     val = np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d.reshape(beta.shape)
     return val if val.shape else complex(val)
 
@@ -235,14 +239,14 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
     """
     alphas = np.asarray(alphas, dtype=float).ravel()
     betas = np.asarray(betas, dtype=float).ravel()
-    stack = wigner_d_stack(lmax, betas)
+    cols = wigner_d_column(lmax, betas, 0)
     npts = alphas.shape[0]
     Y = np.empty((npts, (lmax + 1) ** 2), dtype=complex)
     for l in range(lmax + 1):
         m = np.arange(-l, l + 1)
         Y[:, l * l:(l + 1) ** 2] = (np.sqrt(2 * l + 1)
                                     * np.exp(1j * np.outer(alphas, m))
-                                    * stack[l][:, :, l])
+                                    * cols[l])
     return Y
 
 

@@ -72,18 +72,23 @@ def _is_int(value) -> bool:
 
 
 def _read_doc(path: str) -> dict:
-    """Read a JSON field document; reject invalid JSON, another version, a
-    missing required key, field_orders and data of unequal length, a grid
-    bandwidth that is not an integer >= 1, and a field order that is not an
-    integer (null is allowed in SO3 files, negative orders are not allowed in
-    point clouds).
-    """
+    """Read a JSON field document and check it with _check_doc."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}") from e
+    return _check_doc(doc, path)
+
+
+def _check_doc(doc, path: str) -> dict:
+    """Return a field document unchanged, or reject it: not an object,
+    another version, a missing required key, an unknown space, field_orders
+    and data of unequal length, a grid bandwidth that is not an integer
+    >= 1, or a field order that is not an integer (null is allowed in SO3
+    files, negative orders are not allowed in point clouds).
+    """
     if not isinstance(doc, dict):
         raise FieldFormatError(f"{path}: expected a JSON object")
     v = doc.get("format_version")
@@ -95,12 +100,15 @@ def _read_doc(path: str) -> dict:
                if key not in doc]
     if missing:
         raise FieldFormatError(f"{path}: missing key(s) {', '.join(missing)}")
+    space = doc["space"]
+    if space not in ("S2", "SO3", "R3points"):
+        raise FieldFormatError(f"{path}: space must be S2, SO3 or R3points, "
+                               f"got {space!r}")
     orders, data = doc["field_orders"], doc["data"]
     if not (isinstance(orders, list) and isinstance(data, list)
             and len(orders) == len(data)):
         raise FieldFormatError(f"{path}: field_orders and data must be lists "
                                f"of equal length")
-    space = doc["space"]
     if space != "R3points" and not (_is_int(doc["bandwidth"])
                                     and doc["bandwidth"] >= 1):
         raise FieldFormatError(f"{path}: bandwidth must be an integer >= 1, "
@@ -146,7 +154,7 @@ def save_fields(path: str, fields: list):
 def load_fields(path: str) -> list:
     """Read a field file back into TensorFields or GroupFunctions."""
     doc = _read_doc(path)
-    space = doc.get("space")
+    space = doc["space"]
     if space not in ("S2", "SO3"):
         raise FieldFormatError(f"{path}: space must be S2 or SO3 in a grid "
                                f"field file, got {space!r}")
@@ -190,9 +198,9 @@ def save_point_cloud(path: str, cloud: PointCloud):
 
 def load_point_cloud(path: str) -> PointCloud:
     doc = _read_doc(path)
-    if doc.get("space") != "R3points":
+    if doc["space"] != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
-                               f"{doc.get('space')!r}")
+                               f"{doc['space']!r}")
     positions = np.asarray(doc["positions"], dtype=float)
     orders = doc["field_orders"]
     features: list = [None] * (max(orders) + 1 if orders else 0)
@@ -302,9 +310,6 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
         positions = [[float(v) for v in p.split(",")] for p in position_text]
     except ValueError as e:
         raise FieldFormatError(f"{path}: non-numeric metadata: {e}") from e
-    if version != FORMAT_VERSION:
-        raise FieldFormatError(f"{path}: unsupported format_version {version} "
-                               f"(this reader handles {FORMAT_VERSION})")
     data = []
     for fi in range(len(orders)):
         field_rows = [r for r in rows if r[0] == fi]
@@ -340,7 +345,7 @@ def convert_field(in_path: str, out_path: str):
             fh.write(_field_doc_to_csv(doc))
     elif src.endswith(".csv") and dst.endswith(".json"):
         with open(in_path) as fh:
-            doc = _csv_to_field_doc(fh.read(), in_path)
+            doc = _check_doc(_csv_to_field_doc(fh.read(), in_path), in_path)
         _dump(doc, out_path)
     else:
         raise FieldFormatError("conversion must be between a .json and a "

@@ -81,12 +81,11 @@ def lift_sum(fields: list) -> GroupFunction:
         if f.grid is not grid and (f.grid.space != grid.space
                                    or f.grid.bandwidth != grid.bandwidth):
             raise ValueError("all fields must share a grid")
-    group_grid = quadrature_grid("SO3", grid.bandwidth)
     total = None
     for f in fields:
-        m = lift(f, group_grid)
+        m = lift(f)
         total = m.samples if total is None else total + m.samples
-    return GroupFunction(group_grid, total)
+    return GroupFunction(m.grid, total)
 
 
 def activate(gf: GroupFunction, spec: ActivationSpec) -> GroupFunction:
@@ -193,32 +192,33 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
                         bandwidth: int) -> list:
     """Per-point nonlinearity on SE(3) features in the real basis.
 
-    features[l] is a real array [n_points, channels, 2l+1] (None for absent
-    orders).  Each point's feature stack is synthesized as channels of a
-    function on the sphere using real orthonormal harmonics, the activation
-    is applied on the sphere grid (a per-point MLP mixes channels), and the
-    result is analyzed back to the same orders.
+    features[l] is a real array [n_points, 2l+1, channels] (None for absent
+    orders), the layout of PointCloud.features and of tfn_point_conv's
+    output; the result has the same layout and orders.  Each point's
+    feature stack is synthesized as channels of a function on the sphere
+    using real orthonormal harmonics, the activation is applied on the
+    sphere grid (a per-point MLP mixes channels), and the result is
+    analyzed back to the same orders.
     """
     lmax = max(l for l, f in enumerate(features) if f is not None)
     if lmax >= bandwidth:
         raise ValueError("feature order reaches the sphere bandwidth")
     grid = quadrature_grid("S2", bandwidth)
     Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
-    n_pts = next(f.shape[0] for f in features if f is not None)
-    n_ch = next(f.shape[1] for f in features if f is not None)
+    n_pts, _, n_ch = next(f.shape for f in features if f is not None)
     dim = (lmax + 1) ** 2
-    coeff = np.zeros((n_pts, n_ch, dim))
+    coeff = np.zeros((n_pts, dim, n_ch))
     for l, f in enumerate(features):
         if f is None:
             continue
-        coeff[:, :, l * l:(l + 1) * (l + 1)] = f
-    vals = np.einsum("pcd,nd->pcn", coeff, Y)            # sphere samples
+        coeff[:, l * l:(l + 1) * (l + 1)] = f
+    vals = np.einsum("pdc,nd->pcn", coeff, Y)            # sphere samples
     acted = np.stack([spec.apply_real(v) for v in vals])
     w = grid.weights
-    back = np.einsum("pcn,nd,n->pcd", acted, Y, w)
+    back = np.einsum("pcn,nd,n->pdc", acted, Y, w)
     out: list = [None] * len(features)
     for l, f in enumerate(features):
         if f is None:
             continue
-        out[l] = back[:, :, l * l:(l + 1) * (l + 1)]
+        out[l] = back[:, l * l:(l + 1) * (l + 1)]
     return out

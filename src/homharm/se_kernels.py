@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import cg_matrix, real_basis_change, sph_harm_matrix
+from .nonlin import point_sphere_nonlin
 
 __all__ = [
     "SE2KernelBasis", "se2_kernel_eval", "SE3KernelBasis", "se3_kernel_eval",
@@ -186,19 +187,14 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
     channel-mixed and accumulated over terms sharing an output order.
 
     terms is a list of (SE3KernelBasis, weight) with weight a real
-    [c_out, c_in] channel-mixing matrix.  Neighbors are visited in sorted
-    index order so accumulation is deterministic.  Points with no neighbors
-    produce zeros.
+    [c_out, c_in] channel-mixing matrix.  The edges (i, j) form one flat
+    list sorted by i, then j; each term is evaluated once on all edges and
+    scatter-added to the points i in that order, so accumulation is
+    deterministic.  Points with no neighbors produce zeros.
     """
     if radius <= 0:
         raise ValueError("neighbor radius must be positive")
-    n = cloud.n_points
-    pos = cloud.positions
-    diff = pos[None, :, :] - pos[:, None, :]          # x_j - x_i at [i, j]
-    dist = np.linalg.norm(diff, axis=2)
-    mask = (dist < radius) & ~np.eye(n, dtype=bool)
-    l_out_max = max(t[0].l_out for t in terms)
-    out: list = [None] * (l_out_max + 1)
+    weights = []
     for basis, weight in terms:
         weight = np.asarray(weight, dtype=float)
         fin = cloud.features[basis.l_in]
@@ -206,26 +202,25 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
             raise ValueError(f"input features of order {basis.l_in} missing")
         if weight.ndim != 2 or weight.shape[1] != fin.shape[2]:
             raise ValueError("channel-mixing matrix shape mismatch")
+        weights.append(weight)
+    out: list = [None] * (max(t[0].l_out for t in terms) + 1)
+    n = cloud.n_points
+    pos = cloud.positions
+    dist = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=2)
+    i, j = np.nonzero((dist < radius) & ~np.eye(n, dtype=bool))   # row-major
+    offsets = pos[j] - pos[i]
+    for (basis, _), weight in zip(terms, weights):
+        K = se3_kernel_eval_many(basis, offsets)            # [edge, out, in]
+        msg = np.einsum("eij,ejc,oc->eio", K, cloud.features[basis.l_in][j],
+                        weight)
         acc = np.zeros((n, 2 * basis.l_out + 1, weight.shape[0]))
-        for i in range(n):
-            nbr = np.flatnonzero(mask[i])             # sorted indices
-            if nbr.size == 0:
-                continue
-            K = se3_kernel_eval_many(basis, diff[i, nbr])   # [k, out, in]
-            mixed = np.einsum("kij,kjc,oc->io", K, fin[nbr], weight)
-            acc[i] = mixed
-        if out[basis.l_out] is None:
-            out[basis.l_out] = acc
-        else:
-            out[basis.l_out] = out[basis.l_out] + acc
+        np.add.at(acc, i, msg)
+        out[basis.l_out] = acc if out[basis.l_out] is None else out[basis.l_out] + acc
     return out
 
 
 def se3_layer(cloud: PointCloud, terms: list, radius: float, spec,
               bandwidth: int) -> list:
     """tfn_point_conv followed by the per-point sphere nonlinearity."""
-    from .nonlin import point_sphere_nonlin
-    conv = tfn_point_conv(cloud, terms, radius)
-    stacked = [None if f is None else np.transpose(f, (0, 2, 1)) for f in conv]
-    acted = point_sphere_nonlin(stacked, spec, bandwidth)
-    return [None if f is None else np.transpose(f, (0, 2, 1)) for f in acted]
+    return point_sphere_nonlin(tfn_point_conv(cloud, terms, radius), spec,
+                               bandwidth)

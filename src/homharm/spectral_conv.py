@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
-from .harmonics import wigner_d_stack
+from .harmonics import wigner_d_column
 from .fields import (FieldType, TensorField, field_from_spin_coeffs, lift,
                      spin_coeffs)
 from .transforms import SpectralBlocks
@@ -172,7 +172,7 @@ def kernel_to_spatial(kernel: SparseKernelSpec,
         coeffs[l] = np.zeros((kernel.c_out * kernel.c_in, 2 * l + 1), dtype=complex)
         coeffs[l][:, kernel.m_in + l] = kernel.coeff(l).reshape(-1) / (2 * l + 1)
     s2_grid = quadrature_grid("S2", grid.bandwidth)
-    return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid), grid).flat()
+    return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid)).flat()
 
 
 def _relative_euler(alpha_out, beta_out, alphas_in, betas_in):
@@ -242,11 +242,11 @@ def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorF
     for node in range(grid.n_nodes):
         a_q, b_q, g_q = _relative_euler(node_alphas[node], node_betas[node],
                                         node_alphas, node_betas)
-        d_cols = wigner_d_stack(kernel.bandwidth - 1, b_q)
+        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q, kernel.m_out)
         kap = np.zeros((kernel.c_out, kernel.c_in, grid.n_nodes), dtype=complex)
         phase_a = np.exp(-1j * kernel.m_in * a_q)
         for l in degs:
-            d = d_cols[l][:, kernel.m_in + l, kernel.m_out + l]
+            d = d_cols[l][:, kernel.m_in + l]
             kap += kernel.coeff(l)[:, :, None] * (phase_a * d)[None, None, :]
         integrand = kap * np.exp(-1j * kernel.m_out * g_q)[None, None, :]
         out[:, node] = np.einsum("oip,ip,p->o", integrand, fin, w)

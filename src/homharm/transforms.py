@@ -22,17 +22,16 @@ l = |k|..B-1 on a bandwidth-B grid's betas, built once per key (B, k) by
 larger than the bound is returned without being stored (at B = 256 one plan
 is about 256 MiB).  Callers needing fewer degrees take a prefix, since
 upward recursion makes degree l independent of the top degree.
-``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT pair and
-everything built on them read this cache.  ``_plan_cache_info()`` reports
-its hits, misses and bytes held.
+``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT and SO(3)
+transform pairs and everything built on them read this cache.
+``_plan_cache_info()`` reports its hits, misses and bytes held.
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
-gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid).
-It needs every column, so it builds one full ``wigner_d_stack`` per call and
-passes column views; so do the rotations in ``fields.induced_action`` and
-``fields.regular_action``, and the direct-space oracle
-``spectral_conv.conv_spatial_oracle``.  The SHT is the k = 0 pair
-relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
+gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
+each reading the cached plan of its column n.  No transform builds a full
+``wigner_d_stack``; only the rotations in ``fields.induced_action`` and
+``fields.regular_action`` do, one d-table at a single beta per call.  The
+SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import QuadratureGrid
-from .harmonics import wigner_d_column, wigner_d_stack
+from .harmonics import wigner_d_column
 
 # ---------------------------------------------------------------------------
 # Coefficient containers
@@ -183,11 +182,6 @@ def _plan_cache_info() -> dict:
     return {**_plan_counts, "keys": list(_plans)}
 
 
-def _stack_columns(stack: list, k: int) -> list:
-    """Column views d^l_{mk} of a wigner_d_stack, indexed by l (None below |k|)."""
-    return [d[:, :, l + k] if l >= abs(k) else None for l, d in enumerate(stack)]
-
-
 # ---------------------------------------------------------------------------
 # The spin transform pair: alpha FFT plus weighted d^l_{mk}(beta) sum
 # ---------------------------------------------------------------------------
@@ -229,12 +223,10 @@ def _spin_synthesis(coeffs: list, grid: QuadratureGrid, cols,
 # ---------------------------------------------------------------------------
 
 
-def sht_forward(samples, grid: QuadratureGrid, bandwidth: int | None = None) -> ShtCoeffs:
+def sht_forward(samples, grid: QuadratureGrid) -> ShtCoeffs:
     """Forward SHT: coefficients <Y^l_m, f> by quadrature; exact for l < B."""
     _require_grid(grid, "S2")
     B = grid.bandwidth
-    if bandwidth is not None and bandwidth != B:
-        raise ValueError("grid bandwidth and requested bandwidth differ")
     f = _as_channels(samples, 4 * B * B).reshape(-1, 2 * B, 2 * B)
     a = _spin_analysis(f, grid, _spin_columns(grid, 0))
     return ShtCoeffs(B, [np.sqrt(2 * l + 1) * (-1.0) ** np.arange(-l, l + 1)
@@ -277,10 +269,10 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
     n = 2 * B
     f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
     G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
-    stack = wigner_d_stack(bandwidth - 1, grid.betas)
     blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
     for col in range(-(bandwidth - 1), bandwidth):
-        a = _spin_analysis(G[..., col % n], grid, _stack_columns(stack, col))
+        a = _spin_analysis(G[..., col % n], grid,
+                           _spin_columns(grid, col)[:bandwidth])
         for l in range(abs(col), bandwidth):
             blocks.blocks[l][:, :, col + l] = a[l]
     return blocks
@@ -300,10 +292,9 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     n = 2 * B
     C = blocks.channels
     G = np.zeros((n, C, n, n), dtype=complex)   # [n mod 2B, c, alpha, beta]
-    stack = wigner_d_stack(L - 1, grid.betas)
     for col in range(-(L - 1), L):
         G[col % n] = _spin_synthesis([None] * abs(col) + blocks.column(col),
-                                     grid, _stack_columns(stack, col), C)
+                                     grid, _spin_columns(grid, col)[:L], C)
     f = np.moveaxis(np.fft.fft(G, axis=0), 0, -1)   # [c, alpha, beta, gamma]
     return f.reshape(C, n ** 3)
 

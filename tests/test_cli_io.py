@@ -224,8 +224,10 @@ class TestCli:
         ("S2", "field_orders", ["x", 1], "field order must be"),
         ("S2", "field_orders", [0.5, 1], "field order must be"),
         ("R3points", "field_orders", [-1], "field order must be"),
+        ("S2", "space", "foo", "space must be"),
     ], ids=["bandwidth-str", "bandwidth-0", "bandwidth-float", "bandwidth-bool",
-            "order-null", "order-str", "order-float", "cloud-order-negative"])
+            "order-null", "order-str", "order-float", "cloud-order-negative",
+            "space-unknown"])
     def test_invalid_header_value(self, tmp_path, space, key, value, match):
         path = tmp_path / "f.json"
         if space == "S2":
@@ -273,6 +275,23 @@ class TestCli:
         with pytest.raises(FieldFormatError, match="non-numeric"):
             convert_field(p_csv, tmp_path / "back.json")
         assert main(["convert", str(p_csv), str(tmp_path / "back.json")]) == 3
+
+    @pytest.mark.parametrize("key,line", [
+        ("# bandwidth", None),
+        ("# bandwidth", "# bandwidth=0"),
+        ("# space", "# space=foo"),
+        ("# field_orders", "# field_orders=None,1"),
+    ], ids=["no-bandwidth", "bandwidth-0", "unknown-space", "s2-order-none"])
+    def test_invalid_csv_writes_no_json(self, tmp_path, key, line):
+        p_json, p_csv = tmp_path / "f.json", tmp_path / "f.csv"
+        save_fields(p_json, random_s2_fields())
+        convert_field(p_json, p_csv)
+        lines = [line if l.startswith(key + "=") else l
+                 for l in p_csv.read_text().splitlines()]
+        p_csv.write_text("\n".join(l for l in lines if l is not None) + "\n")
+        out = tmp_path / "back.json"
+        assert main(["convert", str(p_csv), str(out)]) == 3
+        assert not out.exists()
 
     def test_csv_without_data_rows(self, tmp_path):
         p_json, p_csv = tmp_path / "f.json", tmp_path / "f.csv"

@@ -81,11 +81,6 @@ class TestLiftProject:
         with pytest.raises(ValueError):
             lift(field)
 
-    def test_lift_rejects_mismatched_group_grid(self):
-        field = random_field(4, 1)
-        with pytest.raises(ValueError):
-            lift(field, quadrature_grid("SO3", 5))
-
 
 class TestSpinCoefficients:
     def test_analysis_synthesis_round_trip(self):

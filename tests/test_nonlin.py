@@ -187,7 +187,7 @@ class TestNonlinearity:
 
 class TestPointSphereNonlin:
     def _features(self, n_pts, n_ch, lmax, scale):
-        return [scale * rng.standard_normal((n_pts, n_ch, 2 * l + 1))
+        return [scale * rng.standard_normal((n_pts, 2 * l + 1, n_ch))
                 for l in range(lmax + 1)]
 
     def test_near_linear_limit(self):
@@ -204,11 +204,11 @@ class TestPointSphereNonlin:
         spec = ActivationSpec("tanh")
         g = Rotation3(1.1, 0.7, -0.4)
         D = [wigner_D_real(l, g) for l in range(lmax + 1)]
-        rotated = [np.einsum("mn,pcn->pcm", D[l], feats[l])
+        rotated = [np.einsum("mn,pnc->pmc", D[l], feats[l])
                    for l in range(lmax + 1)]
         a = point_sphere_nonlin(rotated, spec, Bs)
         b = point_sphere_nonlin(feats, spec, Bs)
-        b_rot = [np.einsum("mn,pcn->pcm", D[l], b[l])
+        b_rot = [np.einsum("mn,pnc->pmc", D[l], b[l])
                  for l in range(lmax + 1)]
         scale = max(np.abs(x).max() for x in b_rot)
         err = max(np.abs(x - y).max() for x, y in zip(a, b_rot)) / scale
@@ -216,11 +216,11 @@ class TestPointSphereNonlin:
 
     def test_absent_orders_stay_absent(self):
         feats = [rng.standard_normal((2, 1, 1)), None,
-                 rng.standard_normal((2, 1, 5))]
+                 rng.standard_normal((2, 5, 1))]
         out = point_sphere_nonlin(feats, ActivationSpec("relu"), 6)
         assert out[1] is None and out[0].shape == (2, 1, 1)
 
     def test_order_must_fit_bandwidth(self):
-        feats = [None, None, rng.standard_normal((1, 1, 5))]
+        feats = [None, None, rng.standard_normal((1, 5, 1))]
         with pytest.raises(ValueError):
             point_sphere_nonlin(feats, ActivationSpec("relu"), 2)

@@ -236,3 +236,43 @@ class TestSe3Layer:
         for l, (x, y) in enumerate(zip(a, b)):
             y_rot = np.einsum("mn,pnc->pmc", wigner_D_real(l, g), y)
             assert np.abs(x - y_rot).max() / scale < 1e-7, l
+
+
+def brute_force_conv(cloud, terms, radius):
+    """tfn_point_conv as a double loop over (i, j) with se3_kernel_eval."""
+    n = cloud.n_points
+    out = [None] * (max(basis.l_out for basis, _ in terms) + 1)
+    for basis, W in terms:
+        acc = np.zeros((n, 2 * basis.l_out + 1, W.shape[0]))
+        for i in range(n):
+            for j in range(n):
+                x = cloud.positions[j] - cloud.positions[i]
+                if j != i and np.linalg.norm(x) < radius:
+                    acc[i] += (se3_kernel_eval(basis, x)
+                               @ cloud.features[basis.l_in][j] @ W.T)
+        out[basis.l_out] = acc if out[basis.l_out] is None else out[basis.l_out] + acc
+    return out
+
+
+class TestTfnConvAgainstDoubleLoop:
+    @pytest.mark.parametrize("case", ["duplicate", "isolated", "no-edges"])
+    def test_matches_double_loop(self, case):
+        cloud = random_cloud(7, lmax=2, channels=2, spread=1.0)
+        pos = cloud.positions.copy()
+        if case == "duplicate":
+            pos[4] = pos[1]                   # an r = 0 edge, both ways
+        elif case == "isolated":
+            pos[6] = [50.0, 0.0, 0.0]
+        else:
+            pos = np.arange(7)[:, None] * np.array([5.0, 0.0, 0.0])
+        cloud = PointCloud(pos, cloud.features)
+        terms = make_terms(2, 2, 2, c_out=3)
+        got = tfn_point_conv(cloud, terms, radius=1.5)
+        want = brute_force_conv(cloud, terms, radius=1.5)
+        for l, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == (7, 2 * l + 1, 3)
+            assert np.abs(a - b).max() <= 1e-12, l
+        if case == "isolated":
+            assert all(np.abs(a[6]).max() == 0.0 for a in got)
+        if case == "no-edges":
+            assert all(np.abs(a).max() == 0.0 for a in got)
