@@ -230,13 +230,12 @@ def induced_action(g: Rotation3, field: TensorField) -> TensorField:
     return field_from_spin_coeffs(out, field.field_type.order, field.grid)
 
 
-def regular_action(g: Rotation3, gf: GroupFunction,
-                   bandwidth: int | None = None) -> GroupFunction:
+def regular_action(g: Rotation3, gf: GroupFunction) -> GroupFunction:
     """Left regular action (L'_g m)(k) = m(g^{-1} k), applied spectrally.
 
     Exact for functions bandlimited below the grid bandwidth.
     """
-    blocks = so3_ft_forward(gf.flat(), gf.grid, bandwidth)
+    blocks = so3_ft_forward(gf.flat(), gf.grid)
     rotated = [np.einsum("mj,cjn->cmn", np.conj(D), b) for b, D in
                zip(blocks.blocks, _wigner_D_blocks(blocks.bandwidth - 1, g))]
     out = so3_ft_inverse(SpectralBlocks(blocks.bandwidth, rotated), gf.grid)

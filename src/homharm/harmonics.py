@@ -35,7 +35,7 @@ def _degree_constants(l: int) -> tuple:
     root[n + l] = sqrt(C(2l, l + n)) and sign[n + l] = (-1)^(l - n) for
     n = -l..l serve the closed boundary form; m = -(l-1)..l-1 with
     R = sqrt(l^2 - m^2), Q = sqrt((l-1)^2 - m^2), u = 1/R and v = Q/R serve
-    the interior recursion.
+    _interior_constants.
     """
     n = np.arange(-l, l + 1)
     m = n[1:-1]
@@ -48,53 +48,43 @@ def _degree_constants(l: int) -> tuple:
     return consts
 
 
-def _recursion_offset(l: int, m, n, Qm, Qn, Rm, Rn):
-    """A - C - 1 at beta = 0 for the recursion d^l = A d^{l-1} - C d^{l-2}:
+@functools.lru_cache(maxsize=4096)
+def _interior_constants(l: int, lo: int, hi: int) -> tuple:
+    """E, a u_m u_n and c v_m v_n of degree l >= 2 on the interior rows
+    m = -(l-1)..l-1 and the interior columns n = lo..hi, read-only; the last
+    cut to the rows and columns |.| <= l-2 of delta^{l-1} (empty when no
+    column has |n| <= l-2).  E = A - C - 1 at beta = 0 for the recursion
+    d^l = A d^{l-1} - C d^{l-2}, in the cancellation-free form
 
         (m-n)^2 / (Rm Rn) * (l(l-1) / ((l-1)^2 - mn + Qm Qn)
                              + l^2 / (l^2 - mn + Rm Rn)),
 
-    a cancellation-free form that is exactly 0 at m = n.  The first
-    denominator vanishes only at m = n = +-(l-1).
-    """
-    mn = m * n
-    den = (l - 1) ** 2 - mn + Qm * Qn
-    return (m - n) ** 2 * (l * (l - 1) / np.where(den > 0, den, 1.0)
-                           + l * l / (l * l - mn + Rm * Rn)) / (Rm * Rn)
-
-
-@functools.lru_cache(maxsize=None)
-def _stack_constants(l: int) -> tuple:
-    """The [2l-1, 2l-1] recursion matrices of degree l >= 2 for
-    wigner_d_stack: E, a u_m u_n and (c v_m v_n)[1:-1, 1:-1], read-only.
+    exactly 0 at m = n; the first denominator vanishes only at
+    m = n = +-(l-1).
     """
     _, _, m, Q, R, u, v = _degree_constants(l)
-    consts = (_recursion_offset(l, m[:, None], m[None, :], Q[:, None], Q[None, :],
-                                R[:, None], R[None, :]),
-              (2 * l - 1) * l * np.outer(u, u),
-              (l / (l - 1) * np.outer(v, v))[1:-1, 1:-1])
+    j = slice(lo + l - 1, hi + l)
+    n, Qn, Rn = m[j], Q[j], R[j]
+    m, Qm, Rm = m[:, None], Q[:, None], R[:, None]
+    mn = m * n
+    den = (l - 1) ** 2 - mn + Qm * Qn
+    consts = ((m - n) ** 2 * (l * (l - 1) / np.where(den > 0, den, 1.0)
+                              + l * l / (l * l - mn + Rm * Rn)) / (Rm * Rn),
+              (2 * l - 1) * l * np.outer(u, u[j]),
+              (l / (l - 1) * np.outer(v, v[j]))[1:-1, max(lo, 2 - l) - lo:
+                                                 min(hi, l - 2) - lo + 1])
     for arr in consts:
         arr.setflags(write=False)
     return consts
 
 
-def _reduced_betas(lmax: int, betas):
-    """beta' = min(beta, pi - beta), the mask of reflected betas, and
-    cos(beta'), 1 - cos(beta') = 2 sin^2(beta'/2) and the tables
-    cos(beta'/2)^e, sin(beta'/2)^e for e = 0..2 lmax.
-    """
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    flip = betas > np.pi / 2
-    b = np.where(flip, np.pi - betas, betas)
-    c, s = np.cos(b / 2.0), np.sin(b / 2.0)
-    e = np.arange(2 * lmax + 1)
-    return flip, np.cos(b), 2.0 * s * s, c[:, None] ** e, s[:, None] ** e
+def _wigner_d_columns(lmax: int, betas, lo: int, hi: int) -> list:
+    """Columns n = lo..hi of the small-d matrices d^l(beta), l = 0..lmax.
 
+    Returns a list indexed by l of real arrays [n_beta, 2l+1, n_cols] over
+    m = -l..l and the columns max(lo, -l)..min(hi, l); None where degree l
+    has none of them (l < min |n|).  Degree l does not depend on lmax.
 
-def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
-    """All small-d matrices d^l(beta) for l = 0..lmax at each beta.
-
-    Returns a list indexed by l of real arrays [n_beta, 2l+1, 2l+1].
     Entries with |m| = l or |n| = l use the closed boundary form in
     half-angle sines/cosines.  Interior entries follow the three-term
     recursion in l (upward, the numerically dominant direction), written for
@@ -103,87 +93,78 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
         delta^l_{mn} = (E_{mn} - t a u_m u_n) d^{l-1}_{mn}
                        + c v_m v_n delta^{l-1}_{mn}
 
-    with t = 1 - cos(beta), a = (2l-1) l, c = l/(l-1) and E from
-    _recursion_offset.  The plain recursion loses O(l^2) ulps near the
+    with t = 1 - cos(beta), a = (2l-1) l, c = l/(l-1) and the constants of
+    _interior_constants.  The plain recursion loses O(l^2) ulps near the
     poles, where its two characteristic roots meet at 1; this form does not.
-    Betas above pi/2 are computed at pi - beta and reflected with
-    d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t stays small.
+    The interior columns of degree l are the columns of degree l-1, so each
+    step carries d^{l-1} whole and adds the boundary columns n = +-l that
+    lie in lo..hi.  Betas above pi/2 are computed at pi - beta and
+    reflected with d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t
+    stays small.
+    """
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    flip = betas > np.pi / 2
+    betas = np.where(flip, np.pi - betas, betas)
+    c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
+    e = np.arange(2 * lmax + 1)
+    cp, sp = c[:, None] ** e, s[:, None] ** e
+    t = (2.0 * s * s)[:, None, None]                      # 1 - cos(beta)
+    out: list = [None] * (lmax + 1)
+    if lo <= 0 <= hi:
+        out[0] = np.ones((len(betas), 1, 1))
+    delta = -t                                    # d^1_00 - d^0_00
+    for l in range(max(1, lo, -hi), lmax + 1):
+        a, b = max(lo, -l), min(hi, l)            # the columns of degree l
+        root, sign = _degree_constants(l)[:2]
+        h = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n h_n
+        cols = slice(a + l, b + l + 1)
+        d = np.empty((len(betas), 2 * l + 1, b - a + 1))
+        d[:, -1] = sign[cols] * h[:, cols]                        # m = l
+        d[:, 0] = h[:, ::-1][:, cols]                             # m = -l
+        if b == l:
+            d[:, 1:-1, -1] = h[:, 1:-1]                           # n = l
+        if a == -l:
+            d[:, 1:-1, 0] = sign[1:-1] * h[:, -2:0:-1]            # n = -l
+        f, g = max(a, 1 - l), min(b, l - 1)       # interior: the columns of d^{l-1}
+        if f <= g and l == 1:
+            d[:, 1, -a] = np.cos(betas)                           # d^1_00
+        elif f <= g:
+            E, aUU, cVV = _interior_constants(l, f, g)
+            step = (E - t * aUU) * out[l - 1]
+            if cVV.size:
+                i = max(f, 2 - l) - f
+                step[:, 1:-1, i:i + cVV.shape[1]] += cVV * delta
+            d[:, 1:-1, f - a:g - a + 1] = out[l - 1] + step
+            delta = step
+        out[l] = d
+    if flip.any():
+        for l in range(max(1, lo, -hi), lmax + 1):   # d^0 = 1 is its own reflection
+            sign = _degree_constants(l)[1][max(lo, -l) + l:min(hi, l) + l + 1]
+            out[l][flip] = out[l][flip][:, ::-1] * sign
+    return out
+
+
+def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
+    """All small-d matrices d^l(beta) for l = 0..lmax at each beta: a list
+    indexed by l of real arrays [n_beta, 2l+1, 2l+1], the columns
+    -lmax..lmax of _wigner_d_columns.
 
     The library builds whole stacks only for the D^l of single rotations
     (wigner_d, _wigner_D_blocks); transforms and harmonics that read one
     column per beta use wigner_d_column.
     """
-    flip, x, t, cp, sp = _reduced_betas(lmax, betas)
-    nb = x.shape[0]
-    out = [np.ones((nb, 1, 1))]
-    delta = -t[:, None, None]                     # d^1_00 - d^0_00
-    for l in range(1, lmax + 1):
-        root, sign, m, Q, R, u, v = _degree_constants(l)
-        hi = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n hi_n
-        d = np.empty((nb, 2 * l + 1, 2 * l + 1))
-        d[:, -1, :] = sign * hi                                   # m = l
-        d[:, 0, :] = hi[:, ::-1]                                  # m = -l
-        d[:, 1:-1, -1] = hi[:, 1:-1]                              # n = l
-        d[:, 1:-1, 0] = sign[1:-1] * hi[:, -2:0:-1]               # n = -l
-        if l == 1:
-            d[:, 1, 1] = x
-        else:
-            E, aUU, cVV = _stack_constants(l)
-            step = (E - t[:, None, None] * aUU) * out[l - 1]
-            step[:, 1:-1, 1:-1] += cVV * delta
-            d[:, 1:-1, 1:-1] = out[l - 1] + step
-            delta = step
-        out.append(d)
-    if flip.any():
-        for l, d in enumerate(out):
-            d[flip] = d[flip][:, ::-1, :] * (-1.0) ** (l - np.arange(-l, l + 1))
-    return out
+    return _wigner_d_columns(lmax, betas, -lmax, lmax)
 
 
 def wigner_d_column(lmax: int, betas, k: int) -> list:
     """Column n = k of the small-d matrices: d^l_{mk}(beta) for l = |k|..lmax.
 
     Returns a list indexed by l (None below |k|) of real arrays
-    [n_beta, 2l+1], equal entry for entry to
-    wigner_d_stack(lmax, betas)[l][:, :, l + k]: the same recursion and
-    boundary form restricted to n = k, in O(lmax^2 n_beta) work.  Degree l
-    does not depend on lmax, so a shorter call is a prefix of a longer one.
+    [n_beta, 2l+1]: the column k..k of _wigner_d_columns, bit for bit
+    wigner_d_stack(lmax, betas)[l][:, :, l + k], in O(lmax^2 n_beta) work.
     """
-    K = abs(k)
-    out: list = [None] * (lmax + 1)
-    if K > lmax:
-        return out
-    flip, x, t, cp, sp = _reduced_betas(lmax, betas)
-    nb = x.shape[0]
-    delta = -t[:, None]                           # d^1_00 - d^0_00
-    for l in range(K, lmax + 1):
-        if l == 0:
-            out[0] = np.ones((nb, 1))
-            continue
-        root, sign, m, Q, R, u, v = _degree_constants(l)
-        hi = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n hi_n
-        if l == K:                                # the boundary column n = +-l
-            out[l] = hi if k > 0 else sign * hi[:, ::-1]
-            continue
-        p = l + k
-        col = np.empty((nb, 2 * l + 1))
-        col[:, -1] = sign[p] * hi[:, p]                            # m = l
-        col[:, 0] = hi[:, -1 - p]                                  # m = -l
-        if l == 1:
-            col[:, 1] = x
-        else:
-            q = p - 1
-            E = _recursion_offset(l, m, k, Q, Q[q], R, R[q])
-            step = (E - t[:, None] * ((2 * l - 1) * l * (u * u[q]))) * out[l - 1]
-            if l - 2 >= K:
-                step[:, 1:-1] += (l / (l - 1) * (v * v[q]))[1:-1] * delta
-            col[:, 1:-1] = out[l - 1] + step
-            delta = step
-        out[l] = col
-    if flip.any():
-        for l in range(K, lmax + 1):
-            out[l][flip] = out[l][flip][:, ::-1] * (-1.0) ** (l - k)
-    return out
+    return [None if d is None else d[:, :, 0]
+            for d in _wigner_d_columns(lmax, betas, k, k)]
 
 
 def wigner_d(l: int, beta: float) -> np.ndarray:

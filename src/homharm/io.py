@@ -52,12 +52,30 @@ def _pairs(block: np.ndarray) -> list:
     return stacked.tolist()
 
 
+def _float_array(data, ndim: int, last: int, where: str, expected: str) -> np.ndarray:
+    """data as a float array of ndim axes, the last of length last."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):                   # ragged or non-numeric
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.shape[-1] != last:
+        got = "a ragged or non-numeric list" if arr is None else f"shape {arr.shape}"
+        raise FieldFormatError(f"{where}: expected {expected}, got {got}")
+    return arr
+
+
+def _pair_array(data, where: str) -> np.ndarray:
+    return _float_array(data, 4, 2, where, "[channel][node][dim] of [re, im] pairs")
+
+
 def _unpairs(data, where: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 4 or arr.shape[-1] != 2:
-        raise FieldFormatError(f"{where}: expected [channel][node][dim] of "
-                               f"[re, im] pairs, got shape {arr.shape}")
+    arr = _pair_array(data, where)
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _positions(doc: dict, path: str) -> np.ndarray:
+    return _float_array(doc["positions"], 2, 3, f"{path}: positions",
+                        "a list of [x, y, z]")
 
 
 def _dump(doc: dict, path: str):
@@ -201,7 +219,7 @@ def load_point_cloud(path: str) -> PointCloud:
     if doc["space"] != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
                                f"{doc['space']!r}")
-    positions = np.asarray(doc["positions"], dtype=float)
+    positions = _positions(doc, path)
     orders = doc["field_orders"]
     features: list = [None] * (max(orders) + 1 if orders else 0)
     for l, block in zip(orders, doc["data"]):
@@ -242,7 +260,9 @@ def load_xyz(path: str) -> np.ndarray:
 _CSV_HEADER = "field_index,order,channel,node,dim,re,im"
 
 
-def _field_doc_to_csv(doc: dict) -> str:
+def _field_doc_to_csv(doc: dict, path: str) -> str:
+    blocks = [_pair_array(block, f"{path}: data[{fi}]").tolist()
+              for fi, block in enumerate(doc["data"])]
     lines = [f"# format_version={doc['format_version']}",
              f"# space={doc['space']}"]
     if "bandwidth" in doc:
@@ -250,10 +270,10 @@ def _field_doc_to_csv(doc: dict) -> str:
     lines.append(f"# channels={doc['channels']}")
     lines.append("# field_orders=" + ",".join(str(o) for o in doc["field_orders"]))
     if "positions" in doc:
-        for p in doc["positions"]:
-            lines.append("# position=" + ",".join(repr(float(v)) for v in p))
+        for p in _positions(doc, path).tolist():
+            lines.append("# position=" + ",".join(repr(v) for v in p))
     lines.append(_CSV_HEADER)
-    for fi, block in enumerate(doc["data"]):
+    for fi, block in enumerate(blocks):
         order = doc["field_orders"][fi]
         for c, chan in enumerate(block):
             for nd, node in enumerate(chan):
@@ -340,9 +360,9 @@ def convert_field(in_path: str, out_path: str):
     src = in_path.lower()
     dst = out_path.lower()
     if src.endswith(".json") and dst.endswith(".csv"):
-        doc = _read_doc(in_path)
+        text = _field_doc_to_csv(_read_doc(in_path), in_path)
         with open(out_path, "w") as fh:
-            fh.write(_field_doc_to_csv(doc))
+            fh.write(text)
     elif src.endswith(".csv") and dst.endswith(".json"):
         with open(in_path) as fh:
             doc = _check_doc(_csv_to_field_doc(fh.read(), in_path), in_path)

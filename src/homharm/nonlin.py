@@ -121,20 +121,19 @@ def delta_projection_kernel(out_order: int, bandwidth: int) -> GroupFunction:
     """Mackey kernel whose projection reproduces column extraction:
     kappa(g) = sum_l (2l+1) D^l_{mm}(g), the bandlimited delta of order m.
     """
-    grid = quadrature_grid("SO3", bandwidth)
-    return GroupFunction(grid, kernel_to_spatial(
-        spectral_identity_kernel(out_order, bandwidth), grid))
+    return GroupFunction(quadrature_grid("SO3", bandwidth), kernel_to_spatial(
+        spectral_identity_kernel(out_order, bandwidth)))
 
 
-def project_kernel(gf: GroupFunction, kernel: GroupFunction, out_order: int,
-                   mackey_tol: float = 1e-8) -> TensorField:
+def project_kernel(gf: GroupFunction, kernel: GroupFunction,
+                   out_order: int) -> TensorField:
     """Project with a group-convolution kernel: f(x) = integral of
     kappa(g^{-1} s(x)) l(g) dg, evaluated spectrally and restricted to the
     gamma = 0 section.
 
     The kernel must satisfy the one-sided Mackey constraint for the output
     order (its spectrum column-sparse at n = out_order); a relative
-    off-column residual above mackey_tol is an error.
+    off-column norm above 1e-8 is an error.
     """
     B = gf.grid.bandwidth
     if kernel.grid.bandwidth != B:
@@ -144,7 +143,7 @@ def project_kernel(gf: GroupFunction, kernel: GroupFunction, out_order: int,
     k_hat = so3_ft_forward(kernel.flat(), kernel.grid)
     total = k_hat.norm_squared()
     off = k_hat.off_column_energy(out_order)
-    if total > 0 and off / total > mackey_tol ** 2:
+    if total > 0 and off / total > 1e-8 ** 2:
         raise ValueError("kernel violates the Mackey constraint for order "
                          f"{out_order} (relative residual {off / total:.3e})")
     l_hat = so3_ft_forward(gf.flat(), gf.grid)

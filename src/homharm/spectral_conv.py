@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import QuadratureGrid, Rotation3, quadrature_grid
+from .groups import Rotation3, quadrature_grid
 from .harmonics import wigner_d_column
 from .fields import (FieldType, TensorField, field_from_spin_coeffs, lift,
                      spin_coeffs)
@@ -84,14 +84,12 @@ class SparseKernelSpec:
         return self.coeffs[:, :, l - lo]
 
 
-def spectral_identity_kernel(m: int, bandwidth: int,
-                             channels: int = 1) -> SparseKernelSpec:
-    """Kernel acting as identity on order-m fields: c^l = 2l+1."""
+def spectral_identity_kernel(m: int, bandwidth: int) -> SparseKernelSpec:
+    """Single-channel kernel acting as identity on order-m fields:
+    c^l = 2l+1."""
     degs = kernel_degrees(m, m, bandwidth)
-    c = np.zeros((channels, channels, len(degs)), dtype=complex)
-    for i, l in enumerate(degs):
-        c[:, :, i] = (2 * l + 1) * np.eye(channels)
-    return SparseKernelSpec(m, m, bandwidth, c)
+    return SparseKernelSpec(m, m, bandwidth,
+                            np.array([2 * l + 1 for l in degs], dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +106,11 @@ def _scale_degrees(kernel: SparseKernelSpec, cols) -> list:
     return out
 
 
-def conv_spectral(blocks: SpectralBlocks, kernel: SparseKernelSpec,
-                  sparsity_tol: float = 1e-8) -> SpectralBlocks:
+def conv_spectral(blocks: SpectralBlocks, kernel: SparseKernelSpec) -> SpectralBlocks:
     """Convolve column-sparse spectral blocks with a sparse kernel.
 
-    The input must be column-sparse at n = m_in (relative off-column energy
-    above sparsity_tol is an error); the output is column-sparse at
+    The input must be column-sparse at n = m_in (a relative off-column norm
+    above 1e-8 is an error); the output is column-sparse at
     n = m_out with
 
         out_hat^l_{m, m_out} = sum_{c_in} (c^l / (2l+1)) in_hat^l_{m, m_in}.
@@ -125,7 +122,7 @@ def conv_spectral(blocks: SpectralBlocks, kernel: SparseKernelSpec,
                          f"got {blocks.channels}")
     total = blocks.norm_squared()
     off = blocks.off_column_energy(kernel.m_in)
-    if total > 0 and off / total > sparsity_tol ** 2:
+    if total > 0 and off / total > 1e-8 ** 2:
         raise ValueError("input spectrum is not column-sparse at the kernel's "
                          f"input order (relative off-column energy {off / total:.3e})")
     scaled = _scale_degrees(kernel, [None] * abs(kernel.m_in)
@@ -154,24 +151,19 @@ def conv_field(field: TensorField, kernel: SparseKernelSpec) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def kernel_to_spatial(kernel: SparseKernelSpec,
-                      grid: QuadratureGrid | None = None) -> np.ndarray:
+def kernel_to_spatial(kernel: SparseKernelSpec) -> np.ndarray:
     """Sample the kernel's Mackey function kappa(g) = sum_l c^l D^l_{m_in,m_out}(g)
-    on an SO(3) grid.  Channel pairs are flattened row-major to
-    [c_out * c_in, n_nodes].
+    on the SO(3) grid of the kernel's bandwidth.  Channel pairs are flattened
+    row-major to [c_out * c_in, n_nodes].
 
     kappa is the lift of the order-m_out field whose only spin coefficients
     are a^l_{m_in} = c^l / (2l+1).
     """
-    if grid is None:
-        grid = quadrature_grid("SO3", kernel.bandwidth)
-    elif grid.space != "SO3":
-        raise ValueError("kernel_to_spatial needs an SO(3) grid")
     coeffs: list = [None] * kernel.bandwidth
     for l in kernel.degrees:
         coeffs[l] = np.zeros((kernel.c_out * kernel.c_in, 2 * l + 1), dtype=complex)
         coeffs[l][:, kernel.m_in + l] = kernel.coeff(l).reshape(-1) / (2 * l + 1)
-    s2_grid = quadrature_grid("S2", grid.bandwidth)
+    s2_grid = quadrature_grid("S2", kernel.bandwidth)
     return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid)).flat()
 
 

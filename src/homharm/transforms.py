@@ -24,7 +24,11 @@ is about 256 MiB).  Callers needing fewer degrees take a prefix, since
 upward recursion makes degree l independent of the top degree.
 ``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT and SO(3)
 transform pairs and everything built on them read this cache.
-``_plan_cache_info()`` reports its hits, misses and bytes held.
+``_plan_cache_info()`` reports its hits, misses and bytes held.  Building
+a plan reads ``harmonics._interior_constants``, the beta-independent
+recursion constants of each (degree l, column range), which keeps its most
+recent 4096 keys, O(l) floats per column: every column up to B = 64
+(7.5 MiB there).
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),

@@ -242,6 +242,31 @@ class TestCli:
             (load_fields if space == "S2" else load_point_cloud)(path)
         assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
 
+    @pytest.mark.parametrize("space,keys,value,match", [
+        ("S2", ("data", 0), 5, r"data\[0\]"),
+        ("S2", ("data", 0, 0, 0, 0), [1.0, 2.0, 3.0], r"data\[0\]"),
+        ("R3points", ("positions",), 5, "positions"),
+    ], ids=["block-not-nested", "three-number-entry", "positions-not-a-list"])
+    def test_malformed_json_writes_no_csv(self, tmp_path, space, keys, value,
+                                          match):
+        path = tmp_path / "f.json"
+        if space == "S2":
+            save_fields(path, random_s2_fields())
+        else:
+            save_point_cloud(path, PointCloud(np.zeros((2, 3)),
+                                              [np.ones((2, 1, 1))]))
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match=match):
+            (load_fields if space == "S2" else load_point_cloud)(path)
+        out = tmp_path / "f.csv"
+        assert main(["convert", str(path), str(out)]) == 3
+        assert not out.exists()
+
     def test_orders_and_data_of_unequal_length(self, tmp_path):
         path = tmp_path / "f.json"
         save_fields(path, random_s2_fields())

@@ -101,13 +101,17 @@ class TestWignerDColumn:
                 assert np.abs(col[j] - ref).max() < 5e-13
 
     def test_matches_the_stack(self):
-        betas = quadrature_grid("S2", 32).betas
-        stack = wigner_d_stack(31, betas)
-        for k in (-31, -7, -1, 0, 1, 12, 31):
-            cols = wigner_d_column(31, betas, k)
-            assert all(c is None for c in cols[:abs(k)])
-            for l in range(abs(k), 32):
-                assert np.abs(cols[l] - stack[l][:, :, l + k]).max() <= 1e-14
+        # both poles, points near them and both sides of pi/2, where the
+        # reflection starts; at lmax = 31 the betas of the B = 32 grid
+        edges = np.array([0.0, 0.004, np.pi / 2, 1.7, np.pi - 0.01, np.pi])
+        for lmax, betas in ((7, edges), (31, quadrature_grid("S2", 32).betas),
+                            (64, edges)):
+            stack = wigner_d_stack(lmax, betas)
+            for k in range(-lmax, lmax + 1):
+                cols = wigner_d_column(lmax, betas, k)
+                assert all(c is None for c in cols[:abs(k)])
+                for l in range(abs(k), lmax + 1):
+                    assert np.array_equal(cols[l], stack[l][:, :, l + k]), (lmax, k, l)
 
     def test_prefix(self):
         betas = rng.uniform(0, np.pi, 5)

@@ -110,7 +110,7 @@ class TestSpatialViews:
         c = rng.standard_normal(B)
         kernel = SparseKernelSpec(0, 0, B, c.astype(complex))
         grid = quadrature_grid("SO3", B)
-        vals = kernel_to_spatial(kernel, grid)
+        vals = kernel_to_spatial(kernel)
         x = np.cos(grid.nodes[:, 1])
         P = [np.ones_like(x), x, (3 * x ** 2 - 1) / 2,
              (5 * x ** 3 - 3 * x) / 2]
