@@ -8,9 +8,9 @@ random draws of existing ones.  Wall times are printed for humans but
 serialized as null so report bytes stay stable.
 
 run_suite is the one gate for a configuration: it raises CheckConfigError
-for an unknown suite, bandwidth < 2, trials < 1 or oversample < 1 before any
-check runs, so every check may assume B >= 2.  (At B = 1 every S^2 field is
-a constant, so no order-1 field, kernel or cotangent exists.)
+for an unknown suite, bandwidth < 2, trials < 1, oversample < 1 or seed < 0
+before any check runs, so every check may assume B >= 2.  (At B = 1 every
+S^2 field is a constant, so no order-1 field, kernel or cotangent exists.)
 """
 
 from __future__ import annotations
@@ -661,7 +661,8 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
     else:
         raise CheckConfigError(f"unknown suite {suite!r}; choose from "
                                f"{', '.join(list(SUITES) + ['all'])}")
-    for key, least in (("bandwidth", 2), ("trials", 1), ("oversample", 1)):
+    for key, least in (("bandwidth", 2), ("trials", 1), ("oversample", 1),
+                       ("seed", 0)):
         if cfg[key] < least:
             raise CheckConfigError(f"{key} must be at least {least}, "
                                    f"got {cfg[key]}")

@@ -47,7 +47,7 @@ class FieldFormatError(ValueError):
 
 
 def _pairs(block: np.ndarray) -> list:
-    """[channel, node, dim] complex -> nested lists of [re, im]."""
+    """Complex array -> nested lists of [re, im] pairs (a last axis of 2)."""
     stacked = np.stack([block.real, block.imag], axis=-1)
     return stacked.tolist()
 
@@ -68,14 +68,17 @@ def _pair_array(data, where: str) -> np.ndarray:
     return _float_array(data, 4, 2, where, "[channel][node][dim] of [re, im] pairs")
 
 
-def _unpairs(data, where: str) -> np.ndarray:
-    arr = _pair_array(data, where)
-    return arr[..., 0] + 1j * arr[..., 1]
+def _unpairs(arr: np.ndarray) -> np.ndarray:
+    """[..., 2] float [re, im] pairs -> [...] complex, bit for bit (a real
+    part -0.0 stays -0.0, which re + 1j * im would make +0.0)."""
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def _positions(doc: dict, path: str) -> np.ndarray:
-    return _float_array(doc["positions"], 2, 3, f"{path}: positions",
-                        "a list of [x, y, z]")
+    """The positions as an [n, 3] array; an empty list is a cloud of n = 0."""
+    data = doc["positions"]
+    return _float_array(np.zeros((0, 3)) if data == [] else data, 2, 3,
+                        f"{path}: positions", "a list of [x, y, z]")
 
 
 def _dump(doc: dict, path: str):
@@ -179,7 +182,7 @@ def load_fields(path: str) -> list:
     grid = quadrature_grid(space, doc["bandwidth"])
     out = []
     for idx, (order, block) in enumerate(zip(doc["field_orders"], doc["data"])):
-        samples = _unpairs(block, f"{path}: data[{idx}]")
+        samples = _unpairs(_pair_array(block, f"{path}: data[{idx}]"))
         if samples.shape[1] != grid.n_nodes:
             raise FieldFormatError(f"{path}: data[{idx}] has {samples.shape[1]} "
                                    f"nodes, grid expects {grid.n_nodes}")
@@ -223,7 +226,7 @@ def load_point_cloud(path: str) -> PointCloud:
     orders = doc["field_orders"]
     features: list = [None] * (max(orders) + 1 if orders else 0)
     for l, block in zip(orders, doc["data"]):
-        arr = _unpairs(block, f"{path}: order {l}")
+        arr = _unpairs(_pair_array(block, f"{path}: order {l}"))
         features[l] = np.transpose(arr.real, (1, 2, 0))
     return PointCloud(positions, features)
 
@@ -349,7 +352,7 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
         "data": data,
         **ints,
     }
-    if positions:
+    if positions or meta["space"] == "R3points":
         doc["positions"] = positions
     return doc
 
@@ -382,16 +385,14 @@ def kernel_spec_to_json(kernel: SparseKernelSpec) -> str:
         "m_in": kernel.m_in,
         "m_out": kernel.m_out,
         "bandwidth": kernel.bandwidth,
-        "coeffs": np.stack([kernel.coeffs.real, kernel.coeffs.imag],
-                           axis=-1).tolist(),
+        "coeffs": _pairs(kernel.coeffs),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def kernel_spec_from_json(text: str) -> SparseKernelSpec:
     doc = json.loads(text)
-    arr = np.asarray(doc["coeffs"], dtype=float)
-    coeffs = arr[..., 0] + 1j * arr[..., 1]
+    coeffs = _unpairs(np.asarray(doc["coeffs"], dtype=float))
     return SparseKernelSpec(int(doc["m_in"]), int(doc["m_out"]),
                             int(doc["bandwidth"]), coeffs)
 

@@ -5,18 +5,22 @@ SE(2) kernels mapping order m_in to order m_out features factor into a free
 radial profile and the fixed phase e^{i (m_out - m_in) phi}.  SE(3) kernels
 between degree-l_in and degree-l_out features decompose over an intertwiner
 degree t in |l_in - l_out| .. l_in + l_out, each term a free radial profile
-times a fixed angular matrix built from Clebsch-Gordan coefficients and
-spherical harmonics.  This module works in the real representation: features
-are real vectors and kernels real matrices, rotating by wigner_D_real blocks.
+times a fixed angular matrix.  This module works in the real representation:
+features are real vectors and kernels real matrices, rotating by
+wigner_D_real blocks.  The angular matrix of a term is sum_nu S^t_nu(x) G[nu]
+with S^t the real harmonics of degree t and G a real coupling tensor, the
+Clebsch-Gordan coupling moved to the real bases; G is built once per
+(t, l_in, l_out) and cached.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import cg_matrix, real_basis_change, sph_harm_matrix
+from .harmonics import cg_matrix, real_basis_change, real_sph_harm_matrix
 from .nonlin import point_sphere_nonlin
 
 __all__ = [
@@ -40,12 +44,18 @@ class SE2KernelBasis:
     values: np.ndarray    # real R(a) sampled at radii
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
-            raise ValueError("radii and values must be matching 1-d arrays")
-        if np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
+        _check_profile(self)
+
+
+def _check_profile(basis) -> None:
+    """Store basis.radii/values as floats; they must be matching 1-d arrays
+    with strictly increasing radii."""
+    basis.radii = np.asarray(basis.radii, dtype=float)
+    basis.values = np.asarray(basis.values, dtype=float)
+    if basis.radii.ndim != 1 or basis.radii.shape != basis.values.shape:
+        raise ValueError("radii and values must be matching 1-d arrays")
+    if np.any(np.diff(basis.radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
 
 
 def se2_kernel_eval(basis: SE2KernelBasis, x) -> complex:
@@ -81,60 +91,45 @@ class SE3KernelBasis:
             raise ValueError("degrees must be nonnegative")
         if not abs(self.l_in - self.l_out) <= self.t <= self.l_in + self.l_out:
             raise ValueError(f"t={self.t} outside |l_in-l_out|..l_in+l_out")
-        self.radii = np.asarray(self.radii, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
-            raise ValueError("radii and values must be matching 1-d arrays")
-        if np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
-
-    @property
-    def shape(self) -> tuple:
-        return (2 * self.l_out + 1, 2 * self.l_in + 1)
+        _check_profile(self)
 
 
-def _se3_angular(basis: SE3KernelBasis, alphas, betas) -> np.ndarray:
-    """Real angular kernel matrices at unit directions, [n, 2l_out+1, 2l_in+1].
+@functools.lru_cache(maxsize=None)
+def _coupling(t: int, l_in: int, l_out: int) -> np.ndarray:
+    """Real coupling tensor G[nu, a, b], read-only, shape
+    [2t+1, 2l_out+1, 2l_in+1].
 
-    Complex assembly A_ij = sum_mu <l_out i | t mu, l_in j> conj(Y^t_mu),
-    moved to the real basis as U_out A U_in^H; a factor i restores realness
-    when t + l_in + l_out is odd (the parity of the real-basis coupling).
+    The complex angular matrix sum_mu <l_out i | t mu, l_in j> conj(Y^t_mu),
+    moved to the real bases as U_out . U_in^H and written with
+    conj(Y^t) = S^t U_t, is sum_nu S^t_nu H[nu].  G = Re(i^p H) with
+    p = (t + l_in + l_out) mod 2: H is real for even p and imaginary for
+    odd p, to rounding.
     """
-    t, li, lo = basis.t, basis.l_in, basis.l_out
-    C = cg_matrix(t, li, lo)                      # [2lo+1, 2t+1, 2li+1]
-    Yfull = sph_harm_matrix(t, alphas, betas)
-    Yt = Yfull[:, t * t:(t + 1) ** 2]             # [n, 2t+1]
-    A = np.einsum("imj,nm->nij", C, np.conj(Yt))
-    Uo = real_basis_change(lo)
-    Ui = real_basis_change(li)
-    M = np.einsum("ab,nbc,dc->nad", Uo, A, np.conj(Ui))
-    if (t + li + lo) % 2 == 1:
-        M = 1j * M
-    return M.real
+    H = np.einsum("ai,imj,bj,nm->nab", real_basis_change(l_out),
+                  cg_matrix(t, l_in, l_out), np.conj(real_basis_change(l_in)),
+                  real_basis_change(t), optimize=True)
+    G = np.ascontiguousarray(-H.imag if (t + l_in + l_out) % 2 else H.real)
+    G.setflags(write=False)
+    return G
 
 
 def se3_kernel_eval_many(basis: SE3KernelBasis, X: np.ndarray) -> np.ndarray:
-    """Kernel matrices at offsets X [n, 3]: C_t(|x|) times the angular part.
+    """Kernel matrices at offsets X [n, 3]: C_t(|x|) sum_nu S^t_nu(x/|x|) G[nu].
 
     The origin maps to zero for t > 0 (the angular factor has no limit
-    there) and to C_t(0) times the isotropic matrix for t = 0.
+    there) and to C_t(0) times G[0], the identity to rounding, for t = 0.
     """
     X = np.asarray(X, dtype=float)
+    t = basis.t
     r = np.linalg.norm(X, axis=1)
-    prof = np.interp(r, basis.radii, basis.values)
     at_origin = r < 1e-15
-    safe = np.where(at_origin, 1.0, r)
-    betas = np.arccos(np.clip(X[:, 2] / safe, -1.0, 1.0))
+    prof = np.interp(r, basis.radii, basis.values)
+    prof[at_origin & (t > 0)] = 0.0
+    betas = np.arccos(np.clip(X[:, 2] / np.where(at_origin, 1.0, r), -1.0, 1.0))
     alphas = np.arctan2(X[:, 1], X[:, 0])
-    M = _se3_angular(basis, alphas, betas)
-    out = prof[:, None, None] * M
-    if np.any(at_origin):
-        if basis.t > 0:
-            out[at_origin] = 0.0
-        else:
-            iso = np.eye(2 * basis.l_in + 1)
-            out[at_origin] = prof[at_origin, None, None] * iso
-    return out
+    S = real_sph_harm_matrix(t, alphas, betas)[:, t * t:]     # [n, 2t+1]
+    return np.tensordot(prof[:, None] * S, _coupling(t, basis.l_in, basis.l_out),
+                        axes=1)
 
 
 def se3_kernel_eval(basis: SE3KernelBasis, x) -> np.ndarray:

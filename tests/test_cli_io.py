@@ -78,6 +78,14 @@ class TestFieldFiles:
         for a, b in zip(fields, load_fields(p_back)):
             assert np.array_equal(a.samples, b.samples)
 
+    def test_negative_zero_survives_round_trip(self, tmp_path):
+        fields = random_s2_fields()
+        fields[0].samples[0, 0, 0] = complex(-0.0, 1.0)
+        path = tmp_path / "f.json"
+        save_fields(path, fields)
+        back = load_fields(path)[0].samples[0, 0, 0]
+        assert back == 1j and np.signbit(back.real)
+
     def test_conversion_needs_known_extensions(self, tmp_path):
         with pytest.raises(FieldFormatError):
             convert_field(tmp_path / "a.json", tmp_path / "b.json")
@@ -94,6 +102,16 @@ class TestPointCloudIO:
         assert np.array_equal(back.positions, cloud.positions)
         for a, b in zip(cloud.features, back.features):
             assert np.array_equal(a, b)
+
+    def test_empty_cloud_round_trip(self, tmp_path):
+        path, csv, back = (tmp_path / "c.json", tmp_path / "c.csv",
+                           tmp_path / "back.json")
+        save_point_cloud(path, PointCloud(np.zeros((0, 3)), []))
+        convert_field(path, csv)
+        convert_field(csv, back)
+        for p in (path, back):
+            cloud = load_point_cloud(p)
+            assert cloud.positions.shape == (0, 3) and cloud.features == []
 
     def test_xyz_import(self, tmp_path):
         path = tmp_path / "mol.xyz"
@@ -120,6 +138,13 @@ class TestSpecSerialization:
         back = kernel_spec_from_json(kernel_spec_to_json(k))
         assert (back.m_in, back.m_out, back.bandwidth) == (-1, 1, 5)
         assert np.array_equal(back.coeffs, k.coeffs)
+
+    def test_kernel_negative_zero_survives(self):
+        c = np.ones((1, 1, 4), dtype=complex)
+        c[0, 0, 0] = complex(-0.0, 1.0)
+        back = kernel_spec_from_json(kernel_spec_to_json(
+            SparseKernelSpec(0, 0, 4, c))).coeffs[0, 0, 0]
+        assert back == 1j and np.signbit(back.real)
 
     def test_activation_round_trip(self):
         spec = ActivationSpec("per_point_mlp",
@@ -165,7 +190,7 @@ class TestCli:
     def test_usage_errors(self, capsys):
         for argv in (["--suite", "nope"], ["--bandwidth", "0"],
                      ["--bandwidth", "1"], ["--trials", "0"],
-                     ["--oversample", "0"]):
+                     ["--oversample", "0"], ["--seed", "-1"]):
             assert main(["check", *argv]) == 2, argv
             out, err = capsys.readouterr()
             assert out == "", argv                  # no check ran
@@ -181,7 +206,8 @@ class TestCli:
         monkeypatch.setattr(checks, "SUITES", {
             suite: [(name, must_not_run, tol) for name, _, tol in entries]
             for suite, entries in checks.SUITES.items()})
-        for bad in ({"bandwidth": 1}, {"trials": 0}, {"oversample": 0}):
+        for bad in ({"bandwidth": 1}, {"trials": 0}, {"oversample": 0},
+                    {"seed": -1}):
             with pytest.raises(checks.CheckConfigError, match=next(iter(bad))):
                 checks.run_suite("all", bad)
         with pytest.raises(checks.CheckConfigError, match="unknown suite"):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from homharm import harmonics, se_kernels
 from homharm.groups import Rotation3
-from homharm.harmonics import wigner_D_real
+from homharm.harmonics import (cg_matrix, real_basis_change, sph_harm_matrix,
+                               wigner_D_real)
 from homharm.nonlin import ActivationSpec
 from homharm.se_kernels import (PointCloud, SE2KernelBasis, SE3KernelBasis,
                                 se2_kernel_eval, se3_kernel_eval,
@@ -134,6 +136,54 @@ class TestSE3Basis:
         assert np.allclose(K0, prof[0] * np.eye(3))
         aniso = SE3KernelBasis(1, 1, 2, RADII, prof)
         assert np.abs(se3_kernel_eval(aniso, np.zeros(3))).max() == 0.0
+
+
+def complex_assembly(basis, X):
+    """The kernel assembled in the complex basis, away from the origin:
+    A_ij = sum_mu <l_out i | t mu, l_in j> conj(Y^t_mu), moved to the real
+    bases as U_out A U_in^H, times i when t + l_in + l_out is odd."""
+    t, li, lo = basis.t, basis.l_in, basis.l_out
+    r = np.linalg.norm(X, axis=1)
+    Yt = sph_harm_matrix(t, np.arctan2(X[:, 1], X[:, 0]),
+                         np.arccos(X[:, 2] / r))[:, t * t:]
+    A = np.einsum("imj,nm->nij", cg_matrix(t, li, lo), np.conj(Yt))
+    M = np.einsum("ab,nbc,dc->nad", real_basis_change(lo), A,
+                  np.conj(real_basis_change(li)))
+    if (t + li + lo) % 2 == 1:
+        M = 1j * M
+    return np.interp(r, basis.radii, basis.values)[:, None, None] * M.real
+
+
+class TestSE3Coupling:
+    def test_matches_complex_assembly(self):
+        X = rng.uniform(-2, 2, (500, 3))
+        for li in range(4):
+            for lo in range(4):
+                for t in range(abs(li - lo), li + lo + 1):
+                    basis = SE3KernelBasis(li, lo, t, RADII, random_profile())
+                    want = complex_assembly(basis, X)
+                    err = np.abs(se3_kernel_eval_many(basis, X) - want).max()
+                    assert err <= 1e-14 * np.abs(want).max(), (li, lo, t)
+
+    def test_cached_tensor_is_read_only(self):
+        G = se_kernels._coupling(2, 1, 2)
+        assert G.shape == (5, 5, 3)
+        with pytest.raises(ValueError):
+            G[0, 0, 0] = 1.0
+
+    def test_second_evaluation_computes_no_clebsch_gordan(self, monkeypatch):
+        calls = []
+        cg = harmonics.clebsch_gordan
+        monkeypatch.setattr(harmonics, "clebsch_gordan",
+                            lambda *args: calls.append(args) or cg(*args))
+        se_kernels._coupling.cache_clear()
+        basis = SE3KernelBasis(2, 3, 3, RADII, random_profile())
+        X = rng.uniform(-2, 2, (10, 3))
+        first = se3_kernel_eval_many(basis, X)
+        assert calls                          # the first evaluation builds G
+        del calls[:]
+        assert np.array_equal(se3_kernel_eval_many(basis, X), first)
+        assert calls == []
 
 
 def random_cloud(n, lmax=1, channels=2, scale=1.0, spread=2.0):
