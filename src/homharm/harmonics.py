@@ -222,11 +222,11 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float).ravel()
     cols = wigner_d_column(lmax, betas, 0)
     npts = alphas.shape[0]
+    phase = np.exp(1j * np.outer(alphas, np.arange(-lmax, lmax + 1)))
     Y = np.empty((npts, (lmax + 1) ** 2), dtype=complex)
     for l in range(lmax + 1):
-        m = np.arange(-l, l + 1)
         Y[:, l * l:(l + 1) ** 2] = (np.sqrt(2 * l + 1)
-                                    * np.exp(1j * np.outer(alphas, m))
+                                    * phase[:, lmax - l:lmax + l + 1]
                                     * cols[l])
     return Y
 

@@ -227,6 +227,11 @@ def load_point_cloud(path: str) -> PointCloud:
     features: list = [None] * (max(orders) + 1 if orders else 0)
     for l, block in zip(orders, doc["data"]):
         arr = _unpairs(_pair_array(block, f"{path}: order {l}"))
+        if arr.shape[1:] != (len(positions), 2 * l + 1):
+            raise FieldFormatError(
+                f"{path}: order {l} holds {arr.shape[1]} points of dimension "
+                f"{arr.shape[2]}, expected {len(positions)} points (the "
+                f"positions) of dimension {2 * l + 1}")
         features[l] = np.transpose(arr.real, (1, 2, 0))
     return PointCloud(positions, features)
 

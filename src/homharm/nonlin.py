@@ -10,7 +10,6 @@ with the oversampling factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,101 @@ class ActivationSpec:
         return out
 
 
-_erf = np.vectorize(math.erf)
+# erf after fdlibm's s_erf.c (Sun Microsystems, 1993): rational
+# approximations in x^2 below 0.84375, in |x| - 1 up to 1.25, and in 1/x^2
+# (one pair below 1/0.35, one up to 6) for erfc(|x|) = exp(-x^2 - 0.5625
+# + R/S) / |x|.  Coefficients are listed constant term first.
+_ERF_EFX = 1.28379167095512586316e-01
+_ERF_EFX8 = 1.02703333676410069053e+00
+_ERF_ERX = 8.45062911510467529297e-01
+_ERF_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
+           -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+           -2.37630166566501626084e-05)
+_ERF_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+           5.08130628187576562776e-03, 1.32494738004321644526e-04,
+           -3.96022827877536812320e-06)
+_ERF_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
+           -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+           -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+           -2.16637559486879084300e-03)
+_ERF_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+           7.18286544141962662868e-02, 1.26171219808761642112e-01,
+           1.36370839120290507362e-02, 1.19844998467991074170e-02)
+_ERF_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+           -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+           -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+           -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_ERF_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+           4.34565877475229228821e+02, 6.45387271733267880336e+02,
+           4.29008140027567833386e+02, 1.08635005541779435134e+02,
+           6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_ERF_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+           -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+           -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+           -4.83519191608651397019e+02)
+_ERF_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+           1.53672958608443695994e+03, 3.19985821950859553908e+03,
+           2.55305040643316442583e+03, 4.74528541206955367215e+02,
+           -2.24409524465858183362e+01)
+# fdlibm tests |x| < 1/0.35 on the high 32 bits: 0x4006DB6E00000000
+_ERF_B35 = 2.8571434020996094
+
+
+def _horner(z: np.ndarray, coeffs: tuple) -> np.ndarray:
+    out = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf_tiny(x, ax):
+    return np.where(ax < 2.0 ** -1015, 0.125 * (8.0 * x + _ERF_EFX8 * x),
+                    x + _ERF_EFX * x)
+
+
+def _erf_small(x, ax):
+    z = x * x
+    y = _horner(z, _ERF_PP)
+    y /= _horner(z, _ERF_QQ)
+    y *= x
+    y += x
+    return y
+
+
+def _erf_mid(x, ax):
+    s = ax - 1.0
+    return np.copysign(_ERF_ERX + _horner(s, _ERF_PA) / _horner(s, _ERF_QA), x)
+
+
+def _erf_tail(R, S):
+    def piece(x, ax):
+        s = 1.0 / (ax * ax)
+        z = (ax.view(np.int64) & ~0xFFFFFFFF).view(float)   # low word cleared
+        r = (np.exp(-z * z - 0.5625)
+             * np.exp((z - ax) * (z + ax) + _horner(s, R) / _horner(s, S)))
+        return np.copysign(1.0 - r / ax, x)
+    return piece
+
+
+# [lo, hi) ranges of |x| and the formula used there
+_ERF_PIECES = ((0.0, 2.0 ** -28, _erf_tiny), (2.0 ** -28, 0.84375, _erf_small),
+               (0.84375, 1.25, _erf_mid),
+               (1.25, _ERF_B35, _erf_tail(_ERF_RA, _ERF_SA)),
+               (_ERF_B35, 6.0, _erf_tail(_ERF_RB, _ERF_SB)))
+
+
+def _erf(x) -> np.ndarray:
+    """Elementwise erf of a float array, within an ulp of math.erf."""
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    ax = np.abs(x)
+    out = np.sign(x)                 # |x| >= 6 rounds to +-1; nan stays nan
+    for lo, hi, piece in _ERF_PIECES:
+        m = (ax >= lo) & (ax < hi)
+        if m.any():
+            out[m] = piece(x[m], ax[m])
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +279,8 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
 # Per-point sphere nonlinearity for SE(3) features
 # ---------------------------------------------------------------------------
 
+_POINT_BLOCK = 32     # points per activation call in point_sphere_nonlin
+
 
 def point_sphere_nonlin(features: list, spec: ActivationSpec,
                         bandwidth: int) -> list:
@@ -195,29 +290,42 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     orders), the layout of PointCloud.features and of tfn_point_conv's
     output; the result has the same layout and orders.  Each point's
     feature stack is synthesized as channels of a function on the sphere
-    using real orthonormal harmonics, the activation is applied on the
+    using real orthonormal harmonics Y, the activation is applied on the
     sphere grid (a per-point MLP mixes channels), and the result is
-    analyzed back to the same orders.
+    analyzed back to the same orders with the quadrature weights w.
+
+    Points go in blocks of _POINT_BLOCK: per block one synthesis matmul
+    with Y, one activation call on a [channels, points * nodes] array (valid
+    for every kind, as the MLP mixes channels node by node) and one
+    analysis matmul with Y w, so the sphere samples held at once do not
+    grow with the number of points.
     """
     lmax = max(l for l, f in enumerate(features) if f is not None)
     if lmax >= bandwidth:
         raise ValueError("feature order reaches the sphere bandwidth")
     grid = quadrature_grid("S2", bandwidth)
     Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
+    Yw = Y * grid.weights[:, None]
+    n_nodes, dim = Y.shape
     n_pts, _, n_ch = next(f.shape for f in features if f is not None)
-    dim = (lmax + 1) ** 2
-    coeff = np.zeros((n_pts, dim, n_ch))
+    coeff = np.zeros((n_ch, n_pts, dim))
     for l, f in enumerate(features):
         if f is None:
             continue
-        coeff[:, l * l:(l + 1) * (l + 1)] = f
-    vals = np.einsum("pdc,nd->pcn", coeff, Y)            # sphere samples
-    acted = np.stack([spec.apply_real(v) for v in vals])
-    w = grid.weights
-    back = np.einsum("pcn,nd,n->pdc", acted, Y, w)
+        coeff[:, :, l * l:(l + 1) * (l + 1)] = f.transpose(2, 0, 1)
+    blocks = []
+    # one empty block when there are no points, so the result has 0 rows
+    for start in range(0, max(n_pts, 1), _POINT_BLOCK):
+        c = coeff[:, start:start + _POINT_BLOCK]
+        vals = (c.reshape(-1, dim) @ Y.T).reshape(n_ch, -1)    # sphere samples
+        acted = spec.apply_real(vals)
+        blocks.append((acted.reshape(-1, n_nodes) @ Yw).reshape(
+            acted.shape[0], -1, dim))
+    back = np.concatenate(blocks, axis=1)                    # [ch, point, d]
     out: list = [None] * len(features)
     for l, f in enumerate(features):
         if f is None:
             continue
-        out[l] = back[:, l * l:(l + 1) * (l + 1)]
+        out[l] = np.ascontiguousarray(          # a next layer gathers rows
+            back[:, :, l * l:(l + 1) * (l + 1)].transpose(1, 2, 0))
     return out

@@ -10,7 +10,10 @@ features are real vectors and kernels real matrices, rotating by
 wigner_D_real blocks.  The angular matrix of a term is sum_nu S^t_nu(x) G[nu]
 with S^t the real harmonics of degree t and G a real coupling tensor, the
 Clebsch-Gordan coupling moved to the real bases; G is built once per
-(t, l_in, l_out) and cached.
+(t, l_in, l_out) and cached.  The point convolution evaluates its edge
+geometry (neighbour list, radii, real harmonics up to the largest t) once
+per call and shares it across all terms; se3_kernel_eval_many and the
+convolution build kernel matrices with the same private helper.
 """
 
 from __future__ import annotations
@@ -113,23 +116,35 @@ def _coupling(t: int, l_in: int, l_out: int) -> np.ndarray:
     return G
 
 
+def _edge_geometry(X: np.ndarray, t_max: int):
+    """Radii, origin mask and real harmonics S [n, (t_max+1)^2] of the
+    directions of offsets X [n, 3]; the origin gets the +z direction."""
+    r = np.linalg.norm(X, axis=1)
+    at_origin = r < 1e-15
+    betas = np.arccos(np.clip(X[:, 2] / np.where(at_origin, 1.0, r), -1.0, 1.0))
+    alphas = np.arctan2(X[:, 1], X[:, 0])
+    return r, at_origin, real_sph_harm_matrix(t_max, alphas, betas)
+
+
+def _kernel(basis: SE3KernelBasis, r, at_origin, S) -> np.ndarray:
+    """Kernel matrices [n, 2l_out+1, 2l_in+1] of one term on the geometry
+    of _edge_geometry (any t_max >= basis.t)."""
+    t = basis.t
+    prof = np.interp(r, basis.radii, basis.values)
+    if t > 0:
+        prof[at_origin] = 0.0
+    G = _coupling(t, basis.l_in, basis.l_out)
+    return (prof[:, None] * S[:, t * t:(t + 1) * (t + 1)]
+            @ G.reshape(2 * t + 1, -1)).reshape(len(r), *G.shape[1:])
+
+
 def se3_kernel_eval_many(basis: SE3KernelBasis, X: np.ndarray) -> np.ndarray:
     """Kernel matrices at offsets X [n, 3]: C_t(|x|) sum_nu S^t_nu(x/|x|) G[nu].
 
     The origin maps to zero for t > 0 (the angular factor has no limit
     there) and to C_t(0) times G[0], the identity to rounding, for t = 0.
     """
-    X = np.asarray(X, dtype=float)
-    t = basis.t
-    r = np.linalg.norm(X, axis=1)
-    at_origin = r < 1e-15
-    prof = np.interp(r, basis.radii, basis.values)
-    prof[at_origin & (t > 0)] = 0.0
-    betas = np.arccos(np.clip(X[:, 2] / np.where(at_origin, 1.0, r), -1.0, 1.0))
-    alphas = np.arctan2(X[:, 1], X[:, 0])
-    S = real_sph_harm_matrix(t, alphas, betas)[:, t * t:]     # [n, 2t+1]
-    return np.tensordot(prof[:, None] * S, _coupling(t, basis.l_in, basis.l_out),
-                        axes=1)
+    return _kernel(basis, *_edge_geometry(np.asarray(X, dtype=float), basis.t))
 
 
 def se3_kernel_eval(basis: SE3KernelBasis, x) -> np.ndarray:
@@ -176,6 +191,27 @@ class PointCloud:
         return self.positions.shape[0]
 
 
+_ROW_BLOCK = 256      # rows of the distance matrix held at once in _edges
+
+
+def _edges(pos: np.ndarray, radius: float):
+    """Ordered pairs (i, j), j != i, with |x_j - x_i| < radius, sorted by i
+    and then j; the distances are computed _ROW_BLOCK rows at a time."""
+    ii, jj = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(pos), _ROW_BLOCK):
+        rows = pos[start:start + _ROW_BLOCK]
+        sq = np.zeros((len(rows), len(pos)))
+        for k in range(3):               # summed in np.linalg.norm's order
+            diff = pos[:, k] - rows[:, k, None]
+            sq += diff * diff
+        i, j = np.nonzero(np.sqrt(sq) < radius)                # row-major
+        i += start
+        keep = i != j
+        ii.append(i[keep])
+        jj.append(j[keep])
+    return np.concatenate(ii), np.concatenate(jj)
+
+
 def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
     """Point convolution: f_out^{l_out}(x_i) = sum over neighbors j != i
     within the radius of K(x_j - x_i) f_in^{l_in}(x_j), per basis term,
@@ -183,9 +219,14 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
 
     terms is a list of (SE3KernelBasis, weight) with weight a real
     [c_out, c_in] channel-mixing matrix.  The edges (i, j) form one flat
-    list sorted by i, then j; each term is evaluated once on all edges and
-    scatter-added to the points i in that order, so accumulation is
-    deterministic.  Points with no neighbors produce zeros.
+    list sorted by i, then j, found _ROW_BLOCK rows of distances at a time.
+    Their geometry (radii and the real harmonics up to the largest t of the
+    terms) is evaluated once per call, and the input features are gathered
+    once per input order.  A term's messages are its kernel matrices on the
+    edges times the channel-mixed gathered features; they are summed per
+    output order over the edges and then into the points i in edge order
+    (one reduction per output order), so accumulation is deterministic.
+    Points with no neighbors produce zeros.
     """
     if radius <= 0:
         raise ValueError("neighbor radius must be positive")
@@ -199,18 +240,25 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
             raise ValueError("channel-mixing matrix shape mismatch")
         weights.append(weight)
     out: list = [None] * (max(t[0].l_out for t in terms) + 1)
-    n = cloud.n_points
     pos = cloud.positions
-    dist = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=2)
-    i, j = np.nonzero((dist < radius) & ~np.eye(n, dtype=bool))   # row-major
-    offsets = pos[j] - pos[i]
+    i, j = _edges(pos, radius)
+    geometry = _edge_geometry(pos[j] - pos[i], max(t[0].t for t in terms))
+    gathered = {l: cloud.features[l][j] for l in {b.l_in for b, _ in terms}}
+    msgs: dict = {}
     for (basis, _), weight in zip(terms, weights):
-        K = se3_kernel_eval_many(basis, offsets)            # [edge, out, in]
-        msg = np.einsum("eij,ejc,oc->eio", K, cloud.features[basis.l_in][j],
-                        weight)
-        acc = np.zeros((n, 2 * basis.l_out + 1, weight.shape[0]))
-        np.add.at(acc, i, msg)
-        out[basis.l_out] = acc if out[basis.l_out] is None else out[basis.l_out] + acc
+        fj = gathered[basis.l_in]                            # [edge, in, c]
+        mixed = (fj.reshape(-1, fj.shape[2]) @ weight.T).reshape(
+            *fj.shape[:2], len(weight))
+        msg = _kernel(basis, *geometry) @ mixed              # [edge, out, c_out]
+        if basis.l_out in msgs:
+            msgs[basis.l_out] += msg
+        else:
+            msgs[basis.l_out] = msg
+    first = np.flatnonzero(np.diff(i, prepend=-1))         # each i's first edge
+    for lo, msg in msgs.items():
+        out[lo] = np.zeros((cloud.n_points,) + msg.shape[1:])
+        if len(i):
+            out[lo][i[first]] = np.add.reduceat(msg, first, axis=0)
     return out
 
 

@@ -113,6 +113,22 @@ class TestPointCloudIO:
             cloud = load_point_cloud(p)
             assert cloud.positions.shape == (0, 3) and cloud.features == []
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("positions", [[0.0, 0.0, 0.0]],
+         "holds 2 points of dimension 1, expected 1 points"),
+        ("field_orders", [1], "dimension 1, expected 2 points .* dimension 3"),
+    ], ids=["point-count", "order-dimension"])
+    def test_data_shape_disagrees_with_header(self, tmp_path, key, value,
+                                              match):
+        path = tmp_path / "cloud.json"
+        save_point_cloud(path, PointCloud(np.zeros((2, 3)),
+                                          [np.ones((2, 1, 1))]))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match=match):
+            load_point_cloud(path)
+
     def test_xyz_import(self, tmp_path):
         path = tmp_path / "mol.xyz"
         path.write_text("3\nwater-ish comment\n"

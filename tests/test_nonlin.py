@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from homharm.fields import (FieldType, GroupFunction, field_from_spin_coeffs,
                             induced_action, lift, project)
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import wigner_D_real
+from homharm.harmonics import real_sph_harm_matrix, wigner_D_real
+from homharm.nonlin import _erf
 from homharm.nonlin import (ActivationSpec, activate, delta_projection_kernel,
                             lift_sum, nonlinearity, point_sphere_nonlin,
                             project_column, project_kernel)
@@ -29,6 +32,13 @@ class TestActivationSpec:
         assert np.allclose(ActivationSpec("tanh").apply_real(x), np.tanh(x))
         g = ActivationSpec("gelu").apply_real(x)
         assert g[0, 0] < 0 and g[0, 2] > 1.9   # smooth relu-like
+
+    def test_gelu_matches_math_erf(self):
+        x = np.random.default_rng(12).uniform(-6, 6, (3, 50))
+        want = [[0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in row]
+                for row in x]
+        # an ulp of erf moves 1 + erf by at most an ulp of 2, times x / 2
+        assert np.abs(ActivationSpec("gelu").apply_real(x) - want).max() <= 2e-15
 
     def test_mlp(self):
         W1, b1 = np.array([[1.0, -1.0], [0.0, 2.0]]), np.zeros(2)
@@ -220,7 +230,92 @@ class TestPointSphereNonlin:
         out = point_sphere_nonlin(feats, ActivationSpec("relu"), 6)
         assert out[1] is None and out[0].shape == (2, 1, 1)
 
+    def test_no_points(self):
+        feats = [np.zeros((0, 1, 2)), None, np.zeros((0, 5, 2))]
+        out = point_sphere_nonlin(feats, ActivationSpec("gelu"), 4)
+        assert out[0].shape == (0, 1, 2) and out[1] is None
+        assert out[2].shape == (0, 5, 2)
+
     def test_order_must_fit_bandwidth(self):
         feats = [None, None, rng.standard_normal((1, 5, 1))]
         with pytest.raises(ValueError):
             point_sphere_nonlin(feats, ActivationSpec("relu"), 2)
+
+
+class TestErf:
+    TOL = 2.3e-16
+
+    def check(self, x):
+        got = _erf(x)
+        want = np.array([math.erf(v) for v in x])
+        assert got.shape == x.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= self.TOL
+        return got
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                      1e-310, -2.2e-308, np.finfo(float).tiny])
+        got = self.check(x)
+        assert np.array_equal(np.signbit(got[:2]), [False, True])
+        assert list(got[2:4]) == [1.0, -1.0]
+
+    def test_breakpoints(self):
+        b = np.array([2.0 ** -1015, 2.0 ** -28, 0.84375, 1.25, 1 / 0.35,
+                      2.8571434020996094, 6.0])
+        x = np.concatenate([b, np.nextafter(b, 0), np.nextafter(b, np.inf)])
+        self.check(np.concatenate([x, -x]))
+
+    def test_random(self):
+        self.check(np.random.default_rng(11).uniform(-7, 7, 10 ** 6))
+
+    def test_keeps_shape(self):
+        x = np.random.default_rng(13).uniform(-2, 2, (2, 3, 4))
+        assert _erf(x).shape == (2, 3, 4)
+        assert _erf(0.5) == math.erf(0.5)
+
+
+def per_point_oracle(features, spec, bandwidth):
+    """point_sphere_nonlin as one einsum synthesis, one activation call per
+    point and one einsum analysis."""
+    lmax = max(l for l, f in enumerate(features) if f is not None)
+    grid = quadrature_grid("S2", bandwidth)
+    Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
+    n_pts, _, n_ch = next(f.shape for f in features if f is not None)
+    coeff = np.zeros((n_pts, (lmax + 1) ** 2, n_ch))
+    for l, f in enumerate(features):
+        if f is not None:
+            coeff[:, l * l:(l + 1) * (l + 1)] = f
+    vals = np.einsum("pdc,nd->pcn", coeff, Y)
+    acted = np.stack([spec.apply_real(v) for v in vals])
+    back = np.einsum("pcn,nd,n->pdc", acted, Y, grid.weights)
+    return [None if f is None else back[:, l * l:(l + 1) * (l + 1)]
+            for l, f in enumerate(features)]
+
+
+class TestPointSphereNonlinBlocks:
+    rng = np.random.default_rng(14)
+    SPECS = {
+        "relu": ActivationSpec("relu"),
+        "gelu": ActivationSpec("gelu"),
+        "tanh": ActivationSpec("tanh"),
+        "per_point_mlp": ActivationSpec("per_point_mlp", [
+            (rng.standard_normal((5, 3)), rng.standard_normal(5)),
+            (rng.standard_normal((2, 5)), rng.standard_normal(2))]),
+    }
+
+    @pytest.mark.parametrize("n_points", [1, 31, 33, 70])
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_matches_per_point_loop(self, kind, n_points):
+        spec = self.SPECS[kind]
+        feats = [self.rng.standard_normal((n_points, 1, 3)), None,
+                 self.rng.standard_normal((n_points, 5, 3))]
+        got = point_sphere_nonlin(feats, spec, 6)
+        want = per_point_oracle(feats, spec, 6)
+        assert got[1] is None
+        scale = max(np.abs(w).max() for w in want if w is not None)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-14 * scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,55 @@ class TestTfnConvAgainstDoubleLoop:
             assert all(np.abs(a[6]).max() == 0.0 for a in got)
         if case == "no-edges":
             assert all(np.abs(a).max() == 0.0 for a in got)
+
+
+class TestTfnConvEdgeGeometry:
+    def test_edges_match_dense_construction(self):
+        local = np.random.default_rng(31)
+        pos = local.uniform(0.0, 6.0, (600, 3))
+        pos[7] = [40.0, 40.0, 40.0]                 # isolated
+        pos[300] = pos[299]                         # a duplicate, r = 0
+        i, j = se_kernels._edges(pos, 1.0)
+        dist = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=2)
+        want_i, want_j = np.nonzero((dist < 1.0) & ~np.eye(600, dtype=bool))
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert 7 not in i and 7 not in j
+        assert len(i) > 600
+
+    def test_no_points_gives_no_edges(self):
+        i, j = se_kernels._edges(np.zeros((0, 3)), 1.0)
+        assert i.shape == j.shape == (0,)
+
+    def test_one_harmonics_evaluation_per_call(self, monkeypatch):
+        calls = []
+        real_sph = se_kernels.real_sph_harm_matrix
+        monkeypatch.setattr(se_kernels, "real_sph_harm_matrix",
+                            lambda *args: calls.append(args[0]) or real_sph(*args))
+        monkeypatch.setattr(se_kernels, "se3_kernel_eval_many",
+                            lambda *args: pytest.fail("per-term evaluation"))
+        cloud = random_cloud(20, lmax=2, channels=2, spread=1.0)
+        tfn_point_conv(cloud, make_terms(2, 2, 2), radius=1.5)
+        assert calls == [4]                         # the largest t, once
+
+    def test_memory_of_a_large_cloud(self):
+        """A 2048-point cloud with about 12 neighbours per point, l <= 2 and
+        4 channels: the dense n x n x 3 offset array alone would take 96 MiB."""
+        local = np.random.default_rng(5)
+        n, radius = 2048, 1.5
+        cloud = PointCloud(local.uniform(0.0, 12.8, (n, 3)),
+                           [local.standard_normal((n, 2 * l + 1, 4))
+                            for l in range(3)])
+        terms = [(SE3KernelBasis(li, lo, t, RADII,
+                                 local.standard_normal(RADII.shape)),
+                  local.standard_normal((4, 4)))
+                 for li in range(3) for lo in range(3)
+                 for t in range(abs(li - lo), li + lo + 1)]
+        assert 11 < len(se_kernels._edges(cloud.positions, radius)[0]) / n < 13
+        tfn_point_conv(cloud, terms, radius)            # warm the caches
+        tracemalloc.start()
+        try:
+            tfn_point_conv(cloud, terms, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
