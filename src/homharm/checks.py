@@ -11,11 +11,15 @@ run_suite is the one gate for a configuration: it raises CheckConfigError
 for an unknown suite, bandwidth < 2, trials < 1, oversample < 1 or seed < 0
 before any check runs, so every check may assume B >= 2.  (At B = 1 every
 S^2 field is a constant, so no order-1 field, kernel or cotangent exists.)
+An exception raised inside a check does not stop the suite: that check is
+recorded as failed, with measured error inf and the exception in
+CheckResult.error, and the remaining checks run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -54,6 +58,7 @@ class CheckResult:
     passed: bool
     seed: int
     wall_time_ms: float
+    error: str | None = None   # "Type: message" of an exception the check raised
 
 
 @dataclass
@@ -674,8 +679,13 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
             rng, sub = _rng_for(cfg, check_name)
             tol = cfg["tolerances"].get(check_name, tol)
             t0 = time.perf_counter()
-            measured = float(fn(rng, cfg))
+            error = None
+            try:
+                measured = float(fn(rng, cfg))
+            except Exception as e:        # a check that raises has failed
+                measured, error = math.inf, f"{type(e).__name__}: {e}"
             dt = (time.perf_counter() - t0) * 1e3
             report.checks.append(CheckResult(
-                check_name, measured, float(tol), measured <= tol, sub, dt))
+                check_name, measured, float(tol),
+                error is None and measured <= tol, sub, dt, error))
     return report

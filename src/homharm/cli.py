@@ -1,7 +1,7 @@
 """Command-line entry point: property-check suites and field-file conversion.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
-3 I/O error.
+Exit codes: 0 all checks passed, 1 at least one check failed (a check that
+raised counts as failed and prints an ERROR line), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ def _cmd_check(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     for c in sorted(report.checks, key=lambda c: c.name):
+        if c.error is not None:
+            print(f"ERROR {c.name:32s} {c.error}  ({c.wall_time_ms:.1f} ms)")
+            continue
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name:32s} measured {c.measured_error:.3e}  "
               f"tolerance {c.tolerance:.1e}  ({c.wall_time_ms:.1f} ms)")

@@ -6,6 +6,14 @@ action on group samples is a pure index permutation for grid-aligned
 elements.  The activation is not bandlimited, so projection after activation
 carries aliasing error for non-grid-aligned rotations; callers control it
 with the oversampling factor.
+
+The lift exp(-i k gamma) f_k(alpha, beta) and the projection (a weighted DFT
+over gamma) both act along the gamma fiber only, so lift -> activate ->
+project is local to each S^2 node.  ``nonlinearity`` uses this: it never
+holds a function on the SO(3) grid, but runs blocks of S^2 nodes through one
+real matrix product onto the gamma nodes, one activation call and one real
+matrix product back to the output orders.  ``lift_sum``, ``activate`` and
+``project_column`` are the same steps on the whole SO(3) grid.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import quadrature_grid
-from .fields import (FieldType, GroupFunction, TensorField,
-                     field_from_spin_coeffs, lift, resample, spin_coeffs)
+from .fields import (FieldType, GroupFunction, TensorField, _check_s2_order,
+                     field_from_spin_coeffs, lift, resample)
 from .harmonics import real_sph_harm_matrix
 from .spectral_conv import kernel_to_spatial, spectral_identity_kernel
 from .transforms import fiber_dft, so3_ft_forward
@@ -165,8 +173,8 @@ def _erf(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def lift_sum(fields: list) -> GroupFunction:
-    """Sum of the Mackey lifts of mixed-order fields sharing one grid."""
+def _shared_grid(fields: list):
+    """The grid every field sits on; ValueError if there is none or several."""
     if not fields:
         raise ValueError("need at least one field")
     grid = fields[0].grid
@@ -174,6 +182,12 @@ def lift_sum(fields: list) -> GroupFunction:
         if f.grid is not grid and (f.grid.space != grid.space
                                    or f.grid.bandwidth != grid.bandwidth):
             raise ValueError("all fields must share a grid")
+    return grid
+
+
+def lift_sum(fields: list) -> GroupFunction:
+    """Sum of the Mackey lifts of mixed-order fields sharing one grid."""
+    _shared_grid(fields)
     total = None
     for f in fields:
         m = lift(f)
@@ -253,6 +267,23 @@ def project_kernel(gf: GroupFunction, kernel: GroupFunction,
 # ---------------------------------------------------------------------------
 
 
+_NODE_BLOCK = 32      # S^2 nodes per lift-activate-project block in nonlinearity
+
+
+def _real_form(q: np.ndarray) -> np.ndarray:
+    """The real matrix of x -> x q on row vectors split as [Re x, Im x]:
+    [[Re q, Im q], [-Im q, Re q]], giving [Re(x q), Im(x q)]."""
+    return np.block([[q.real, q.imag], [-q.imag, q.real]])
+
+
+def _real_rows(fields: list) -> np.ndarray:
+    """Samples of K fields as a real array [channels, nodes, 2K] holding
+    Re f_1 .. Re f_K, Im f_1 .. Im f_K per node; a one-channel field is
+    broadcast against the others, as lift_sum's sum does."""
+    parts = np.broadcast_arrays(*[f.flat() for f in fields])
+    return np.stack([p.real for p in parts] + [p.imag for p in parts], axis=-1)
+
+
 def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
                  oversample: int = 2) -> list:
     """Lift-sum, pointwise activation, column projection per output order.
@@ -261,18 +292,50 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     (>= 1); inputs are resampled up and outputs truncated back to the
     original bandwidth, which bounds aliasing from the non-bandlimited
     activation.
+
+    The result is project_column(activate(lift_sum(work)), m) on the
+    oversampled fields, evaluated _NODE_BLOCK S^2 nodes at a time: the K
+    inputs of a block, as rows [Re f_k, Im f_k], times the real form of the
+    lift phases exp(-i k gamma_j) give the lifted samples at the n = 2 B_work
+    gamma nodes; one activation call acts on them; times the real form of
+    fiber_dft's phases exp(i m gamma_j) / n they give the output orders.
     """
     if oversample < 1:
         raise ValueError("oversample factor must be a positive integer")
-    B = fields_in[0].grid.bandwidth
+    B = _shared_grid(fields_in).bandwidth
+    for f in fields_in:
+        _check_s2_order(f)
+    if any(abs(m) >= B for m in out_orders):
+        raise ValueError("output order must satisfy |m| < bandwidth")
+    if not out_orders:
+        return []
     B_work = B * oversample
-    work = [resample(f, B_work) if B_work != B else f for f in fields_in]
-    acted = activate(lift_sum(work), spec)
-    out = []
-    for m in out_orders:
-        proj = project_column(acted, m)
-        out.append(resample(proj, B) if B_work != B else proj)
-    return out
+    grid = quadrature_grid("S2", B_work)
+    # the resampled fields live only until they are stacked
+    x = _real_rows([resample(f, B_work) if B_work != B else f
+                    for f in fields_in])                      # [C, nodes, 2K]
+    gammas = grid.alphas            # the SO(3) grid's gamma nodes
+    n = gammas.size
+    orders_in = np.array([f.field_type.order for f in fields_in])
+    E = _real_form(np.exp(-1j * np.outer(orders_in, gammas)))   # [2K, 2n]
+    P = _real_form(np.exp(1j * np.outer(gammas, out_orders)) / n)   # [2n, 2M]
+    n_ch, n_nodes, M = x.shape[0], grid.n_nodes, len(out_orders)
+    out = None
+    for start in range(0, n_nodes, _NODE_BLOCK):
+        xb = x[:, start:start + _NODE_BLOCK]
+        size = xb.shape[1]
+        lifted = xb.reshape(-1, xb.shape[2]) @ E             # [C size, 2n]
+        acted = spec.apply_real(lifted.reshape(n_ch, -1))    # [C', size 2n]
+        proj = (acted.reshape(-1, 2 * n) @ P).reshape(-1, size, 2 * M)
+        if out is None:
+            out = np.empty((M, proj.shape[0], n_nodes), dtype=complex)
+        out.real[:, :, start:start + size] = proj[:, :, :M].transpose(2, 0, 1)
+        out.imag[:, :, start:start + size] = proj[:, :, M:].transpose(2, 0, 1)
+    fields_out = []
+    for m, samples in zip(out_orders, out):
+        f = TensorField(grid, FieldType("SO2", m), samples)
+        fields_out.append(resample(f, B) if B_work != B else f)
+    return fields_out
 
 
 # ---------------------------------------------------------------------------

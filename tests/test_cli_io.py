@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -229,16 +230,59 @@ class TestCli:
         with pytest.raises(checks.CheckConfigError, match="unknown suite"):
             checks.run_suite("nope")
 
-    def test_error_inside_a_check_is_not_a_usage_error(self, monkeypatch):
+    def _break_one_check(self, monkeypatch):
+        """Make the first transforms check raise; return its name."""
         from homharm import checks
 
         def broken(rng, cfg):
             raise ValueError("broken check")
 
-        monkeypatch.setattr(checks, "SUITES", {"transforms": [
-            ("broken", broken, 1.0)]})
-        with pytest.raises(ValueError, match="broken check"):
-            main(["check", "--suite", "transforms"])
+        (name, _, tol), *rest = checks.SUITES["transforms"]
+        monkeypatch.setitem(checks.SUITES, "transforms",
+                            [(name, broken, tol), *rest])
+        return name
+
+    def test_error_inside_a_check_is_not_a_usage_error(self, monkeypatch,
+                                                         capsys, tmp_path):
+        name = self._break_one_check(monkeypatch)
+        path = tmp_path / "r.json"
+        assert main(["check", "--suite", "transforms", "--bandwidth", "3",
+                     "--report", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        lines = out.splitlines()
+        errors = [l for l in lines if l.startswith("ERROR")]
+        assert errors == [l for l in lines if name in l]
+        assert len(errors) == 1 and errors[0].split()[1] == name
+        assert "ValueError: broken check" in errors[0]
+        # the other checks still ran, and passed
+        assert sum(l.startswith("PASS") for l in lines) == len(lines) - 2
+        doc = json.loads(path.read_text())
+        entry = next(c for c in doc["checks"] if c["name"] == name)
+        assert entry["passed"] is False and entry["measured_error"] == math.inf
+
+    def test_a_raising_check_fails_and_the_rest_run(self, monkeypatch):
+        from homharm import checks
+
+        name = self._break_one_check(monkeypatch)
+        cfg = {"bandwidth": 3, "seed": 1, "tolerances": {name: math.inf}}
+        report = checks.run_suite("transforms", cfg)
+        assert len(report.checks) == len(checks.SUITES["transforms"])
+        broken = [c for c in report.checks if c.error is not None]
+        assert [c.name for c in broken] == [name]
+        assert broken[0].error == "ValueError: broken check"
+        # failed even under an infinite tolerance
+        assert broken[0].measured_error == math.inf and not broken[0].passed
+        assert not report.passed
+        assert all(c.passed for c in report.checks if c.name != name)
+
+    def test_report_fields_without_errors(self, tmp_path):
+        path = tmp_path / "r.json"
+        assert main(["check", "--suite", "sparsity", "--bandwidth", "3",
+                     "--report", str(path)]) == 0
+        for c in json.loads(path.read_text())["checks"]:
+            assert set(c) == {"name", "measured_error", "tolerance", "passed",
+                              "seed", "wall_time_ms"}
 
     def test_io_error_on_convert(self, tmp_path):
         missing = tmp_path / "missing.json"

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from homharm.fields import (FieldType, GroupFunction, field_from_spin_coeffs,
-                            induced_action, lift, project)
+from homharm.fields import (FieldType, GroupFunction, TensorField,
+                            field_from_spin_coeffs, induced_action, lift,
+                            project, resample)
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import real_sph_harm_matrix, wigner_D_real
-from homharm.nonlin import _erf
+from homharm.nonlin import _NODE_BLOCK, _erf
 from homharm.nonlin import (ActivationSpec, activate, delta_projection_kernel,
                             lift_sum, nonlinearity, point_sphere_nonlin,
                             project_column, project_kernel)
@@ -15,12 +17,12 @@ from homharm.nonlin import (ActivationSpec, activate, delta_projection_kernel,
 rng = np.random.default_rng(606)
 
 
-def random_field(B, order, channels=1, scale=1.0):
+def random_field(B, order, channels=1, scale=1.0, gen=rng):
     grid = quadrature_grid("S2", B)
     coeffs = [None] * B
     for l in range(abs(order), B):
-        coeffs[l] = scale * (rng.standard_normal((channels, 2 * l + 1))
-                             + 1j * rng.standard_normal((channels, 2 * l + 1)))
+        coeffs[l] = scale * (gen.standard_normal((channels, 2 * l + 1))
+                             + 1j * gen.standard_normal((channels, 2 * l + 1)))
     return field_from_spin_coeffs(coeffs, order, grid)
 
 
@@ -137,9 +139,13 @@ class TestProjection:
 
 class TestNonlinearity:
     def test_identity_like_path(self):
-        # tanh at tiny amplitude is near-linear: output approximates input
+        # tanh(x) = x - x^3/3 + ...: at a peak sample of 1e-4 the relative
+        # error is near (1e-4)^2, whatever the draw (2.0e-9 at worst over
+        # seeds 0-39)
         B = 4
-        f = random_field(B, 1, scale=1e-4)
+        f = random_field(B, 1, gen=np.random.default_rng(139))
+        f = TensorField(f.grid, f.field_type,
+                        f.samples * (1e-4 / np.abs(f.samples).max()))
         (out,) = nonlinearity([f], ActivationSpec("tanh"), [1], oversample=2)
         rel = (np.abs(out.samples - f.samples).max()
                / np.abs(f.samples).max())
@@ -193,6 +199,110 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             nonlinearity([random_field(3, 0)], ActivationSpec("relu"), [0],
                          oversample=0)
+
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="need at least one field"):
+            nonlinearity([], ActivationSpec("relu"), [0])
+
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_inputs_on_different_grids(self, oversample):
+        with pytest.raises(ValueError, match="share a grid"):
+            nonlinearity([random_field(4, 0), random_field(3, 1)],
+                         ActivationSpec("relu"), [0], oversample=oversample)
+
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_orders_must_fit_bandwidth(self, oversample):
+        spec = ActivationSpec("relu")
+        with pytest.raises(ValueError, match="bandwidth"):
+            nonlinearity([random_field(3, 0)], spec, [3], oversample=oversample)
+        with pytest.raises(ValueError, match="bandwidth"):
+            nonlinearity([random_field(3, 0)], spec, [-3], oversample=oversample)
+        bad = TensorField(quadrature_grid("S2", 3), FieldType("SO2", 3),
+                          np.zeros((1, 36)))
+        with pytest.raises(ValueError, match="bandwidth"):
+            nonlinearity([bad], spec, [0], oversample=oversample)
+
+
+def full_grid_nonlinearity(fields, spec, out_orders, oversample):
+    """nonlinearity on the whole SO(3) grid: resample up, lift_sum, activate,
+    project_column per output order, resample down (no resampling when
+    oversample is 1, so outputs keep their degrees >= B)."""
+    if oversample == 1:
+        acted = activate(lift_sum(fields), spec)
+        return [project_column(acted, m) for m in out_orders]
+    B = fields[0].grid.bandwidth
+    acted = activate(lift_sum([resample(f, B * oversample) for f in fields]),
+                     spec)
+    return [resample(project_column(acted, m), B) for m in out_orders]
+
+
+class TestFiberLocalNonlinearity:
+    """nonlinearity never holds the SO(3) grid, but equals the full-grid
+    lift_sum -> activate -> project_column composition."""
+
+    gen = np.random.default_rng(15)     # the MLP weights only
+    SPECS = {
+        "relu": ActivationSpec("relu"),
+        "gelu": ActivationSpec("gelu"),
+        "tanh": ActivationSpec("tanh"),
+        # three channels in, two out
+        "per_point_mlp": ActivationSpec("per_point_mlp", [
+            (gen.standard_normal((5, 3)), gen.standard_normal(5)),
+            (gen.standard_normal((2, 5)), gen.standard_normal(2))]),
+    }
+
+    @staticmethod
+    def fields(B, orders, seed=16):
+        gen = np.random.default_rng([seed, B])
+        return [random_field(B, k, channels=3, gen=gen) for k in orders]
+
+    def assert_matches(self, fields, spec, out_orders, oversample):
+        got = nonlinearity(fields, spec, out_orders, oversample=oversample)
+        want = full_grid_nonlinearity(fields, spec, out_orders, oversample)
+        assert len(got) == len(want)
+        scale = max(np.abs(w.samples).max() for w in want)
+        for g, w, m in zip(got, want, out_orders):
+            assert g.field_type == FieldType("SO2", m)
+            assert g.grid is w.grid and g.samples.shape == w.samples.shape
+            assert np.abs(g.samples - w.samples).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("oversample", [1, 2])
+    @pytest.mark.parametrize("B", [3, 5])
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_matches_full_grid(self, kind, B, oversample):
+        # the working grid's node count leaves a partial last block
+        assert (2 * B * oversample) ** 2 % _NODE_BLOCK != 0
+        # order 0 twice; output order 2 is in no input
+        self.assert_matches(self.fields(B, (0, -1, 0, 1), oversample),
+                            self.SPECS[kind], [1, 2, 0, -2], oversample)
+
+    def test_matches_full_grid_whole_blocks(self):
+        assert (2 * 4 * 2) ** 2 % _NODE_BLOCK == 0
+        self.assert_matches(self.fields(4, (-1, 0, 1)), self.SPECS["relu"],
+                            [-1, 0, 1], 2)
+
+    def test_single_channel_field_broadcasts(self):
+        fields = [random_field(3, 0, gen=np.random.default_rng(17))
+                  ] + self.fields(3, (1,))
+        self.assert_matches(fields, self.SPECS["tanh"], [0, 1], 2)
+
+    def test_no_output_orders(self):
+        assert nonlinearity(self.fields(3, (0,)), self.SPECS["relu"], []) == []
+
+    def test_holds_no_lifted_grid(self):
+        B, ov, C = 16, 2, 4
+        gen = np.random.default_rng(18)
+        fields = [random_field(B, k, channels=C, gen=gen) for k in (-1, 0, 1)]
+        spec = ActivationSpec("relu")
+        nonlinearity(fields, spec, [-1, 0, 1], oversample=ov)  # warm caches
+        tracemalloc.start()
+        try:
+            nonlinearity(fields, spec, [-1, 0, 1], oversample=ov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lifted_grid = (2 * B * ov) ** 3 * C * 16      # complex samples
+        assert peak < lifted_grid / 4
 
 
 class TestPointSphereNonlin:
