@@ -21,7 +21,7 @@ import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .harmonics import _wigner_D_blocks
-from .transforms import (SpectralBlocks, _spin_analysis, _spin_columns,
+from .transforms import (SpectralBlocks, _degrees, _flat, _spin_analysis,
                          _spin_synthesis, so3_ft_forward, so3_ft_inverse)
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,9 @@ def spin_coeffs(field: TensorField) -> list:
     [channels, 2l+1].
     """
     _check_s2_order(field)
-    grid = field.grid
+    grid, k = field.grid, field.field_type.order
     n = 2 * grid.bandwidth
-    return _spin_analysis(field.flat().reshape(-1, n, n), grid,
-                          _spin_columns(grid, field.field_type.order))
+    return _degrees(_spin_analysis(field.flat().reshape(-1, n, n), grid, k), k)
 
 
 def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray:
@@ -185,8 +184,8 @@ def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray
     if present[-1] >= grid.bandwidth:
         raise ValueError("coefficients exceed the target grid bandwidth")
     channels = coeffs[present[0]].shape[0]
-    f = _spin_synthesis(coeffs, grid, _spin_columns(grid, order)[:present[-1] + 1],
-                        channels)
+    f = _spin_synthesis(_flat(coeffs[:present[-1] + 1], order, channels), grid,
+                        order)
     return f.reshape(channels, grid.n_nodes)
 
 
@@ -199,15 +198,15 @@ def field_from_spin_coeffs(coeffs: list, order: int,
 def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     """Bandlimited resampling of an order-k field onto a finer/coarser grid.
 
-    Coarsening silently truncates degrees >= new bandwidth; only the degrees
-    kept are analysed.
+    Coarsening silently truncates degrees >= new bandwidth: every degree is
+    analysed and those not kept are dropped.
     """
     _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
     n = 2 * grid.bandwidth
-    cols = _spin_columns(grid, k)[:min(grid.bandwidth, new_bandwidth)]
-    coeffs = _spin_analysis(field.flat().reshape(-1, n, n), grid, cols)
-    return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))
+    coeffs = _degrees(_spin_analysis(field.flat().reshape(-1, n, n), grid, k), k)
+    return field_from_spin_coeffs(coeffs[:new_bandwidth], k,
+                                  quadrature_grid("S2", new_bandwidth))
 
 
 # ---------------------------------------------------------------------------

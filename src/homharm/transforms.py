@@ -10,29 +10,48 @@ the (2l+1) plancherel weight sits in the inverse transforms.  Consequently
 the forward SO(3) transform of D^l_{mn} itself is 1/(2l+1) at (l, m, n).
 
 Every grid transform runs one spin transform pair (``_spin_analysis`` /
-``_spin_synthesis``): an FFT along alpha, then the weighted sum over beta of
-the columns d^l_{mk}(beta_j).  An order-k field's spin coefficients a^l_m
-are column n = k of its lift's SO(3) spectrum, so its transform reads only
-the columns n = k of the small-d matrices.
+``_spin_synthesis``).  An order-k field's spin coefficients a^l_m are column
+n = k of its lift's SO(3) spectrum, so its transform reads only the columns
+d^l_{mk}(beta) of the small-d matrices: an FFT along alpha, then for each
+alpha frequency m one weighted sum over beta (the Kostelec-Rockmore
+separable scheme).  Each transform runs those sums as one batched real GEMM,
+with no loop over l or m and no fftshift:
 
-Plan cache: ``_spin_columns(grid, k)`` holds d^l_{mk}(beta_j) for
-l = |k|..B-1 on a bandwidth-B grid's betas, built once per key (B, k) by
-``wigner_d_column`` and stored as read-only arrays.  It holds at most
-``_PLAN_BYTES`` (64 MiB) and evicts the least recently used plan; a plan
-larger than the bound is returned without being stored (at B = 256 one plan
-is about 256 MiB).  Callers needing fewer degrees take a prefix, since
-upward recursion makes degree l independent of the top degree.
-``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT and SO(3)
-transform pairs and everything built on them read this cache.
+- an FFT along alpha, which leaves frequency m at index m mod 2B;
+- one GEMM with the plan P (or its transpose, for synthesis) on the
+  real-stacked matrix [B, 2B, 2 halves x C x (re, im)] of the FFT output;
+- one gather (scatter, for synthesis) between the GEMM's output and the
+  flat l-major coefficients, at index l^2 + l + m - k^2, through the index
+  of ``_layout(B)``;
+- for synthesis, the inverse FFT along alpha.
+
+Plan layout: ``_spin_plan(grid, k)`` is one read-only array P[p, r, j],
+[B, B, 2B], per key (B, k).  Item p pairs the two alpha frequencies whose
+FFT indices are p (m = p, half 0) and B + p (m = -(B - p), half 1; item 0's
+second half is the unused Nyquist index).  Row r of item p holds
+d^l_{mk}(beta_j) for l = B-1-r of half 0 when r <= B-1-p and for l = r of
+half 1 otherwise, so each row serves one half, every degree up to B-1 fits
+in B rows, and the gather index depends on B alone.  Rows with l < |k| are
+zero.  A plan takes 16 B^3 bytes (0.5 MiB at B = 32, 32 MiB at B = 128).
+Analysis always runs the whole plan, and callers needing fewer degrees
+slice its output, so every degree count gives the same bits.
+
+Plan cache: it holds at most ``_PLAN_BYTES`` (64 MiB) and evicts the least
+recently used plan; a plan larger than the bound (B >= 162) is returned
+without being stored.  An SO(3) transform reads the 2L-1 plans of its
+columns; when they cannot fit in the bound together (from B = 39 at full
+bandwidth), it builds them without storing them, so the plans of other
+calls survive.  ``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT
+and SO(3) transform pairs and everything built on them read this cache.
 ``_plan_cache_info()`` reports its hits, misses and bytes held.  Building
-a plan reads ``harmonics._interior_constants``, the beta-independent
-recursion constants of each (degree l, column range), which keeps its most
-recent 4096 keys, O(l) floats per column: every column up to B = 64
-(7.5 MiB there).
+a plan runs ``wigner_d_column``, which reads ``harmonics._interior_constants``,
+the beta-independent recursion constants of each (degree l, column range);
+that cache keeps its most recent 4096 keys, O(l) floats per column: every
+column up to B = 64 (7.5 MiB there).
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
-each reading the cached plan of its column n.  No transform builds a full
+each reading the plan of its column n.  No transform builds a full
 ``wigner_d_stack``; only the rotations in ``fields.induced_action`` and
 ``fields.regular_action`` do, one d-table at a single beta per call.  The
 SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
@@ -42,6 +61,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -144,7 +165,7 @@ def _as_channels(samples: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The plan cache: d^l_{mk}(beta_j) columns per (B, k)
+# The plan: d^l_{mk}(beta_j) paired by alpha frequency, cached per (B, k)
 # ---------------------------------------------------------------------------
 
 _PLAN_BYTES = 64 * 2 ** 20
@@ -152,32 +173,53 @@ _plans: OrderedDict = OrderedDict()
 _plan_counts = {"hits": 0, "misses": 0, "bytes": 0}
 
 
-def _plan_bytes(cols: tuple) -> int:
-    return sum(c.nbytes for c in cols if c is not None)
+@lru_cache(maxsize=64)
+def _layout(B: int) -> tuple:
+    """Where flat coefficient q = l^2 + l + m, l < B, sits in a bandwidth-B
+    plan: read-only int arrays [B^2] of its slot, degree l and order m.
+
+    Alpha frequency m lives at FFT index m mod 2B: item p = m mod B, half
+    h = 0 for m >= 0 (index p) and h = 1 for m < 0 (index B + p).  Row r of
+    item p is degree l = B-1-r of half 0 for r <= B-1-p and degree l = r of
+    half 1 otherwise, so every row serves exactly one half and the layout
+    does not depend on k.  The slot 2(pB + r) + h indexes the [B, B, 2]
+    (item, row, half) axes of the real-stacked coefficient matrix.
+    """
+    l = np.repeat(np.arange(B), 2 * np.arange(B) + 1)
+    m = np.arange(B * B) - l * (l + 1)
+    neg = m < 0
+    slot = 2 * ((m % B) * B + np.where(neg, l, B - 1 - l)) + neg
+    for arr in (slot, l, m):
+        arr.setflags(write=False)
+    return slot, l, m
 
 
-def _spin_columns(grid: QuadratureGrid, k: int) -> tuple:
-    """d^l_{mk}(beta_j) on the grid's betas for l < B, indexed by l (None
-    below |k|), as read-only arrays [n_beta, 2l+1]; cached on (B, k).
+def _spin_plan(grid: QuadratureGrid, k: int, store: bool = True) -> np.ndarray:
+    """The read-only plan P[p, r, j] = d^l_{mk}(beta_j), [B, B, 2B], with
+    (l, m) of item p and row r as in _layout, zero where l < |k|; cached on
+    (B, k) unless store is false.
     """
     key = (grid.bandwidth, k)
-    cols = _plans.get(key)
-    if cols is not None:
+    plan = _plans.get(key)
+    if plan is not None:
         _plans.move_to_end(key)
         _plan_counts["hits"] += 1
-        return cols
+        return plan
     _plan_counts["misses"] += 1
-    cols = tuple(wigner_d_column(grid.bandwidth - 1, grid.betas, k))
-    for c in cols:
-        if c is not None:
-            c.setflags(write=False)
-    size = _plan_bytes(cols)
-    if size <= _PLAN_BYTES:
-        _plans[key] = cols
-        _plan_counts["bytes"] += size
+    B = grid.bandwidth
+    rows = _layout(B)[0] // 2
+    plan = np.zeros((B * B, 2 * B))
+    for l, d in enumerate(wigner_d_column(B - 1, grid.betas, k)):
+        if d is not None:
+            plan[rows[l * l:(l + 1) ** 2]] = d.T
+    plan = plan.reshape(B, B, 2 * B)
+    plan.setflags(write=False)
+    if store and plan.nbytes <= _PLAN_BYTES:
+        _plans[key] = plan
+        _plan_counts["bytes"] += plan.nbytes
         while _plan_counts["bytes"] > _PLAN_BYTES:
-            _plan_counts["bytes"] -= _plan_bytes(_plans.popitem(last=False)[1])
-    return cols
+            _plan_counts["bytes"] -= _plans.popitem(last=False)[1].nbytes
+    return plan
 
 
 def _plan_cache_info() -> dict:
@@ -187,39 +229,73 @@ def _plan_cache_info() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The spin transform pair: alpha FFT plus weighted d^l_{mk}(beta) sum
+# The spin transform pair: alpha FFT plus one GEMM over the plan
 # ---------------------------------------------------------------------------
 
 
-def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, cols) -> list:
+def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
+                   store: bool = True) -> np.ndarray:
     """a^l_m = sum_{i,j} w_j e^{i m alpha_i} d^l_{mk}(beta_j) f[c, i, j] / 2B.
 
-    f holds samples [channels, alpha, beta]; cols[l] holds d^l_{mk} on
-    grid.betas (None below |k|) and sets the degrees computed,
-    l = |k|..len(cols)-1.  Returns a list indexed by l (None below |k|) of
-    arrays [channels, 2l+1].
+    f holds samples [channels, alpha, beta].  Returns every degree
+    l = |k|..B-1 as flat coefficients [channels, B^2 - k^2] at
+    l^2 + l + m - k^2.
     """
     B = grid.bandwidth
-    # inverse FFT along alpha, frequency m moved to row B + m
-    F = np.fft.fftshift(np.fft.ifft(f, axis=1), axes=1) * grid.beta_weights
-    return [None if d is None else
-            np.einsum("cmj,jm->cm", F[:, B - l:B + l + 1, :], d)
-            for l, d in enumerate(cols)]
+    C = f.shape[0]
+    F = np.fft.ifft(f, axis=1)                      # frequency m at m mod 2B
+    # [c, h, p, j] -> [p, j, h, c], weighted by w_j
+    X = np.multiply(F.reshape(C, 2, B, 2 * B).transpose(2, 3, 1, 0),
+                    grid.beta_weights[:, None, None], order="C")
+    Y = np.matmul(_spin_plan(grid, k, store),
+                  X.view(float).reshape(B, 2 * B, 4 * C))   # [p, r, (h, c)]
+    return Y.view(complex).reshape(2 * B * B, C)[_layout(B)[0][k * k:]].T
 
 
-def _spin_synthesis(coeffs: list, grid: QuadratureGrid, cols,
-                    channels: int) -> np.ndarray:
+def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int,
+                    store: bool = True) -> np.ndarray:
     """f[c, i, j] = sum_l (2l+1) sum_m a^l_m e^{-i m alpha_i} d^l_{mk}(beta_j).
 
-    Degrees with a column in cols and an entry in coeffs are summed (None
-    entries of either are skipped).  Returns samples [channels, alpha, beta].
+    a holds flat coefficients [channels, L^2 - k^2] for l = |k|..L-1, L <= B,
+    as _spin_analysis returns them.  Returns samples [channels, alpha, beta].
     """
     B = grid.bandwidth
-    F = np.zeros((channels, 2 * B, 2 * B), dtype=complex)   # row B + m: frequency m
-    for l, (a, d) in enumerate(zip(coeffs, cols)):
-        if a is not None and d is not None:
-            F[:, B - l:B + l + 1, :] += (2 * l + 1) * np.einsum("cm,jm->cmj", a, d)
-    return np.fft.fft(np.fft.ifftshift(F, axes=1), axis=1)
+    C = a.shape[0]
+    slot, l = _layout(B)[:2]
+    q = slice(k * k, k * k + a.shape[1])
+    X = np.zeros((2 * B * B, C), dtype=complex)     # [(p, r, h), c]
+    X[slot[q]] = (a * (2 * l[q] + 1)).T
+    Y = np.matmul(_spin_plan(grid, k, store).transpose(0, 2, 1),
+                  X.view(float).reshape(B, B, 4 * C))       # [p, j, (h, c)]
+    # [p, j, h, c] -> [c, h, p, j]: row m mod 2B holds frequency m
+    F = np.ascontiguousarray(
+        Y.view(complex).reshape(B, 2 * B, 2, C).transpose(3, 2, 0, 1))
+    return np.fft.fft(F.reshape(C, 2 * B, 2 * B), axis=1)
+
+
+def _degrees(a: np.ndarray, k: int) -> list:
+    """Flat coefficients [channels, L^2 - k^2] as a list indexed by l < L
+    (None below |k|) of views [channels, 2l+1]."""
+    L = isqrt(k * k + a.shape[1])
+    return [None] * abs(k) + [a[:, l * l - k * k:(l + 1) ** 2 - k * k]
+                              for l in range(abs(k), L)]
+
+
+def _flat(coeffs: list, k: int, channels: int) -> np.ndarray:
+    """A list indexed by l of [channels, 2l+1] arrays (None reads as zero)
+    as flat coefficients [channels, L^2 - k^2] for l = |k|..len(coeffs)-1."""
+    return np.concatenate(
+        [np.zeros((channels, 0))] + [np.zeros((channels, 2 * l + 1))
+                                     if c is None else c
+                                     for l, c in enumerate(coeffs)
+                                     if l >= abs(k)], axis=1)
+
+
+def _so3_store(B: int, L: int) -> bool:
+    """Whether the 2L - 1 plans of one SO(3) transform fit in the cache
+    together; if not, they are built without being stored, so they do not
+    evict the plans of other calls."""
+    return (2 * L - 1) * 16 * B ** 3 <= _PLAN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +303,20 @@ def _spin_synthesis(coeffs: list, grid: QuadratureGrid, cols,
 # ---------------------------------------------------------------------------
 
 
+def _sht_relabel(B: int) -> tuple:
+    """Index of a^l_{-m} and the factor sqrt(2l+1) (-1)^m for each flat
+    index l^2 + l + m, l < B."""
+    _, l, m = _layout(B)
+    return np.arange(B * B) - 2 * m, np.sqrt(2 * l + 1) * (-1.0) ** m
+
+
 def sht_forward(samples, grid: QuadratureGrid) -> ShtCoeffs:
     """Forward SHT: coefficients <Y^l_m, f> by quadrature; exact for l < B."""
     _require_grid(grid, "S2")
     B = grid.bandwidth
     f = _as_channels(samples, 4 * B * B).reshape(-1, 2 * B, 2 * B)
-    a = _spin_analysis(f, grid, _spin_columns(grid, 0))
-    return ShtCoeffs(B, [np.sqrt(2 * l + 1) * (-1.0) ** np.arange(-l, l + 1)
-                         * a[l][:, ::-1] for l in range(B)])
+    mirror, scale = _sht_relabel(B)
+    return ShtCoeffs(B, _degrees(_spin_analysis(f, grid, 0)[:, mirror] * scale, 0))
 
 
 def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
@@ -246,10 +328,9 @@ def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
     B = grid.bandwidth
     if coeffs.bandwidth > B:
         raise ValueError("coefficient bandwidth exceeds grid bandwidth")
-    a = [(-1.0) ** np.arange(-l, l + 1) * c[:, ::-1] / np.sqrt(2 * l + 1)
-         for l, c in enumerate(coeffs.data)]
-    f = _spin_synthesis(a, grid, _spin_columns(grid, 0), coeffs.channels)
-    return f.reshape(coeffs.channels, 4 * B * B)
+    mirror, scale = _sht_relabel(coeffs.bandwidth)
+    a = np.concatenate(coeffs.data, axis=1)[:, mirror] / scale
+    return _spin_synthesis(a, grid, 0).reshape(coeffs.channels, 4 * B * B)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +355,10 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
     f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
     G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
     blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
+    store = _so3_store(B, bandwidth)
     for col in range(-(bandwidth - 1), bandwidth):
-        a = _spin_analysis(G[..., col % n], grid,
-                           _spin_columns(grid, col)[:bandwidth])
+        a = _spin_analysis(G[..., col % n], grid, col, store)
+        a = _degrees(a[:, :bandwidth ** 2 - col * col], col)
         for l in range(abs(col), bandwidth):
             blocks.blocks[l][:, :, col + l] = a[l]
     return blocks
@@ -296,9 +378,10 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     n = 2 * B
     C = blocks.channels
     G = np.zeros((n, C, n, n), dtype=complex)   # [n mod 2B, c, alpha, beta]
+    store = _so3_store(B, L)
     for col in range(-(L - 1), L):
-        G[col % n] = _spin_synthesis([None] * abs(col) + blocks.column(col),
-                                     grid, _spin_columns(grid, col)[:L], C)
+        G[col % n] = _spin_synthesis(np.concatenate(blocks.column(col), axis=1),
+                                     grid, col, store)
     f = np.moveaxis(np.fft.fft(G, axis=0), 0, -1)   # [c, alpha, beta, gamma]
     return f.reshape(C, n ** 3)
 

@@ -1,12 +1,14 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from homharm import transforms
 from homharm.fields import FieldType, TensorField, spin_coeffs, spin_synthesis
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import sph_harm_matrix, wigner_D_matrix
+from homharm.harmonics import sph_harm_matrix, wigner_D_matrix, wigner_d_column
 from homharm.transforms import (_PLAN_BYTES, ShtCoeffs, SpectralBlocks,
-                                _plan_cache_info, _spin_columns, fiber_dft,
+                                _plan_cache_info, _spin_plan, fiber_dft,
                                 sht_forward, sht_inverse, so3_ft_forward,
                                 so3_ft_inverse)
 
@@ -199,34 +201,134 @@ class TestPlanCache:
     def test_cached_arrays_are_read_only(self):
         grid = quadrature_grid("S2", 4)
         assert quadrature_grid("S2", 4) is grid
-        cols = _spin_columns(grid, 1)
-        assert cols[0] is None
-        for arr in (cols[2], grid.nodes, grid.weights, grid.beta_weights):
+        plan = _spin_plan(grid, 1)
+        assert plan.shape == (4, 4, 8)
+        assert not plan[0, 3].any()           # (l, m) = (0, 0): below |k|
+        for arr in (plan, grid.nodes, grid.weights, grid.beta_weights):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_byte_bound_evicts_the_least_recently_used(self):
         grid = quadrature_grid("S2", 128)
-        for k in (0, 1, 2):                   # about 32 MiB each
-            _spin_columns(grid, k)
+        for k in (0, 1, 2):                   # 32 MiB each
+            _spin_plan(grid, k)
             info = _plan_cache_info()
             assert info["bytes"] <= _PLAN_BYTES
         assert (128, 0) not in info["keys"]
         assert info["keys"][-2:] == [(128, 1), (128, 2)]
-        assert info["bytes"] == sum(c.nbytes for key in info["keys"]
-                                    for c in transforms._plans[key]
-                                    if c is not None)
+        assert info["bytes"] == sum(transforms._plans[key].nbytes
+                                    for key in info["keys"])
 
     def test_plan_over_the_bound_is_not_stored(self, monkeypatch):
         monkeypatch.setattr(transforms, "_PLAN_BYTES", 1000)
         grid = quadrature_grid("S2", 6)
         before = _plan_cache_info()
-        cols = _spin_columns(grid, -5)        # 2B * 11 * 8 = 1056 bytes
+        plan = _spin_plan(grid, -5)           # 16 * 6^3 = 3456 bytes
         after = _plan_cache_info()
-        assert cols[5].shape == (12, 11)
+        assert plan.shape == (6, 6, 12)
         assert (6, -5) not in after["keys"]
         assert after["bytes"] == before["bytes"]
         assert after["misses"] == before["misses"] + 1
+
+    def test_so3_transform_over_the_bound_keeps_other_plans(self, monkeypatch):
+        # the 11 plans of a B = 6 SO(3) transform (3456 bytes each) do not fit
+        # in 8 KiB together, so they are built without evicting the S2 plan
+        monkeypatch.setattr(transforms, "_PLAN_BYTES", 8192)
+        monkeypatch.setattr(transforms, "_plans", OrderedDict())
+        monkeypatch.setattr(transforms, "_plan_counts",
+                            {"hits": 0, "misses": 0, "bytes": 0})
+        s2 = quadrature_grid("S2", 4)         # its plan takes 1024 bytes
+        f = TensorField(s2, FieldType("SO2", 0),
+                        rng.standard_normal((1, s2.n_nodes)))
+        spin_coeffs(f)
+        so3 = quadrature_grid("SO3", 6)
+        for _ in range(2):
+            before = _plan_cache_info()
+            so3_ft_forward(rng.standard_normal(so3.n_nodes), so3)
+            after = _plan_cache_info()
+            assert after["keys"] == before["keys"]
+            assert after["misses"] - before["misses"] == 11
+        spin_coeffs(f)
+        assert _plan_cache_info()["hits"] == after["hits"] + 1
+        assert _plan_cache_info()["keys"] == [(4, 0)]
+
+
+def reference_spin_analysis(f, grid, k):
+    """The per-degree formula: alpha FFT, then for each l one weighted sum
+    over beta against d^l_{mk}(beta_j); returns a list indexed by l."""
+    B = grid.bandwidth
+    n = 2 * B
+    F = np.fft.fftshift(np.fft.ifft(f.reshape(-1, n, n), axis=1),
+                        axes=1) * grid.beta_weights
+    return [None if d is None else
+            np.einsum("cmj,jm->cm", F[:, B - l:B + l + 1, :], d)
+            for l, d in enumerate(wigner_d_column(B - 1, grid.betas, k))]
+
+
+def reference_spin_synthesis(coeffs, grid, k):
+    B = grid.bandwidth
+    n = 2 * B
+    F = np.zeros((coeffs[-1].shape[0], n, n), dtype=complex)
+    for l, d in enumerate(wigner_d_column(len(coeffs) - 1, grid.betas, k)):
+        if d is not None:
+            F[:, B - l:B + l + 1, :] += (2 * l + 1) * np.einsum(
+                "cm,jm->cmj", coeffs[l], d)
+    return np.fft.fft(np.fft.ifftshift(F, axes=1), axis=1).reshape(-1, n * n)
+
+
+class TestSpinPairAgainstPerDegreeSums:
+    """The plan-and-GEMM spin pair against the per-degree formula it
+    replaces, at orders from 0 to the largest |k| < B."""
+
+    @pytest.mark.parametrize("B", [2, 3, 8, 33])
+    def test_pair(self, B):
+        grid = quadrature_grid("S2", B)
+        for k in sorted({0, 1, -1, B - 1, -(B - 1)}):
+            f = TensorField(grid, FieldType("SO2", k),
+                            rng.standard_normal((2, grid.n_nodes))
+                            + 1j * rng.standard_normal((2, grid.n_nodes)))
+            got, want = spin_coeffs(f), reference_spin_analysis(f.flat(), grid, k)
+            scale = max(np.abs(w).max() for w in want if w is not None)
+            for g, w in zip(got, want, strict=True):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert np.abs(g - w).max() <= 1e-14 * scale
+
+            for L in (B, max(abs(k) + 1, B // 2)):
+                coeffs = [None] * abs(k) + [
+                    rng.standard_normal((2, 2 * l + 1))
+                    + 1j * rng.standard_normal((2, 2 * l + 1))
+                    for l in range(abs(k), L)]
+                got = spin_synthesis(coeffs, k, grid)
+                want = reference_spin_synthesis(coeffs, grid, k)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert _spin_plan(grid, k).nbytes <= 16 * B ** 3
+
+
+class TestAccuracyAtB128:
+    B = 128
+
+    def test_sht_round_trip(self):
+        grid = quadrature_grid("S2", self.B)
+        coeffs = random_sht_coeffs(self.B)
+        back = sht_forward(sht_inverse(coeffs, grid), grid)
+        for l in range(self.B):
+            assert np.abs(back.data[l] - coeffs.data[l]).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1, -1])
+    def test_spin_round_trip(self, k):
+        grid = quadrature_grid("S2", self.B)
+        coeffs = [None] * abs(k) + [
+            rng.standard_normal((1, 2 * l + 1))
+            + 1j * rng.standard_normal((1, 2 * l + 1))
+            for l in range(abs(k), self.B)]
+        f = TensorField(grid, FieldType("SO2", k),
+                        spin_synthesis(coeffs, k, grid))
+        back = spin_coeffs(f)
+        for l in range(abs(k), self.B):
+            assert np.abs(back[l] - coeffs[l]).max() < 1e-12
+        again = spin_synthesis(back, k, grid)
+        assert np.abs(again - f.flat()).max() < 1e-12 * np.abs(f.flat()).max()
 
 
 class TestSpectralBlocks:
