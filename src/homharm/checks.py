@@ -27,16 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import Rotation3, quadrature_grid
-from .fields import (FieldType, TensorField, field_from_spin_coeffs,
-                     induced_action, is_mackey, lift, lift_spectrum, project,
-                     regular_action, spin_coeffs)
+from .fields import (FieldType, TensorField, _induced_actions,
+                     field_from_spin_coeffs, induced_action, is_mackey, lift,
+                     lift_spectrum, project, regular_action, spin_coeffs)
 from .harmonics import real_sph_harm_matrix, wigner_D_real
 from .nonlin import (ActivationSpec, activate, delta_projection_kernel,
                      lift_sum, nonlinearity, point_sphere_nonlin,
                      project_column, project_kernel)
 from .se_kernels import (PointCloud, SE2KernelBasis, SE3KernelBasis,
-                         se2_kernel_eval, se3_kernel_eval,
-                         se3_kernel_eval_many, se3_layer, tfn_point_conv)
+                         se2_kernel_eval, se3_kernel_eval_many, se3_layer,
+                         tfn_point_conv)
 from .spectral_conv import (SparseKernelSpec, conv_field, conv_spatial_oracle,
                             conv_spectral, conv_vjp, kernel_degrees)
 from .transforms import (ShtCoeffs, SpectralBlocks, sht_forward, sht_inverse,
@@ -259,7 +259,11 @@ def _check_lift_project_round_trip(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+_ROTATION_BLOCK = 32   # rotated copies per field, convolved by one diagonal kernel
+
+
 def _check_conv_equivariance(rng, cfg):
+    """conv(L_g f) = L_g conv(f) for cfg["trials"] rotations per order pair."""
     B = cfg["bandwidth"]
     worst = 0.0
     for m_in in _orders(B):
@@ -268,12 +272,14 @@ def _check_conv_equivariance(rng, cfg):
             f = _rand_field(rng, B, m_in)
             base = conv_field(f, ker)
             scale = np.abs(base.flat()).max()
-            for _ in range(cfg["trials"]):
-                g = _rand_rotation(rng)
-                lhs = conv_field(induced_action(g, f), ker)
-                rhs = induced_action(g, base)
-                worst = max(worst, _rel(
-                    np.abs(lhs.flat() - rhs.flat()).max(), scale))
+            rots = [_rand_rotation(rng) for _ in range(cfg["trials"])]
+            for i in range(0, len(rots), _ROTATION_BLOCK):
+                block = rots[i:i + _ROTATION_BLOCK]
+                diag = np.eye(len(block))[:, :, None] * ker.coeffs
+                lhs = conv_field(_induced_actions(block, f),
+                                 SparseKernelSpec(m_in, m_out, B, diag))
+                rhs = _induced_actions(block, base)
+                worst = max(worst, _rel(np.abs(lhs.flat() - rhs.flat()).max(), scale))
     return worst
 
 
@@ -437,13 +443,13 @@ def _check_se3_steerability(rng, cfg):
             for t in range(abs(l_in - l_out), l_in + l_out + 1):
                 basis = SE3KernelBasis(l_in, l_out, t, radii,
                                        rng.standard_normal(9))
-                for _ in range(3):
-                    x = rng.standard_normal(3)
-                    g = _rand_rotation(rng)
-                    K0 = se3_kernel_eval(basis, x)
-                    K1 = se3_kernel_eval(basis, g.matrix() @ x)
-                    ref = wigner_D_real(l_out, g) @ K0 @ wigner_D_real(l_in, g).T
-                    worst = max(worst, np.abs(K1 - ref).max())
+                pts = [(rng.standard_normal(3), _rand_rotation(rng)) for _ in range(3)]
+                K0 = se3_kernel_eval_many(basis, np.stack([x for x, _ in pts]))
+                K1 = se3_kernel_eval_many(basis, np.stack([g.matrix() @ x
+                                                           for x, g in pts]))
+                for (_, g), k0, k1 in zip(pts, K0, K1):
+                    ref = wigner_D_real(l_out, g) @ k0 @ wigner_D_real(l_in, g).T
+                    worst = max(worst, np.abs(k1 - ref).max())
     return worst
 
 

@@ -222,10 +222,17 @@ def induced_action(g: Rotation3, field: TensorField) -> TensorField:
     multiplication with conj(D^l(g)), which preserves the Mackey column.
     Exact for bandlimited fields.
     """
-    _check_s2_order(field)
+    return _induced_actions([g], field)
+
+
+def _induced_actions(rotations, field: TensorField) -> TensorField:
+    """L_g f for R rotations g at once, as one field of R * C channels:
+    channel r * C + c is channel c of L_{g_r} f.  One analysis, one
+    small-d recursion over all the betas and one synthesis."""
     coeffs = spin_coeffs(field)
-    out = [None if a is None else np.einsum("mn,cn->cm", np.conj(D), a)
-           for a, D in zip(coeffs, _wigner_D_blocks(len(coeffs) - 1, g))]
+    out = [None if a is None else
+           np.einsum("rmn,cn->rcm", np.conj(D), a).reshape(-1, a.shape[1])
+           for a, D in zip(coeffs, _wigner_D_blocks(len(coeffs) - 1, rotations))]
     return field_from_spin_coeffs(out, field.field_type.order, field.grid)
 
 
@@ -235,8 +242,8 @@ def regular_action(g: Rotation3, gf: GroupFunction) -> GroupFunction:
     Exact for functions bandlimited below the grid bandwidth.
     """
     blocks = so3_ft_forward(gf.flat(), gf.grid)
-    rotated = [np.einsum("mj,cjn->cmn", np.conj(D), b) for b, D in
-               zip(blocks.blocks, _wigner_D_blocks(blocks.bandwidth - 1, g))]
+    rotated = [np.einsum("mj,cjn->cmn", np.conj(D[0]), b) for b, D in
+               zip(blocks.blocks, _wigner_D_blocks(blocks.bandwidth - 1, [g]))]
     out = so3_ft_inverse(SpectralBlocks(blocks.bandwidth, rotated), gf.grid)
     return GroupFunction(gf.grid, out)
 

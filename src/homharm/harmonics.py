@@ -149,9 +149,10 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     indexed by l of real arrays [n_beta, 2l+1, 2l+1], the columns
     -lmax..lmax of _wigner_d_columns.
 
-    The library builds whole stacks only for the D^l of single rotations
-    (wigner_d, _wigner_D_blocks); transforms and harmonics that read one
-    column per beta use wigner_d_column.
+    The library builds whole stacks only for the D^l of rotations (wigner_d,
+    _wigner_D_blocks: one call over many betas, each table bit for bit as a
+    call at its beta alone); transforms and harmonics that read one column
+    per beta use wigner_d_column.
     """
     return _wigner_d_columns(lmax, betas, -lmax, lmax)
 
@@ -174,23 +175,24 @@ def wigner_d(l: int, beta: float) -> np.ndarray:
     return wigner_d_stack(l, [beta])[l][0]
 
 
-def _phased(d: np.ndarray, g: Rotation3) -> np.ndarray:
-    """D^l(g) from d^l(beta): exp(-i m alpha) d^l_{mn} exp(-i n gamma)."""
-    m = np.arange(d.shape[0]) - d.shape[0] // 2
-    return (np.exp(-1j * m * g.alpha)[:, None] * d
-            * np.exp(-1j * m * g.gamma)[None, :])
-
-
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
     if l < 0:
         raise ValueError("degree l must be >= 0")
-    return _phased(wigner_d(l, g.beta), g)
+    return _wigner_D_blocks(l, [g])[l][0]
 
 
-def _wigner_D_blocks(lmax: int, g: Rotation3) -> list:
-    """[D^l(g) for l = 0..lmax] from one small-d recursion."""
-    return [_phased(d[0], g) for d in wigner_d_stack(lmax, [g.beta])]
+def _wigner_D_blocks(lmax: int, rotations) -> list:
+    """[D^l(g_r) for l = 0..lmax], each [R, 2l+1, 2l+1] over the R rotations,
+    from one small-d recursion over all their betas."""
+    m = np.arange(-lmax, lmax + 1)
+    ea = np.exp(-1j * m * np.array([g.alpha for g in rotations])[:, None])
+    eg = np.exp(-1j * m * np.array([g.gamma for g in rotations])[:, None])
+    out = []
+    for l, d in enumerate(wigner_d_stack(lmax, [g.beta for g in rotations])):
+        j = slice(lmax - l, lmax + l + 1)                # m = -l..l
+        out.append(ea[:, j, None] * d * eg[:, None, j])
+    return out
 
 
 # ---------------------------------------------------------------------------

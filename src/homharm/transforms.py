@@ -53,7 +53,7 @@ The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
 each reading the plan of its column n.  No transform builds a full
 ``wigner_d_stack``; only the rotations in ``fields.induced_action`` and
-``fields.regular_action`` do, one d-table at a single beta per call.  The
+``fields.regular_action`` do, one recursion over all the betas of a call.  The
 SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 

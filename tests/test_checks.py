@@ -1,0 +1,68 @@
+"""The conv-commutes-with-action check, which applies the induced action to
+a block of rotations at once: it still fails on a convolution that is not
+equivariant, sends every drawn rotation through both sides in bounded
+blocks, and runs one Wigner-d recursion per block."""
+
+import numpy as np
+
+from homharm import checks, harmonics, spectral_conv
+
+NAME = "conv-commutes-with-action"
+
+
+def conv_check(B: int, trials: int) -> float:
+    cfg = checks.default_config()
+    cfg.update(bandwidth=B, trials=trials, seed=1)
+    return checks._check_conv_equivariance(checks._rng_for(cfg, NAME)[0], cfg)
+
+
+def test_non_equivariant_conv_fails(monkeypatch):
+    """Scaling output row m by a factor that depends on m keeps the output
+    column-sparse but breaks equivariance; the check must report it."""
+    scale_degrees = spectral_conv._scale_degrees
+
+    def skewed(kernel, cols):
+        return [None if c is None else c * (1.0 + 0.1 * np.arange(c.shape[-1]))
+                for c in scale_degrees(kernel, cols)]
+
+    def conv_result():
+        report = checks.run_suite("conv-equivariance", {"bandwidth": 4})
+        return next(c for c in report.checks if c.name == NAME)
+
+    assert conv_result().passed
+    monkeypatch.setattr(spectral_conv, "_scale_degrees", skewed)
+    result = conv_result()
+    assert result.error is None
+    assert not result.passed and result.measured_error > 1e-3
+
+
+def test_rotations_go_through_both_sides_in_bounded_blocks(monkeypatch):
+    blocks = []
+    batched = checks._induced_actions
+
+    def recorded(rotations, field):
+        blocks.append([(g.alpha, g.beta, g.gamma) for g in rotations])
+        return batched(rotations, field)
+
+    monkeypatch.setattr(checks, "_induced_actions", recorded)
+    trials = checks._ROTATION_BLOCK + 3
+    conv_check(2, trials)
+    pairs = len(checks._orders(2)) ** 2
+    full = checks._ROTATION_BLOCK
+    assert [len(b) for b in blocks] == [full, full, 3, 3] * pairs
+    assert blocks[0::2] == blocks[1::2]          # f and conv(f) see the same g
+    drawn = [g for b in blocks[0::2] for g in b]
+    assert len(set(drawn)) == trials * pairs
+
+
+def test_one_wigner_recursion_per_block_and_side(monkeypatch):
+    calls = []
+    stack = harmonics.wigner_d_stack
+
+    def counted(lmax, betas):
+        calls.append(len(betas))
+        return stack(lmax, betas)
+
+    monkeypatch.setattr(harmonics, "wigner_d_stack", counted)
+    assert conv_check(4, 20) <= 1e-8
+    assert len(calls) <= 2 * len(checks._orders(4)) ** 2

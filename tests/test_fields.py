@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from homharm.checks import _ROTATION_BLOCK
 from homharm.fields import (FieldType, GroupFunction, TensorField,
-                            field_from_spin_coeffs, induced_action,
+                            _induced_actions, field_from_spin_coeffs, induced_action,
                             is_mackey, lift, lift_spectrum, project,
                             regular_action, resample, spin_coeffs,
                             spin_synthesis)
@@ -124,6 +125,18 @@ class TestActions:
         a = lift(induced_action(g, field)).flat()
         b = regular_action(g, lift(field)).flat()
         assert np.abs(a - b).max() < 1e-10
+
+    @pytest.mark.parametrize("n_rot", [5, _ROTATION_BLOCK + 1])
+    def test_batched_actions_match_single_rotations(self, n_rot):
+        """Channel r * C + c of the batched action is channel c of L_{g_r} f."""
+        field = random_field(6, 1, channels=3)
+        rots = [random_rotation() for _ in range(n_rot)]
+        out = _induced_actions(rots, field)
+        assert out.samples.shape == (3 * n_rot,) + field.samples.shape[1:]
+        for r, g in enumerate(rots):
+            ref = induced_action(g, field).samples
+            err = np.abs(out.samples[3 * r:3 * r + 3] - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max()
 
     def test_action_is_a_homomorphism(self):
         field = random_field(6, -2)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import (cg_matrix, clebsch_gordan,
+from homharm.harmonics import (_wigner_D_blocks, cg_matrix, clebsch_gordan,
                                real_basis_change, real_sph_harm_matrix,
                                sph_harm, sph_harm_matrix, wigner_D_matrix,
                                wigner_D_real, wigner_d, wigner_d_column,
@@ -63,6 +63,22 @@ class TestWignerD:
             m = np.arange(-l, l + 1)
             expect = np.diag(np.exp(-1j * m * theta))
             assert np.abs(D - expect).max() <= 1e-14
+
+    @pytest.mark.parametrize("lmax", [0, 1, 7, 31])
+    def test_batched_blocks_equal_single_rotations_bit_for_bit(self, lmax):
+        """One recursion over the betas of many rotations gives each D^l
+        exactly as a call for that rotation alone: at the poles, at pi/2
+        and on both sides of the reflection there."""
+        betas = [0.0, 0.3, 1.2, np.pi / 2, 1.6, 2.5, 3.1, np.pi]
+        rots = [Rotation3(rng.uniform(0, 2 * np.pi), b, rng.uniform(-np.pi, np.pi))
+                for b in betas]
+        batched = _wigner_D_blocks(lmax, rots)
+        assert [D.shape for D in batched] == [(len(rots), 2 * l + 1, 2 * l + 1)
+                                              for l in range(lmax + 1)]
+        for r, g in enumerate(rots):
+            for D, single in zip(batched, _wigner_D_blocks(lmax, [g])):
+                assert np.array_equal(D[r], single[0])
+            assert np.array_equal(batched[lmax][r], wigner_D_matrix(lmax, g))
 
     def test_group_orthogonality_relations(self):
         """Integral of D^l_{mn} conj(D^l'_{m'n'}) over normalized Haar is
