@@ -30,7 +30,8 @@ from .groups import Rotation3, quadrature_grid
 from .fields import (FieldType, TensorField, _induced_actions,
                      field_from_spin_coeffs, induced_action, is_mackey, lift,
                      lift_spectrum, project, regular_action, spin_coeffs)
-from .harmonics import real_sph_harm_matrix, wigner_D_real
+from .harmonics import (_wigner_D_real_blocks, real_sph_harm_matrix,
+                        wigner_D_real)
 from .nonlin import (ActivationSpec, activate, delta_projection_kernel,
                      lift_sum, nonlinearity, point_sphere_nonlin,
                      project_column, project_kernel)
@@ -447,9 +448,9 @@ def _check_se3_steerability(rng, cfg):
                 K0 = se3_kernel_eval_many(basis, np.stack([x for x, _ in pts]))
                 K1 = se3_kernel_eval_many(basis, np.stack([g.matrix() @ x
                                                            for x, g in pts]))
-                for (_, g), k0, k1 in zip(pts, K0, K1):
-                    ref = wigner_D_real(l_out, g) @ k0 @ wigner_D_real(l_in, g).T
-                    worst = max(worst, np.abs(k1 - ref).max())
+                D = _wigner_D_real_blocks(max(l_in, l_out), [g for _, g in pts])
+                ref = D[l_out] @ K0 @ D[l_in].transpose(0, 2, 1)
+                worst = max(worst, np.abs(K1 - ref).max())
     return worst
 
 

@@ -148,11 +148,6 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     """All small-d matrices d^l(beta) for l = 0..lmax at each beta: a list
     indexed by l of real arrays [n_beta, 2l+1, 2l+1], the columns
     -lmax..lmax of _wigner_d_columns.
-
-    The library builds whole stacks only for the D^l of rotations (wigner_d,
-    _wigner_D_blocks: one call over many betas, each table bit for bit as a
-    call at its beta alone); transforms and harmonics that read one column
-    per beta use wigner_d_column.
     """
     return _wigner_d_columns(lmax, betas, -lmax, lmax)
 
@@ -183,15 +178,66 @@ def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
 
 
 def _wigner_D_blocks(lmax: int, rotations) -> list:
-    """[D^l(g_r) for l = 0..lmax], each [R, 2l+1, 2l+1] over the R rotations,
-    from one small-d recursion over all their betas."""
+    """[D^l(g_r) for l = 0..lmax], each [R, 2l+1, 2l+1], from one _small_d
+    call over the R betas; the bits depend neither on R nor on lmax."""
     m = np.arange(-lmax, lmax + 1)
     ea = np.exp(-1j * m * np.array([g.alpha for g in rotations])[:, None])
     eg = np.exp(-1j * m * np.array([g.gamma for g in rotations])[:, None])
     out = []
-    for l, d in enumerate(wigner_d_stack(lmax, [g.beta for g in rotations])):
+    for l, d in enumerate(_small_d(lmax, [g.beta for g in rotations])):
         j = slice(lmax - l, lmax + l + 1)                # m = -l..l
         out.append(ea[:, j, None] * d * eg[:, None, j])
+    return out
+
+
+# T^l of degree l <= _DELTA_LMAX, never evicted: (2l+2)(2l+1)^2 floats
+# each, 1.04 MiB in all (16 MiB up to l = 31)
+_DELTA_LMAX = 15
+_delta_tables: list = []
+
+
+def _delta_table(D: np.ndarray) -> np.ndarray:
+    """T^l [2l+2, (2l+1)^2] from D = Delta^l = d^l(pi/2): row 2q holds the
+    cos(q beta) and row 2q+1 the sin(q beta) coefficients of the flattened
+    d^l_{mn}(beta) = sum_q Delta_{qm} Delta_{qn} cos((m-n) pi/2 - q beta)
+    (Trapani & Navaza 2006), the terms q and -q folded."""
+    l = (len(D) - 1) // 2
+    k = np.subtract.outer(np.arange(2 * l + 1), np.arange(2 * l + 1)) % 4
+    cos_phi, sin_phi = np.array([1.0, 0, -1, 0])[k], np.array([0.0, 1, 0, -1])[k]
+    P = D[:, :, None] * D[:, None, :]                     # [q, m, n]
+    T = np.empty((l + 1, 2, 2 * l + 1, 2 * l + 1))
+    T[:, 0], T[:, 1] = P[l:] * cos_phi, P[l:] * sin_phi
+    T[1:, 0] += P[l - 1::-1] * cos_phi
+    T[1:, 1] -= P[l - 1::-1] * sin_phi
+    return T.reshape(2 * l + 2, -1)
+
+
+def _delta_cache_info() -> dict:
+    """Degrees held by the Delta table cache and their bytes."""
+    return {"degrees": list(range(len(_delta_tables))),
+            "bytes": sum(T.nbytes for T in _delta_tables)}
+
+
+def _small_d(lmax: int, betas, zonal: bool = False) -> list:
+    """d^l(beta) for l = 0..lmax, [n_beta, 2l+1, 2l+1] per degree, or with
+    zonal only its column n = 0, [n_beta, 2l+1].  Up to _DELTA_LMAX one
+    einsum of [cos(q beta), sin(q beta)] with T^l (a BLAS product would
+    make each beta's bits depend on the batch), the recursion above."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    top = min(lmax, _DELTA_LMAX)
+    if len(_delta_tables) <= top:
+        deltas = wigner_d_stack(top, [np.pi / 2])[len(_delta_tables):]
+        _delta_tables.extend(_delta_table(D[0]) for D in deltas)
+    qb = np.multiply.outer(betas, np.arange(top + 1))
+    f = np.stack([np.cos(qb), np.sin(qb)], axis=-1).reshape(-1, 2 * top + 2)
+    out = []
+    for l, T in enumerate(_delta_tables[:top + 1]):
+        n = 2 * l + 1
+        d = np.einsum("rq,qn->rn", f[:, :n + 1], T[:, l::n] if zonal else T)
+        out.append(d if zonal else d.reshape(-1, n, n))
+    if lmax > _DELTA_LMAX:
+        out += (wigner_d_column(lmax, betas, 0) if zonal
+                else wigner_d_stack(lmax, betas))[_DELTA_LMAX + 1:]
     return out
 
 
@@ -219,18 +265,14 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
     """Stacked Y^l_m values, shape [n_points, (lmax+1)^2].
 
     Coefficient index runs over l = 0..lmax, m = -l..l (offset l^2 + l + m).
+    The d^l_{m0} come from column n = 0 of the Delta tables of _small_d.
     """
     alphas = np.asarray(alphas, dtype=float).ravel()
-    betas = np.asarray(betas, dtype=float).ravel()
-    cols = wigner_d_column(lmax, betas, 0)
-    npts = alphas.shape[0]
     phase = np.exp(1j * np.outer(alphas, np.arange(-lmax, lmax + 1)))
-    Y = np.empty((npts, (lmax + 1) ** 2), dtype=complex)
-    for l in range(lmax + 1):
-        Y[:, l * l:(l + 1) ** 2] = (np.sqrt(2 * l + 1)
-                                    * phase[:, lmax - l:lmax + l + 1]
-                                    * cols[l])
-    return Y
+    return np.concatenate(
+        [np.sqrt(2 * l + 1) * phase[:, lmax - l:lmax + l + 1] * d
+         for l, d in enumerate(_small_d(lmax, np.ravel(betas), zonal=True))],
+        axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +355,32 @@ def real_basis_change(l: int) -> np.ndarray:
     return U
 
 
+def _wigner_D_real_blocks(lmax: int, rotations) -> list:
+    """[U D^l(g_r) U^H for l = 0..lmax], real [R, 2l+1, 2l+1] per degree,
+    from one _wigner_D_blocks call over the R rotations."""
+    Us = [real_basis_change(l) for l in range(lmax + 1)]
+    return [(U @ D @ U.conj().T).real
+            for U, D in zip(Us, _wigner_D_blocks(lmax, rotations))]
+
+
 def wigner_D_real(l: int, g: Rotation3) -> np.ndarray:
     """Real orthogonal form of D^l(g): U D^l(g) U^H."""
-    U = real_basis_change(l)
-    M = U @ wigner_D_matrix(l, g) @ U.conj().T
-    return M.real
+    if l < 0:
+        raise ValueError("degree l must be >= 0")
+    return _wigner_D_real_blocks(l, [g])[l][0]
 
 
 def real_sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
-    """Real orthonormal harmonics S^l_mu stacked like sph_harm_matrix."""
-    Y = sph_harm_matrix(lmax, alphas, betas)
-    S = np.empty_like(Y, dtype=float)
-    for l in range(lmax + 1):
-        U = real_basis_change(l)
-        block = Y[:, l * l:(l + 1) ** 2] @ U.T
-        S[:, l * l:(l + 1) ** 2] = block.real
-    return S
+    """Real orthonormal harmonics S^l_mu = (U Y^l)_mu stacked like
+    sph_harm_matrix, in real arithmetic: sqrt(2l+1) d^l_00(beta) at mu = 0,
+    and sqrt(2(2l+1)) (-1)^mu d^l_{|mu|0}(beta) times cos(mu alpha) for
+    mu > 0 or sin(|mu| alpha) for mu < 0."""
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    ma = np.multiply.outer(alphas, np.arange(1, lmax + 1))
+    cos, sin = np.cos(ma), np.sin(ma)
+    blocks = []                                           # mu = -l..l
+    for l, d in enumerate(_small_d(lmax, np.ravel(betas), zonal=True)):
+        w = np.sqrt(2 * (2 * l + 1)) * (-1.0) ** np.arange(1, l + 1) * d[:, l + 1:]
+        blocks += [(w * sin[:, :l])[:, ::-1], np.sqrt(2 * l + 1) * d[:, l:l + 1],
+                   w * cos[:, :l]]
+    return np.concatenate(blocks, axis=1)

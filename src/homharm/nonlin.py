@@ -148,23 +148,29 @@ def _erf_tail(R, S):
     return piece
 
 
-# [lo, hi) ranges of |x| and the formula used there
-_ERF_PIECES = ((0.0, 2.0 ** -28, _erf_tiny), (2.0 ** -28, 0.84375, _erf_small),
-               (0.84375, 1.25, _erf_mid),
-               (1.25, _ERF_B35, _erf_tail(_ERF_RA, _ERF_SA)),
-               (_ERF_B35, 6.0, _erf_tail(_ERF_RB, _ERF_SB)))
+# the formula used on each range [edge_{k-1}, edge_k) of |x|; |x| >= 6 rounds
+# to +-1 and nan stays nan through the last, np.sign
+_ERF_EDGES = np.array([2.0 ** -28, 0.84375, 1.25, _ERF_B35, 6.0])
+_ERF_PIECES = (_erf_tiny, _erf_small, _erf_mid, _erf_tail(_ERF_RA, _ERF_SA),
+               _erf_tail(_ERF_RB, _ERF_SB), lambda x, ax: np.sign(x))
 
 
 def _erf(x) -> np.ndarray:
-    """Elementwise erf of a float array, within an ulp of math.erf."""
+    """Elementwise erf of a float array, within an ulp of math.erf; one
+    search picks the pieces, and a one-piece array skips gather and scatter."""
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).reshape(-1)
     ax = np.abs(x)
-    out = np.sign(x)                 # |x| >= 6 rounds to +-1; nan stays nan
-    for lo, hi, piece in _ERF_PIECES:
-        m = (ax >= lo) & (ax < hi)
-        if m.any():
-            out[m] = piece(x[m], ax[m])
+    # fmin skips nan and max keeps it, so a nan beside finite values is mixed
+    lo, hi = np.searchsorted(_ERF_EDGES, [np.fmin.reduce(ax, initial=np.inf),
+                                          ax.max(initial=0.0)], "right")
+    if lo == hi:
+        return _ERF_PIECES[lo](x, ax).reshape(shape)
+    piece = np.searchsorted(_ERF_EDGES, ax, "right")
+    out = np.empty_like(x)
+    for k in range(lo, hi + 1):           # none for an empty array
+        i = np.flatnonzero(piece == k)
+        out[i] = _ERF_PIECES[k](x[i], ax[i])
     return out.reshape(shape)
 
 

@@ -167,40 +167,24 @@ def kernel_to_spatial(kernel: SparseKernelSpec) -> np.ndarray:
     return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid)).flat()
 
 
-def _relative_euler(alpha_out, beta_out, alphas_in, betas_in):
-    """ZYZ Euler angles of Q = R(a', b', 0)^{-1} R(a, b, 0) for one output
-    node against all input nodes.  Vectorized over the input grid.
-    """
-    ca, sa = np.cos(alpha_out), np.sin(alpha_out)
-    cb, sb = np.cos(beta_out), np.sin(beta_out)
-    R = np.array([[ca * cb, -sa, ca * sb],
-                  [sa * cb, ca, sa * sb],
-                  [-sb, 0.0, cb]])
-    cap, sap = np.cos(alphas_in), np.sin(alphas_in)
-    cbp, sbp = np.cos(betas_in), np.sin(betas_in)
-    # rows of R(a', b', 0)^T, applied to the columns of R
-    Rp = np.empty((len(alphas_in), 3, 3))
-    Rp[:, 0, 0] = cap * cbp
-    Rp[:, 0, 1] = sap * cbp
-    Rp[:, 0, 2] = -sbp
-    Rp[:, 1, 0] = -sap
-    Rp[:, 1, 1] = cap
-    Rp[:, 1, 2] = 0.0
-    Rp[:, 2, 0] = cap * sbp
-    Rp[:, 2, 1] = sap * sbp
-    Rp[:, 2, 2] = cbp
-    Q = Rp @ R
-    sin_b = np.hypot(Q[:, 0, 2], Q[:, 1, 2])
-    beta = np.arctan2(sin_b, Q[:, 2, 2])
-    alpha = np.where(sin_b > 1e-12, np.arctan2(Q[:, 1, 2], Q[:, 0, 2]), 0.0)
-    gamma = np.where(sin_b > 1e-12, np.arctan2(Q[:, 2, 1], -Q[:, 2, 0]), 0.0)
+_ORACLE_FLOATS = 2 ** 22   # d values per block of conv_spatial_oracle: 32 MiB
+
+
+def _relative_euler(s_out, s_in):
+    """ZYZ Euler angles of Q = s_in^{-1} s_out for every pair of sections
+    s_out [n_out, 3, 3] and s_in [n_in, 3, 3]: arrays [n_out, n_in]."""
+    Q = s_in.transpose(0, 2, 1) @ s_out[:, None]
+    sin_b = np.hypot(Q[..., 0, 2], Q[..., 1, 2])
+    beta = np.arctan2(sin_b, Q[..., 2, 2])
+    alpha = np.where(sin_b > 1e-12, np.arctan2(Q[..., 1, 2], Q[..., 0, 2]), 0.0)
+    gamma = np.where(sin_b > 1e-12, np.arctan2(Q[..., 2, 1], -Q[..., 2, 0]), 0.0)
     # gimbal: beta = 0 leaves only alpha + gamma determined (fold into gamma),
     # beta = pi only alpha - gamma (fold into alpha)
     gimbal = sin_b <= 1e-12
     if np.any(gimbal):
-        flip = Q[:, 2, 2] < 0
-        sum_ang = np.arctan2(Q[:, 1, 0], Q[:, 0, 0])
-        diff_ang = np.arctan2(-Q[:, 0, 1], Q[:, 1, 1])
+        flip = Q[..., 2, 2] < 0
+        sum_ang = np.arctan2(Q[..., 1, 0], Q[..., 0, 0])
+        diff_ang = np.arctan2(-Q[..., 0, 1], Q[..., 1, 1])
         alpha = np.where(gimbal, np.where(flip, diff_ang, 0.0), alpha)
         gamma = np.where(gimbal, np.where(flip, 0.0, sum_ang), gamma)
         beta = np.where(gimbal, np.where(flip, np.pi, 0.0), beta)
@@ -218,30 +202,34 @@ def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorF
     where Q = s(x')^{-1} s(x) with Euler angles (alpha_Q, beta_Q, gamma_Q),
     and kappa'(a, b) = sum_l c^l e^{-i m_in a} d^l_{m_in, m_out}(b) is the
     kernel's gamma = 0 profile.  The twist phase on gamma_Q carries the
-    output order.  Used only as an independent check on conv_spectral.
+    output order.  Each block of output nodes (one block up to B = 8) takes
+    one _relative_euler and one wigner_d_column call, on the recursion.
+    Used only as an independent check on conv_spectral.
     """
     if field.field_type.order != kernel.m_in:
         raise ValueError("field order does not match the kernel input order")
     if field.channels != kernel.c_in:
         raise ValueError("channel mismatch between field and kernel")
-    grid = field.grid
-    w = grid.weights
-    node_alphas = grid.nodes[:, 0]
-    node_betas = grid.nodes[:, 1]
-    fin = field.flat()                                  # [c_in, N]
-    degs = list(kernel.degrees)
-    out = np.zeros((kernel.c_out, grid.n_nodes), dtype=complex)
-    for node in range(grid.n_nodes):
-        a_q, b_q, g_q = _relative_euler(node_alphas[node], node_betas[node],
-                                        node_alphas, node_betas)
-        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q, kernel.m_out)
-        kap = np.zeros((kernel.c_out, kernel.c_in, grid.n_nodes), dtype=complex)
-        phase_a = np.exp(-1j * kernel.m_in * a_q)
-        for l in degs:
-            d = d_cols[l][:, kernel.m_in + l]
-            kap += kernel.coeff(l)[:, :, None] * (phase_a * d)[None, None, :]
-        integrand = kap * np.exp(-1j * kernel.m_out * g_q)[None, None, :]
-        out[:, node] = np.einsum("oip,ip,p->o", integrand, fin, w)
+    grid, n = field.grid, field.grid.n_nodes
+    alphas, betas = grid.nodes[:, 0], grid.nodes[:, 1]
+    ca, sa, cb, sb = np.cos(alphas), np.sin(alphas), np.cos(betas), np.sin(betas)
+    s = np.stack([ca * cb, -sa, ca * sb, sa * cb, ca, sa * sb,      # s(x)
+                  -sb, np.zeros_like(sb), cb], axis=-1).reshape(-1, 3, 3)
+    rows = max(1, _ORACLE_FLOATS // (n * kernel.bandwidth ** 2))
+    out = np.empty((kernel.c_out, n), dtype=complex)
+    for i in range(0, n, rows):
+        a_q, b_q, g_q = _relative_euler(s[i:i + rows], s)       # [x, x']
+        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q.ravel(), kernel.m_out)
+        phase_a = np.exp(-1j * kernel.m_in * a_q)[:, None, None, :]
+        # output node first, so each node's sum runs in the order of a call
+        # for that node alone
+        kap = np.zeros((len(a_q), kernel.c_out, kernel.c_in, n), dtype=complex)
+        for l in kernel.degrees:
+            d = d_cols[l][:, kernel.m_in + l].reshape(a_q.shape)[:, None, None, :]
+            kap += kernel.coeff(l)[:, :, None] * (phase_a * d)
+        integrand = kap * np.exp(-1j * kernel.m_out * g_q)[:, None, None, :]
+        out[:, i:i + rows] = np.einsum("xoip,ip,p->ox", integrand, field.flat(),
+                                       grid.weights)
     return TensorField(grid, FieldType("SO2", kernel.m_out), out)
 
 

@@ -52,8 +52,8 @@ column up to B = 64 (7.5 MiB there).
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
 each reading the plan of its column n.  No transform builds a full
-``wigner_d_stack``; only the rotations in ``fields.induced_action`` and
-``fields.regular_action`` do, one recursion over all the betas of a call.  The
+``wigner_d_stack``; rotations read the Delta tables of ``harmonics._small_d``
+up to degree 15, and one recursion over all the betas of a call above.  The
 SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 
@@ -136,7 +136,7 @@ class SpectralBlocks:
         for l, b in enumerate(self.blocks):
             e = (2 * l + 1) * np.sum(np.abs(b) ** 2, axis=(0, 1))
             if abs(n) <= l:
-                e = np.delete(e, n + l)
+                e[n + l] = 0.0
             total += float(np.sum(e))
         return total
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from homharm import harmonics
+from homharm.checks import run_suite
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import (_wigner_D_blocks, cg_matrix, clebsch_gordan,
                                real_basis_change, real_sph_harm_matrix,
@@ -64,7 +66,7 @@ class TestWignerD:
             expect = np.diag(np.exp(-1j * m * theta))
             assert np.abs(D - expect).max() <= 1e-14
 
-    @pytest.mark.parametrize("lmax", [0, 1, 7, 31])
+    @pytest.mark.parametrize("lmax", [0, 1, 7, 15, 16, 31])
     def test_batched_blocks_equal_single_rotations_bit_for_bit(self, lmax):
         """One recursion over the betas of many rotations gives each D^l
         exactly as a call for that rotation alone: at the poles, at pi/2
@@ -102,6 +104,54 @@ class TestWignerD:
                 eye = np.eye(2 * l1 + 1)
                 expect = np.einsum("mu,nv->mnuv", eye, eye) / (2 * l1 + 1)
                 assert np.abs(ip - expect).max() < 1e-13
+
+
+class TestDeltaTables:
+    """Rotations of degree <= harmonics._DELTA_LMAX read cached tables
+    built from Delta = d(pi/2); these tests hold them to references that do
+    not."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 15])
+    def test_against_matrix_exponential(self, l):
+        m = np.arange(-l, l + 1)
+        for beta in [0.0, 1e-9, np.pi / 2, np.pi - 1e-9, np.pi]:
+            a, c = rng.uniform(0, 2 * np.pi, 2)
+            ref = (np.exp(-1j * m * a)[:, None] * d_matrix_oracle(l, beta)
+                   * np.exp(-1j * m * c)[None, :])
+            got = wigner_D_matrix(l, Rotation3(a, beta, c))
+            assert np.abs(got - ref).max() < 5e-13, beta
+
+    def test_unitary_on_both_sides_of_the_bound(self):
+        rots = [Rotation3(*rng.uniform(0, np.pi, 3)) for _ in range(6)]
+        blocks = _wigner_D_blocks(31, rots)
+        for l in (harmonics._DELTA_LMAX, harmonics._DELTA_LMAX + 1):
+            gram = blocks[l] @ np.conj(blocks[l]).transpose(0, 2, 1)
+            assert np.abs(gram - np.eye(2 * l + 1)).max() < 1e-13
+
+    def test_harmonics_against_the_recursion(self):
+        """Y^l and U Y^l against sph_harm, which runs the recursion, at
+        degrees on both sides of the bound."""
+        lmax = harmonics._DELTA_LMAX + 2
+        alphas = rng.uniform(0, 2 * np.pi, 7)
+        betas = np.concatenate([[0.0, np.pi], rng.uniform(0, np.pi, 5)])
+        S = real_sph_harm_matrix(lmax, alphas, betas)
+        Y = sph_harm_matrix(lmax, alphas, betas)
+        for l in range(lmax + 1):
+            ref = np.stack([sph_harm(l, m, alphas, betas)
+                            for m in range(-l, l + 1)], axis=1)
+            assert np.abs(Y[:, l * l:(l + 1) ** 2] - ref).max() < 1e-13
+            ref = (ref @ real_basis_change(l).T).real
+            assert np.abs(S[:, l * l:(l + 1) ** 2] - ref).max() < 1e-13
+
+    def test_cache_stays_within_its_bound(self):
+        assert run_suite("all", {"bandwidth": 16, "seed": 1}).passed
+        _wigner_D_blocks(31, [Rotation3(0.1, 0.2, 0.3)])
+        info = harmonics._delta_cache_info()
+        lmax = harmonics._DELTA_LMAX
+        assert info["degrees"] == list(range(lmax + 1))
+        assert info["bytes"] == 8 * sum((2 * l + 2) * (2 * l + 1) ** 2
+                                        for l in range(lmax + 1))
+        assert info["bytes"] <= 1.1 * 2 ** 20
 
 
 class TestWignerDColumn:

@@ -9,7 +9,7 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             project, resample)
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import real_sph_harm_matrix, wigner_D_real
-from homharm.nonlin import _NODE_BLOCK, _erf
+from homharm.nonlin import _ERF_EDGES, _ERF_PIECES, _NODE_BLOCK, _erf
 from homharm.nonlin import (ActivationSpec, activate, delta_projection_kernel,
                             lift_sum, nonlinearity, point_sphere_nonlin,
                             project_column, project_kernel)
@@ -384,6 +384,31 @@ class TestErf:
         x = np.random.default_rng(13).uniform(-2, 2, (2, 3, 4))
         assert _erf(x).shape == (2, 3, 4)
         assert _erf(0.5) == math.erf(0.5)
+
+    def test_equals_one_mask_per_piece_bit_for_bit(self):
+        """The one-search dispatch against a mask, gather and scatter per
+        piece, on arrays mixing pieces and on single-piece arrays."""
+        def masked(x):
+            ax, out = np.abs(x), np.sign(x)
+            for lo, hi, piece in zip([0.0, *_ERF_EDGES[:-1]], _ERF_EDGES,
+                                     _ERF_PIECES):
+                m = (ax >= lo) & (ax < hi)
+                if m.any():
+                    out[m] = piece(x[m], ax[m])
+            return out
+
+        e = np.array([2.0 ** -1015, *_ERF_EDGES, 5e-324])
+        e = np.concatenate([e, np.nextafter(e, 0), np.nextafter(e, np.inf)])
+        special = np.array([0.0, -0.0, 6.0, -6.0, np.inf, -np.inf, np.nan, -np.nan])
+        rng = np.random.default_rng(17)
+        arrays = [np.concatenate([e, -e, special]),
+                  rng.permutation(np.concatenate([e, -e, special,
+                                                  rng.uniform(-7, 7, 500)])),
+                  rng.uniform(-0.8, 0.8, 300), rng.uniform(7, 9, 5),
+                  np.array([np.nan, 0.1]), np.array([np.nan, np.inf]),
+                  np.array([-np.nan]), np.array([0.1, 2.0])]
+        for x in arrays:
+            assert np.array_equal(_erf(x).view(np.int64), masked(x).view(np.int64))
 
 
 def per_point_oracle(features, spec, bandwidth):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homharm import spectral_conv
 from homharm.fields import (FieldType, field_from_spin_coeffs,
                             induced_action, lift_spectrum, spin_coeffs)
 from homharm.groups import Rotation3, quadrature_grid
@@ -9,6 +10,7 @@ from homharm.spectral_conv import (SparseKernelSpec, conv_field,
                                    conv_vjp, kernel_degrees,
                                    kernel_to_spatial,
                                    spectral_identity_kernel)
+from homharm.harmonics import wigner_d_column
 from homharm.transforms import SpectralBlocks, so3_ft_forward
 
 rng = np.random.default_rng(505)
@@ -138,6 +140,90 @@ class TestSpatialViews:
             scale = max(1.0, np.abs(slow.samples).max())
             err = np.abs(fast.samples - slow.samples).max() / scale
             assert err < 1e-6, (m_in, m_out, err)
+
+
+def per_node_relative_euler(alpha_out, beta_out, alphas_in, betas_in):
+    """Euler angles of R(a', b', 0)^{-1} R(a, b, 0) for one output node
+    against every input node."""
+    ca, sa = np.cos(alpha_out), np.sin(alpha_out)
+    cb, sb = np.cos(beta_out), np.sin(beta_out)
+    R = np.array([[ca * cb, -sa, ca * sb],
+                  [sa * cb, ca, sa * sb],
+                  [-sb, 0.0, cb]])
+    cap, sap = np.cos(alphas_in), np.sin(alphas_in)
+    cbp, sbp = np.cos(betas_in), np.sin(betas_in)
+    Rp = np.empty((len(alphas_in), 3, 3))
+    Rp[:, 0, 0] = cap * cbp
+    Rp[:, 0, 1] = sap * cbp
+    Rp[:, 0, 2] = -sbp
+    Rp[:, 1, 0] = -sap
+    Rp[:, 1, 1] = cap
+    Rp[:, 1, 2] = 0.0
+    Rp[:, 2, 0] = cap * sbp
+    Rp[:, 2, 1] = sap * sbp
+    Rp[:, 2, 2] = cbp
+    Q = Rp @ R
+    sin_b = np.hypot(Q[:, 0, 2], Q[:, 1, 2])
+    beta = np.arctan2(sin_b, Q[:, 2, 2])
+    alpha = np.where(sin_b > 1e-12, np.arctan2(Q[:, 1, 2], Q[:, 0, 2]), 0.0)
+    gamma = np.where(sin_b > 1e-12, np.arctan2(Q[:, 2, 1], -Q[:, 2, 0]), 0.0)
+    gimbal = sin_b <= 1e-12
+    if np.any(gimbal):
+        flip = Q[:, 2, 2] < 0
+        sum_ang = np.arctan2(Q[:, 1, 0], Q[:, 0, 0])
+        diff_ang = np.arctan2(-Q[:, 0, 1], Q[:, 1, 1])
+        alpha = np.where(gimbal, np.where(flip, diff_ang, 0.0), alpha)
+        gamma = np.where(gimbal, np.where(flip, 0.0, sum_ang), gamma)
+        beta = np.where(gimbal, np.where(flip, np.pi, 0.0), beta)
+    return alpha, beta, gamma
+
+
+def per_node_oracle(field, kernel):
+    """The direct-space convolution one output node at a time."""
+    grid = field.grid
+    alphas, betas = grid.nodes[:, 0], grid.nodes[:, 1]
+    fin = field.flat()
+    out = np.zeros((kernel.c_out, grid.n_nodes), dtype=complex)
+    for node in range(grid.n_nodes):
+        a_q, b_q, g_q = per_node_relative_euler(alphas[node], betas[node],
+                                                alphas, betas)
+        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q, kernel.m_out)
+        kap = np.zeros((kernel.c_out, kernel.c_in, grid.n_nodes), dtype=complex)
+        phase_a = np.exp(-1j * kernel.m_in * a_q)
+        for l in kernel.degrees:
+            d = d_cols[l][:, kernel.m_in + l]
+            kap += kernel.coeff(l)[:, :, None] * (phase_a * d)[None, None, :]
+        integrand = kap * np.exp(-1j * kernel.m_out * g_q)[None, None, :]
+        out[:, node] = np.einsum("oip,ip,p->o", integrand, fin, grid.weights)
+    return out
+
+
+class TestOnePassOracle:
+    @pytest.mark.parametrize("B", [2, 3, 4])
+    def test_equals_the_per_node_loop_bit_for_bit(self, B, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral_conv, "wigner_d_column",
+                            lambda *a: calls.append(a) or wigner_d_column(*a))
+        for (m_in, m_out) in [(0, 0), (1, -1), (min(2, B - 1), 1)]:
+            field = random_field(B, m_in, channels=2)
+            kernel = random_kernel(m_in, m_out, B, c_out=3, c_in=2)
+            del calls[:]
+            got = conv_spatial_oracle(field, kernel).flat()
+            assert len(calls) == 1
+            assert np.array_equal(got, per_node_oracle(field, kernel))
+
+    def test_blocks_of_output_nodes_keep_the_bits(self, monkeypatch):
+        """A bound of 1000 d values splits B = 3 (36 nodes, 9 d values per
+        pair) into 12 blocks of 3 output nodes."""
+        calls = []
+        monkeypatch.setattr(spectral_conv, "wigner_d_column",
+                            lambda *a: calls.append(a) or wigner_d_column(*a))
+        monkeypatch.setattr(spectral_conv, "_ORACLE_FLOATS", 1000)
+        field = random_field(3, 1, channels=2)
+        kernel = random_kernel(1, -1, 3, c_out=3, c_in=2)
+        got = conv_spatial_oracle(field, kernel).flat()
+        assert len(calls) == 12
+        assert np.array_equal(got, per_node_oracle(field, kernel))
 
 
 class TestEquivariance:
