@@ -11,6 +11,9 @@ run_suite is the one gate for a configuration: it raises CheckConfigError
 for an unknown suite, bandwidth < 2, trials < 1, oversample < 1 or seed < 0
 before any check runs, so every check may assume B >= 2.  (At B = 1 every
 S^2 field is a constant, so no order-1 field, kernel or cotangent exists.)
+It also rejects bandwidth > 128 and bandwidth * oversample > 256, the
+largest grids the tests run, so a huge value ends as a usage error rather
+than in an allocation.
 An exception raised inside a check does not stop the suite: that check is
 recorded as failed, with measured error inf and the exception in
 CheckResult.error, and the remaining checks run.
@@ -49,6 +52,10 @@ __all__ = ["CheckResult", "CheckReport", "CheckConfigError", "run_suite",
 
 class CheckConfigError(ValueError):
     """A check configuration that run_suite rejects before any check runs."""
+
+
+_MAX_BANDWIDTH = 128        # the grid of TestAccuracyAtB128
+_MAX_WORK_BANDWIDTH = 256   # bandwidth * oversample, as in the B = 128 layer
 
 
 @dataclass
@@ -678,6 +685,13 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
         if cfg[key] < least:
             raise CheckConfigError(f"{key} must be at least {least}, "
                                    f"got {cfg[key]}")
+    if cfg["bandwidth"] > _MAX_BANDWIDTH:
+        raise CheckConfigError(f"bandwidth must be at most {_MAX_BANDWIDTH}, "
+                               f"got {cfg['bandwidth']}")
+    if cfg["bandwidth"] * cfg["oversample"] > _MAX_WORK_BANDWIDTH:
+        raise CheckConfigError(
+            f"bandwidth * oversample must be at most {_MAX_WORK_BANDWIDTH}, "
+            f"got {cfg['bandwidth']} * {cfg['oversample']}")
     echo = {k: v for k, v in cfg.items() if k != "tolerances"}
     echo["suites"] = names
     report = CheckReport(suite, echo)

@@ -31,11 +31,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="suite name or 'all' (choices: "
                             + ", ".join(list(SUITES) + ["all"]) + ")")
     check.add_argument("--bandwidth", type=int, default=8, metavar="B",
-                       help="grid bandwidth, at least 2 (default 8)")
+                       help="grid bandwidth, 2 to 128 (default 8)")
     check.add_argument("--seed", type=int, default=42)
     check.add_argument("--trials", type=int, default=20)
     check.add_argument("--oversample", type=int, default=2,
-                       help="activation-grid oversampling factor")
+                       help="activation-grid oversampling factor, with "
+                            "bandwidth x oversample at most 256 (default 2)")
     check.add_argument("--report", metavar="PATH",
                        help="write the report to this path")
     check.add_argument("--format", choices=("json", "csv"), default="json",

@@ -198,15 +198,16 @@ def field_from_spin_coeffs(coeffs: list, order: int,
 def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     """Bandlimited resampling of an order-k field onto a finer/coarser grid.
 
-    Coarsening silently truncates degrees >= new bandwidth: every degree is
-    analysed and those not kept are dropped.
+    Coarsening silently truncates degrees >= new bandwidth: only the degrees
+    kept are analysed, from the plan of those degrees.
     """
     _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
     n = 2 * grid.bandwidth
-    coeffs = _degrees(_spin_analysis(field.flat().reshape(-1, n, n), grid, k), k)
-    return field_from_spin_coeffs(coeffs[:new_bandwidth], k,
-                                  quadrature_grid("S2", new_bandwidth))
+    a = _spin_analysis(field.flat().reshape(-1, n, n), grid, k,
+                       min(grid.bandwidth, new_bandwidth))
+    coeffs = _degrees(a, k)
+    return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,14 @@ def _interior_constants(l: int, lo: int, hi: int) -> tuple:
     return consts
 
 
-def _wigner_d_columns(lmax: int, betas, lo: int, hi: int) -> list:
+def _wigner_d_columns(lmax: int, betas, lo: int, hi: int):
     """Columns n = lo..hi of the small-d matrices d^l(beta), l = 0..lmax.
 
-    Returns a list indexed by l of real arrays [n_beta, 2l+1, n_cols] over
-    m = -l..l and the columns max(lo, -l)..min(hi, l); None where degree l
-    has none of them (l < min |n|).  Degree l does not depend on lmax.
+    Yields, for l = 0..lmax in order, a real array [n_beta, 2l+1, n_cols]
+    over m = -l..l and the columns max(lo, -l)..min(hi, l), or None where
+    degree l has none of them (l < min |n|).  Degree l does not depend on
+    lmax.  Only the last two degrees are held, so a caller that stores each
+    degree as it comes holds nothing else of size O(lmax^2).
 
     Entries with |m| = l or |n| = l use the closed boundary form in
     half-angle sines/cosines.  Interior entries follow the three-term
@@ -100,7 +102,8 @@ def _wigner_d_columns(lmax: int, betas, lo: int, hi: int) -> list:
     step carries d^{l-1} whole and adds the boundary columns n = +-l that
     lie in lo..hi.  Betas above pi/2 are computed at pi - beta and
     reflected with d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t
-    stays small.
+    stays small; each degree is reflected as it is yielded, on a copy, as
+    the recursion reads the unreflected one.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     flip = betas > np.pi / 2
@@ -109,11 +112,14 @@ def _wigner_d_columns(lmax: int, betas, lo: int, hi: int) -> list:
     e = np.arange(2 * lmax + 1)
     cp, sp = c[:, None] ** e, s[:, None] ** e
     t = (2.0 * s * s)[:, None, None]                      # 1 - cos(beta)
-    out: list = [None] * (lmax + 1)
+    first = max(1, lo, -hi)                       # the first degree from 1 on
     if lo <= 0 <= hi:
-        out[0] = np.ones((len(betas), 1, 1))
+        prev = np.ones((len(betas), 1, 1))
+        yield prev
+    else:
+        yield from [None] * min(first, lmax + 1)
     delta = -t                                    # d^1_00 - d^0_00
-    for l in range(max(1, lo, -hi), lmax + 1):
+    for l in range(first, lmax + 1):
         a, b = max(lo, -l), min(hi, l)            # the columns of degree l
         root, sign = _degree_constants(l)[:2]
         h = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n h_n
@@ -130,18 +136,17 @@ def _wigner_d_columns(lmax: int, betas, lo: int, hi: int) -> list:
             d[:, 1, -a] = np.cos(betas)                           # d^1_00
         elif f <= g:
             E, aUU, cVV = _interior_constants(l, f, g)
-            step = (E - t * aUU) * out[l - 1]
+            step = (E - t * aUU) * prev
             if cVV.size:
                 i = max(f, 2 - l) - f
                 step[:, 1:-1, i:i + cVV.shape[1]] += cVV * delta
-            d[:, 1:-1, f - a:g - a + 1] = out[l - 1] + step
+            d[:, 1:-1, f - a:g - a + 1] = prev + step
             delta = step
-        out[l] = d
-    if flip.any():
-        for l in range(max(1, lo, -hi), lmax + 1):   # d^0 = 1 is its own reflection
-            sign = _degree_constants(l)[1][max(lo, -l) + l:min(hi, l) + l + 1]
-            out[l][flip] = out[l][flip][:, ::-1] * sign
-    return out
+        prev = d
+        if flip.any():
+            d = d.copy()
+            d[flip] = d[flip][:, ::-1] * sign[cols]
+        yield d
 
 
 def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
@@ -149,7 +154,7 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     indexed by l of real arrays [n_beta, 2l+1, 2l+1], the columns
     -lmax..lmax of _wigner_d_columns.
     """
-    return _wigner_d_columns(lmax, betas, -lmax, lmax)
+    return list(_wigner_d_columns(lmax, betas, -lmax, lmax))
 
 
 def wigner_d_column(lmax: int, betas, k: int) -> list:

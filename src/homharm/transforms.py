@@ -22,32 +22,47 @@ with no loop over l or m and no fftshift:
   real-stacked matrix [B, 2B, 2 halves x C x (re, im)] of the FFT output;
 - one gather (scatter, for synthesis) between the GEMM's output and the
   flat l-major coefficients, at index l^2 + l + m - k^2, through the index
-  of ``_layout(B)``;
+  of ``_slots(B, L, k)``;
 - for synthesis, the inverse FFT along alpha.
 
-Plan layout: ``_spin_plan(grid, k)`` is one read-only array P[p, r, j],
-[B, B, 2B], per key (B, k).  Item p pairs the two alpha frequencies whose
-FFT indices are p (m = p, half 0) and B + p (m = -(B - p), half 1; item 0's
-second half is the unused Nyquist index).  Row r of item p holds
-d^l_{mk}(beta_j) for l = B-1-r of half 0 when r <= B-1-p and for l = r of
-half 1 otherwise, so each row serves one half, every degree up to B-1 fits
-in B rows, and the gather index depends on B alone.  Rows with l < |k| are
-zero.  A plan takes 16 B^3 bytes (0.5 MiB at B = 32, 32 MiB at B = 128).
-Analysis always runs the whole plan, and callers needing fewer degrees
-slice its output, so every degree count gives the same bits.
+Plan layout: ``_spin_plan(grid, k, L)`` is one read-only array P[p, r, j],
+[B, L, 2B], per key (B, |k|, L), where L <= B is the number of degrees the
+call reads.  Item p pairs the two alpha frequencies whose FFT indices are p
+(m = p, half 0) and B + p (m = -(B - p), half 1; item 0's second half is
+the unused Nyquist index).  In the full [B, B] (item, row) layout, row r of
+item p holds d^l_{m|k|}(beta_j) for l = B-1-r of half 0 when r <= B-1-p and
+for l = r of half 1 otherwise, so each row serves one half, every degree up
+to B-1 fits in B rows, and the gather index depends on B and L alone.  The
+window rule: item p keeps rows lo_p..lo_p+L-1, lo_p = B-L for p < L and 0
+otherwise, which hold every (l, m) with l < L; L = B is the full layout.
+Rows with l < |k| or l >= L are zero.  A plan takes 16 B^2 L bytes (0.5
+MiB at B = L = 32, 2 MiB at B = 64, L = 32, 32 MiB at B = L = 128).  The
+rows of degree l are the same bits at every L, so a transform over L < B
+degrees gives the bits of the full one sliced.
+
+The mirror: order -k reads the plan of |k| through
+d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k}.  Analysis reverses the alpha-frequency
+index (i -> -i mod 2B) of the FFT output, runs the |k| GEMM, and gathers
+(l, m) from the slot of (l, -m) times (-1)^(m+k); synthesis scatters with
+the sign into the slot of (l, -m), runs the GEMM, reverses, then runs the
+inverse FFT.  So orders k and -k share one plan.
 
 Plan cache: it holds at most ``_PLAN_BYTES`` (64 MiB) and evicts the least
-recently used plan; a plan larger than the bound (B >= 162) is returned
-without being stored.  An SO(3) transform reads the 2L-1 plans of its
-columns; when they cannot fit in the bound together (from B = 39 at full
-bandwidth), it builds them without storing them, so the plans of other
-calls survive.  ``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT
-and SO(3) transform pairs and everything built on them read this cache.
-``_plan_cache_info()`` reports its hits, misses and bytes held.  Building
-a plan runs ``wigner_d_column``, which reads ``harmonics._interior_constants``,
-the beta-independent recursion constants of each (degree l, column range);
-that cache keeps its most recent 4096 keys, O(l) floats per column: every
-column up to B = 64 (7.5 MiB there).
+recently used plan; a plan larger than the bound (16 B^2 L > 64 MiB, e.g.
+B = L >= 162 or B = 256, L > 64) is returned without being stored.  An
+SO(3) transform at bandwidth L reads the L plans (B, |n|, L) of its columns
+n, each once for both signs, 16 B^2 L^2 bytes in all; when they cannot fit
+in the bound together (from B = L = 46), it builds them without storing
+them, so the plans of other calls survive.  ``spin_coeffs``,
+``spin_synthesis``, ``resample``, the SHT and SO(3) transform pairs and
+everything built on them read this cache.  ``_plan_cache_info()`` reports
+its hits, misses, bytes held and keys.  Building a plan runs the column
+recursion ``harmonics._wigner_d_columns`` and writes each degree into the
+plan as it is yielded, so the build holds O(B L) floats beside the plan.
+The recursion reads ``harmonics._interior_constants``, the beta-independent
+recursion constants of each (degree l, column range); that cache keeps its
+most recent 4096 keys, O(l) floats per column: every column up to B = 64
+(7.5 MiB there).
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
@@ -67,7 +82,7 @@ from math import isqrt
 import numpy as np
 
 from .groups import QuadratureGrid
-from .harmonics import wigner_d_column
+from .harmonics import _wigner_d_columns
 
 # ---------------------------------------------------------------------------
 # Coefficient containers
@@ -165,7 +180,7 @@ def _as_channels(samples: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The plan: d^l_{mk}(beta_j) paired by alpha frequency, cached per (B, k)
+# The plan: d^l_{mk}(beta_j) paired by alpha frequency, cached per (B, |k|, L)
 # ---------------------------------------------------------------------------
 
 _PLAN_BYTES = 64 * 2 ** 20
@@ -174,45 +189,87 @@ _plan_counts = {"hits": 0, "misses": 0, "bytes": 0}
 
 
 @lru_cache(maxsize=64)
-def _layout(B: int) -> tuple:
-    """Where flat coefficient q = l^2 + l + m, l < B, sits in a bandwidth-B
-    plan: read-only int arrays [B^2] of its slot, degree l and order m.
+def _layout(B: int, L: int) -> tuple:
+    """Where flat coefficient q = l^2 + l + m, l < L, sits in a plan of
+    bandwidth B reading L <= B degrees: read-only int arrays [L^2] of its
+    slot, degree l and order m.
 
     Alpha frequency m lives at FFT index m mod 2B: item p = m mod B, half
-    h = 0 for m >= 0 (index p) and h = 1 for m < 0 (index B + p).  Row r of
-    item p is degree l = B-1-r of half 0 for r <= B-1-p and degree l = r of
-    half 1 otherwise, so every row serves exactly one half and the layout
-    does not depend on k.  The slot 2(pB + r) + h indexes the [B, B, 2]
-    (item, row, half) axes of the real-stacked coefficient matrix.
+    h = 0 for m >= 0 (index p) and h = 1 for m < 0 (index B + p).  In the
+    full [B, B] (item, row) layout, row r of item p is degree l = B-1-r of
+    half 0 for r <= B-1-p and degree l = r of half 1 otherwise, so every row
+    serves exactly one half and the layout does not depend on k.  Item p
+    keeps the L rows lo_p..lo_p+L-1, lo_p = B-L for p < L and 0 otherwise,
+    which hold every (l, m) with l < L.  The slot 2(pL + r - lo_p) + h
+    indexes the [B, L, 2] (item, row, half) axes of the real-stacked
+    coefficient matrix.
     """
-    l = np.repeat(np.arange(B), 2 * np.arange(B) + 1)
-    m = np.arange(B * B) - l * (l + 1)
+    l = np.repeat(np.arange(L), 2 * np.arange(L) + 1)
+    m = np.arange(L * L) - l * (l + 1)
     neg = m < 0
-    slot = 2 * ((m % B) * B + np.where(neg, l, B - 1 - l)) + neg
+    p = m % B
+    row = np.where(neg, l, B - 1 - l) - np.where(p < L, B - L, 0)
+    slot = 2 * (p * L + row) + neg
     for arr in (slot, l, m):
         arr.setflags(write=False)
     return slot, l, m
 
 
-def _spin_plan(grid: QuadratureGrid, k: int, store: bool = True) -> np.ndarray:
-    """The read-only plan P[p, r, j] = d^l_{mk}(beta_j), [B, B, 2B], with
-    (l, m) of item p and row r as in _layout, zero where l < |k|; cached on
-    (B, k) unless store is false.
+@lru_cache(maxsize=256)
+def _slots(B: int, L: int, k: int) -> tuple:
+    """The plan slot of each flat coefficient l^2 + l + m - k^2, l = |k|..L-1,
+    of an order-k transform, its sign and its synthesis weight (2l+1) times
+    the sign.  Order -k reads the |k| plan through the mirror
+    d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k}: the slot of (l, -m) with the sign
+    (-1)^(m+k), on alpha frequencies reversed by _reverse; order k >= 0 has
+    sign None (all +1).
     """
-    key = (grid.bandwidth, k)
+    slot, l, m = _layout(B, L)
+    q = np.arange(k * k, L * L)
+    sign = None
+    if k < 0:
+        sign = (-1.0) ** (m[q] + k)
+        q = q - 2 * m[q]
+    slot, weight = slot[q], 2.0 * l[q] + 1
+    if sign is not None:
+        weight *= sign
+        sign.setflags(write=False)
+    for arr in (slot, weight):
+        arr.setflags(write=False)
+    return slot, sign, weight
+
+
+@lru_cache(maxsize=64)
+def _reverse(B: int) -> np.ndarray:
+    """The alpha-frequency reversal: FFT index i -> -i mod 2B, read-only."""
+    index = -np.arange(2 * B) % (2 * B)
+    index.setflags(write=False)
+    return index
+
+
+def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None,
+               store: bool = True) -> np.ndarray:
+    """The read-only plan P[p, r, j] = d^l_{m|k|}(beta_j), [B, L, 2B], of
+    order |k| and degrees l < L (default B), with (l, m) of item p and row r
+    as in _layout, zero where l < |k| or l >= L; cached on (B, |k|, L)
+    unless store is false.  Each degree's rows are written as the recursion
+    yields them.
+    """
+    B = grid.bandwidth
+    k, L = abs(k), B if L is None else L
+    key = (B, k, L)
     plan = _plans.get(key)
     if plan is not None:
         _plans.move_to_end(key)
         _plan_counts["hits"] += 1
         return plan
     _plan_counts["misses"] += 1
-    B = grid.bandwidth
-    rows = _layout(B)[0] // 2
-    plan = np.zeros((B * B, 2 * B))
-    for l, d in enumerate(wigner_d_column(B - 1, grid.betas, k)):
+    rows = _layout(B, L)[0] // 2
+    plan = np.zeros((B * L, 2 * B))
+    for l, d in enumerate(_wigner_d_columns(L - 1, grid.betas, k, k)):
         if d is not None:
-            plan[rows[l * l:(l + 1) ** 2]] = d.T
-    plan = plan.reshape(B, B, 2 * B)
+            plan[rows[l * l:(l + 1) ** 2]] = d[:, :, 0].T
+    plan = plan.reshape(B, L, 2 * B)
     plan.setflags(write=False)
     if store and plan.nbytes <= _PLAN_BYTES:
         _plans[key] = plan
@@ -223,8 +280,8 @@ def _spin_plan(grid: QuadratureGrid, k: int, store: bool = True) -> np.ndarray:
 
 
 def _plan_cache_info() -> dict:
-    """Hits, misses and bytes held by the plan cache, and its keys from
-    least to most recently used."""
+    """Hits, misses and bytes held by the plan cache, and its keys
+    (B, |k|, L) from least to most recently used."""
     return {**_plan_counts, "keys": list(_plans)}
 
 
@@ -234,43 +291,59 @@ def _plan_cache_info() -> dict:
 
 
 def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
-                   store: bool = True) -> np.ndarray:
+                   L: int | None = None, plan: np.ndarray | None = None
+                   ) -> np.ndarray:
     """a^l_m = sum_{i,j} w_j e^{i m alpha_i} d^l_{mk}(beta_j) f[c, i, j] / 2B.
 
-    f holds samples [channels, alpha, beta].  Returns every degree
-    l = |k|..B-1 as flat coefficients [channels, B^2 - k^2] at
-    l^2 + l + m - k^2.
+    f holds samples [channels, alpha, beta].  Returns the degrees
+    l = |k|..L-1 (L <= B, default B) as flat coefficients
+    [channels, L^2 - k^2] at l^2 + l + m - k^2.  plan, if given, is
+    _spin_plan(grid, k, L).
     """
     B = grid.bandwidth
+    L = B if L is None else L
     C = f.shape[0]
     F = np.fft.ifft(f, axis=1)                      # frequency m at m mod 2B
+    if k < 0:
+        F = F[:, _reverse(B)]                       # frequency -m at m mod 2B
     # [c, h, p, j] -> [p, j, h, c], weighted by w_j
     X = np.multiply(F.reshape(C, 2, B, 2 * B).transpose(2, 3, 1, 0),
                     grid.beta_weights[:, None, None], order="C")
-    Y = np.matmul(_spin_plan(grid, k, store),
-                  X.view(float).reshape(B, 2 * B, 4 * C))   # [p, r, (h, c)]
-    return Y.view(complex).reshape(2 * B * B, C)[_layout(B)[0][k * k:]].T
+    if plan is None:
+        plan = _spin_plan(grid, k, L)
+    Y = np.matmul(plan, X.view(float).reshape(B, 2 * B, 4 * C))  # [p, r, (h, c)]
+    slot, sign, _ = _slots(B, L, k)
+    a = Y.view(complex).reshape(2 * B * L, C)[slot].T
+    if sign is not None:
+        a *= sign
+    return a
 
 
 def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int,
-                    store: bool = True) -> np.ndarray:
+                    plan: np.ndarray | None = None) -> np.ndarray:
     """f[c, i, j] = sum_l (2l+1) sum_m a^l_m e^{-i m alpha_i} d^l_{mk}(beta_j).
 
     a holds flat coefficients [channels, L^2 - k^2] for l = |k|..L-1, L <= B,
     as _spin_analysis returns them.  Returns samples [channels, alpha, beta].
+    plan, if given, is _spin_plan(grid, k, L).
     """
     B = grid.bandwidth
     C = a.shape[0]
-    slot, l = _layout(B)[:2]
-    q = slice(k * k, k * k + a.shape[1])
-    X = np.zeros((2 * B * B, C), dtype=complex)     # [(p, r, h), c]
-    X[slot[q]] = (a * (2 * l[q] + 1)).T
-    Y = np.matmul(_spin_plan(grid, k, store).transpose(0, 2, 1),
-                  X.view(float).reshape(B, B, 4 * C))       # [p, j, (h, c)]
+    L = isqrt(k * k + a.shape[1])
+    slot, _, weight = _slots(B, L, k)
+    X = np.zeros((2 * B * L, C), dtype=complex)     # [(p, r, h), c]
+    X[slot] = (a * weight).T
+    if plan is None:
+        plan = _spin_plan(grid, k, L)
+    Y = np.matmul(plan.transpose(0, 2, 1),
+                  X.view(float).reshape(B, L, 4 * C))       # [p, j, (h, c)]
     # [p, j, h, c] -> [c, h, p, j]: row m mod 2B holds frequency m
     F = np.ascontiguousarray(
         Y.view(complex).reshape(B, 2 * B, 2, C).transpose(3, 2, 0, 1))
-    return np.fft.fft(F.reshape(C, 2 * B, 2 * B), axis=1)
+    F = F.reshape(C, 2 * B, 2 * B)
+    if k < 0:
+        F = F[:, _reverse(B)]
+    return np.fft.fft(F, axis=1)
 
 
 def _degrees(a: np.ndarray, k: int) -> list:
@@ -292,10 +365,10 @@ def _flat(coeffs: list, k: int, channels: int) -> np.ndarray:
 
 
 def _so3_store(B: int, L: int) -> bool:
-    """Whether the 2L - 1 plans of one SO(3) transform fit in the cache
-    together; if not, they are built without being stored, so they do not
-    evict the plans of other calls."""
-    return (2 * L - 1) * 16 * B ** 3 <= _PLAN_BYTES
+    """Whether the L plans (|k| < L) of one SO(3) transform at bandwidth L
+    fit in the cache together; if not, they are built without being stored,
+    so they do not evict the plans of other calls."""
+    return L * 16 * B * B * L <= _PLAN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +379,7 @@ def _so3_store(B: int, L: int) -> bool:
 def _sht_relabel(B: int) -> tuple:
     """Index of a^l_{-m} and the factor sqrt(2l+1) (-1)^m for each flat
     index l^2 + l + m, l < B."""
-    _, l, m = _layout(B)
+    _, l, m = _layout(B, B)
     return np.arange(B * B) - 2 * m, np.sqrt(2 * l + 1) * (-1.0) ** m
 
 
@@ -356,11 +429,13 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
     G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
     blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
     store = _so3_store(B, bandwidth)
-    for col in range(-(bandwidth - 1), bandwidth):
-        a = _spin_analysis(G[..., col % n], grid, col, store)
-        a = _degrees(a[:, :bandwidth ** 2 - col * col], col)
-        for l in range(abs(col), bandwidth):
-            blocks.blocks[l][:, :, col + l] = a[l]
+    for k in range(bandwidth):
+        plan = _spin_plan(grid, k, bandwidth, store)
+        for col in sorted({k, -k}):
+            a = _degrees(_spin_analysis(G[..., col % n], grid, col, bandwidth,
+                                        plan), col)
+            for l in range(k, bandwidth):
+                blocks.blocks[l][:, :, col + l] = a[l]
     return blocks
 
 
@@ -379,9 +454,11 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     C = blocks.channels
     G = np.zeros((n, C, n, n), dtype=complex)   # [n mod 2B, c, alpha, beta]
     store = _so3_store(B, L)
-    for col in range(-(L - 1), L):
-        G[col % n] = _spin_synthesis(np.concatenate(blocks.column(col), axis=1),
-                                     grid, col, store)
+    for k in range(L):
+        plan = _spin_plan(grid, k, L, store)
+        for col in sorted({k, -k}):
+            G[col % n] = _spin_synthesis(
+                np.concatenate(blocks.column(col), axis=1), grid, col, plan)
     f = np.moveaxis(np.fft.fft(G, axis=0), 0, -1)   # [c, alpha, beta, gamma]
     return f.reshape(C, n ** 3)
 

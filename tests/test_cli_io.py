@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,33 @@ class TestCli:
                 checks.run_suite("all", bad)
         with pytest.raises(checks.CheckConfigError, match="unknown suite"):
             checks.run_suite("nope")
+
+    def test_upper_bounds_are_usage_errors(self, capsys, monkeypatch):
+        # the gate rejects these before anything is allocated or run
+        from homharm import checks
+
+        def must_not_run(rng, cfg):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(checks, "SUITES", {
+            suite: [(name, must_not_run, tol) for name, _, tol in entries]
+            for suite, entries in checks.SUITES.items()})
+        for argv, match in (
+                (["--bandwidth", str(10 ** 9)], "bandwidth must be at most 128"),
+                (["--bandwidth", "129", "--oversample", "1"], "at most 128"),
+                (["--oversample", str(10 ** 9)], "bandwidth \\* oversample"),
+                (["--bandwidth", "128", "--oversample", "3"], "at most 256"),
+                (["--bandwidth", "2", "--oversample", "129"], "at most 256")):
+            assert main(["check", *argv]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert re.search(match, err), (argv, err)
+        # the largest accepted sizes pass the gate (every check then runs)
+        for cfg in ({"bandwidth": 128, "oversample": 2},
+                    {"bandwidth": 2, "oversample": 128}):
+            report = checks.run_suite("transforms", cfg)
+            assert all(c.error == "AssertionError: a check ran"
+                       for c in report.checks)
 
     def _break_one_check(self, monkeypatch):
         """Make the first transforms check raise; return its name."""

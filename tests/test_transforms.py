@@ -1,14 +1,17 @@
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from homharm import transforms
-from homharm.fields import FieldType, TensorField, spin_coeffs, spin_synthesis
+from homharm.fields import (FieldType, TensorField, resample, spin_coeffs,
+                            spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import sph_harm_matrix, wigner_D_matrix, wigner_d_column
 from homharm.transforms import (_PLAN_BYTES, ShtCoeffs, SpectralBlocks,
-                                _plan_cache_info, _spin_plan, fiber_dft,
+                                _plan_cache_info, _spin_analysis, _spin_plan,
+                                fiber_dft,
                                 sht_forward, sht_inverse, so3_ft_forward,
                                 so3_ft_inverse)
 
@@ -182,7 +185,8 @@ class TestSynthesisAgainstDirectSums:
 
 class TestPlanCache:
     """Spin-column plans and quadrature grids are built once and shared, so
-    they must be read-only, and the plan cache must keep its byte bound."""
+    they must be read-only, and the plan cache must keep its byte bound.
+    Plans are keyed on (B, |k|, L)."""
 
     def test_repeated_spin_coeffs_is_a_hit(self):
         grid = quadrature_grid("S2", 7)
@@ -194,9 +198,21 @@ class TestPlanCache:
         after = _plan_cache_info()
         assert (after["hits"], after["misses"]) == (before["hits"] + 1,
                                                     before["misses"])
-        assert after["keys"][-1] == (7, 2)
+        assert after["keys"][-1] == (7, 2, 7)
         for a, b in zip(first, again):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_order_minus_k_reads_the_plan_of_k(self):
+        grid = quadrature_grid("S2", 7)
+        samples = rng.standard_normal((1, grid.n_nodes))
+        spin_coeffs(TensorField(grid, FieldType("SO2", 2), samples))
+        before = _plan_cache_info()
+        spin_coeffs(TensorField(grid, FieldType("SO2", -2), samples))
+        after = _plan_cache_info()
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1,
+                                                    before["misses"])
+        assert after["keys"][-1] == (7, 2, 7)
+        assert after["bytes"] == before["bytes"]
 
     def test_cached_arrays_are_read_only(self):
         grid = quadrature_grid("S2", 4)
@@ -214,8 +230,8 @@ class TestPlanCache:
             _spin_plan(grid, k)
             info = _plan_cache_info()
             assert info["bytes"] <= _PLAN_BYTES
-        assert (128, 0) not in info["keys"]
-        assert info["keys"][-2:] == [(128, 1), (128, 2)]
+        assert (128, 0, 128) not in info["keys"]
+        assert info["keys"][-2:] == [(128, 1, 128), (128, 2, 128)]
         assert info["bytes"] == sum(transforms._plans[key].nbytes
                                     for key in info["keys"])
 
@@ -226,13 +242,14 @@ class TestPlanCache:
         plan = _spin_plan(grid, -5)           # 16 * 6^3 = 3456 bytes
         after = _plan_cache_info()
         assert plan.shape == (6, 6, 12)
-        assert (6, -5) not in after["keys"]
+        assert (6, 5, 6) not in after["keys"]
         assert after["bytes"] == before["bytes"]
         assert after["misses"] == before["misses"] + 1
 
     def test_so3_transform_over_the_bound_keeps_other_plans(self, monkeypatch):
-        # the 11 plans of a B = 6 SO(3) transform (3456 bytes each) do not fit
-        # in 8 KiB together, so they are built without evicting the S2 plan
+        # the 6 plans of a B = 6 SO(3) transform (3456 bytes each) do not fit
+        # in 8 KiB together, so they are built without evicting the S2 plan;
+        # columns -k and k share one plan
         monkeypatch.setattr(transforms, "_PLAN_BYTES", 8192)
         monkeypatch.setattr(transforms, "_plans", OrderedDict())
         monkeypatch.setattr(transforms, "_plan_counts",
@@ -247,10 +264,67 @@ class TestPlanCache:
             so3_ft_forward(rng.standard_normal(so3.n_nodes), so3)
             after = _plan_cache_info()
             assert after["keys"] == before["keys"]
-            assert after["misses"] - before["misses"] == 11
+            assert after["misses"] - before["misses"] == 6
         spin_coeffs(f)
         assert _plan_cache_info()["hits"] == after["hits"] + 1
-        assert _plan_cache_info()["keys"] == [(4, 0)]
+        assert _plan_cache_info()["keys"] == [(4, 0, 4)]
+
+    def test_so3_transform_stores_one_plan_per_order(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_plans", OrderedDict())
+        monkeypatch.setattr(transforms, "_plan_counts",
+                            {"hits": 0, "misses": 0, "bytes": 0})
+        so3 = quadrature_grid("SO3", 6)
+        blocks = so3_ft_forward(rng.standard_normal(so3.n_nodes), so3, 4)
+        so3_ft_inverse(blocks, so3)
+        info = _plan_cache_info()
+        assert (info["misses"], info["hits"]) == (4, 4)
+        assert info["keys"] == [(6, k, 4) for k in range(4)]
+        assert info["bytes"] == 4 * 16 * 6 * 6 * 4
+
+    def test_plan_is_built_in_place(self):
+        # the recursion's degrees are written into the plan as they come, so
+        # the build holds only O(B^2) temporaries beside the plan (the whole
+        # column list alone would take as many bytes as the plan)
+        grid = quadrature_grid("S2", 64)
+        tracemalloc.start()
+        try:
+            plan = _spin_plan(grid, 1, store=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * plan.nbytes
+
+
+class TestWindowedPlans:
+    """A transform reading L < B degrees uses the [B, L, 2B] window of the
+    full plan; its coefficients are the full analysis sliced, bit for bit."""
+
+    @pytest.mark.parametrize("B, L", [(64, 32), (32, 16), (16, 8)])
+    def test_coarsening_resample_reads_the_window(self, B, L):
+        grid = quadrature_grid("S2", B)
+        samples = (rng.standard_normal((2, grid.n_nodes))
+                   + 1j * rng.standard_normal((2, grid.n_nodes)))
+        for k in (0, 1, -1):
+            f = TensorField(grid, FieldType("SO2", k), samples)
+            full = spin_coeffs(f)
+            resample(f, L)                    # then synthesis on (L, |k|, L)
+            assert _plan_cache_info()["keys"][-2] == (B, abs(k), L)
+            assert transforms._plans[(B, abs(k), L)].nbytes == 16 * B * B * L
+            window = _spin_analysis(f.flat().reshape(2, 2 * B, 2 * B), grid,
+                                    k, L)
+            assert np.array_equal(window, np.concatenate(full[abs(k):L], axis=1))
+
+    def test_window_rows_are_the_full_plan_rows(self):
+        grid = quadrature_grid("S2", 16)
+        full_rows = transforms._layout(16, 16)[0][:36] // 2    # degrees < 6
+        rows = transforms._layout(16, 6)[0] // 2
+        for k in (0, 3):
+            full = _spin_plan(grid, k).reshape(-1, 32)
+            window = _spin_plan(grid, k, 6).reshape(-1, 32).copy()
+            assert window.shape == (16 * 6, 32)
+            assert np.array_equal(window[rows], full[full_rows])
+            window[rows] = 0.0                # every other row is zero
+            assert not window.any()
 
 
 def reference_spin_analysis(f, grid, k):
@@ -329,6 +403,31 @@ class TestAccuracyAtB128:
             assert np.abs(back[l] - coeffs[l]).max() < 1e-12
         again = spin_synthesis(back, k, grid)
         assert np.abs(again - f.flat()).max() < 1e-12 * np.abs(f.flat()).max()
+
+
+class TestAccuracyAtB256:
+    """Degrees below 64 on the B = 256 grid: each plan (256, |k|, 64) takes
+    exactly _PLAN_BYTES, so it is stored, and order -1 reads that of 1."""
+
+    B, L = 256, 64
+
+    def test_spin_round_trip(self):
+        grid = quadrature_grid("S2", self.B)
+        n = 2 * self.B
+        for k in (0, 1, -1):
+            coeffs = [None] * abs(k) + [
+                rng.standard_normal((1, 2 * l + 1))
+                + 1j * rng.standard_normal((1, 2 * l + 1))
+                for l in range(abs(k), self.L)]
+            before = _plan_cache_info()
+            f = spin_synthesis(coeffs, k, grid)
+            back = _spin_analysis(f.reshape(1, n, n), grid, k, self.L)
+            after = _plan_cache_info()
+            assert after["keys"][-1] == (self.B, abs(k), self.L)
+            assert after["bytes"] == _PLAN_BYTES
+            assert after["misses"] == before["misses"] + (k >= 0)
+            want = np.concatenate(coeffs[abs(k):], axis=1)
+            assert np.abs(back - want).max() < 1e-12
 
 
 class TestSpectralBlocks:
