@@ -280,9 +280,10 @@ def _check_conv_equivariance(rng, cfg):
             f = _rand_field(rng, B, m_in)
             base = conv_field(f, ker)
             scale = np.abs(base.flat()).max()
-            rots = [_rand_rotation(rng) for _ in range(cfg["trials"])]
-            for i in range(0, len(rots), _ROTATION_BLOCK):
-                block = rots[i:i + _ROTATION_BLOCK]
+            # drawn block by block (nothing else draws in between)
+            for i in range(0, cfg["trials"], _ROTATION_BLOCK):
+                block = [_rand_rotation(rng) for _ in
+                         range(min(_ROTATION_BLOCK, cfg["trials"] - i))]
                 diag = np.eye(len(block))[:, :, None] * ker.coeffs
                 lhs = conv_field(_induced_actions(block, f),
                                  SparseKernelSpec(m_in, m_out, B, diag))

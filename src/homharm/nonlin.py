@@ -14,6 +14,8 @@ holds a function on the SO(3) grid, but runs blocks of S^2 nodes through one
 real matrix product onto the gamma nodes, one activation call and one real
 matrix product back to the output orders.  ``lift_sum``, ``activate`` and
 ``project_column`` are the same steps on the whole SO(3) grid.
+``point_sphere_nonlin`` runs the same blocked map, ``_fiber_map``, with real
+harmonics as its synthesis and analysis matrices.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ def _erf(x) -> np.ndarray:
 
 
 def _shared_grid(fields: list):
-    """The grid every field sits on; ValueError if there is none or several."""
+    """The grid every field sits on; ValueError if there is none or several,
+    or if the fields' channel counts differ."""
     if not fields:
         raise ValueError("need at least one field")
     grid = fields[0].grid
@@ -188,6 +191,9 @@ def _shared_grid(fields: list):
         if f.grid is not grid and (f.grid.space != grid.space
                                    or f.grid.bandwidth != grid.bandwidth):
             raise ValueError("all fields must share a grid")
+        if f.channels != fields[0].channels:
+            raise ValueError("all fields must have the same channel count, "
+                             f"got {f.channels} and {fields[0].channels}")
     return grid
 
 
@@ -273,7 +279,7 @@ def project_kernel(gf: GroupFunction, kernel: GroupFunction,
 # ---------------------------------------------------------------------------
 
 
-_NODE_BLOCK = 32      # S^2 nodes per lift-activate-project block in nonlinearity
+_FIBER_BLOCK = 32     # S^2 nodes or points per activation call
 
 
 def _real_form(q: np.ndarray) -> np.ndarray:
@@ -284,10 +290,30 @@ def _real_form(q: np.ndarray) -> np.ndarray:
 
 def _real_rows(fields: list) -> np.ndarray:
     """Samples of K fields as a real array [channels, nodes, 2K] holding
-    Re f_1 .. Re f_K, Im f_1 .. Im f_K per node; a one-channel field is
-    broadcast against the others, as lift_sum's sum does."""
-    parts = np.broadcast_arrays(*[f.flat() for f in fields])
+    Re f_1 .. Re f_K, Im f_1 .. Im f_K per node."""
+    parts = [f.flat() for f in fields]
     return np.stack([p.real for p in parts] + [p.imag for p in parts], axis=-1)
+
+
+def _fiber_map(x: np.ndarray, synthesis: np.ndarray, spec: ActivationSpec,
+               analysis: np.ndarray) -> np.ndarray:
+    """spec(x @ synthesis) @ analysis for x [channels, rows, a], synthesis
+    [a, s] and analysis [s, b], _FIBER_BLOCK rows at a time: one apply_real
+    call per block on [channels, block * s] (an MLP mixes channels sample
+    by sample), so the fiber samples held do not grow with the rows.
+    Returns [channels', rows, b]."""
+    out = None
+    # one empty block when there are no rows, so the result has 0 rows
+    for start in range(0, max(x.shape[1], 1), _FIBER_BLOCK):
+        xb = x[:, start:start + _FIBER_BLOCK]
+        acted = spec.apply_real(
+            (xb.reshape(-1, xb.shape[2]) @ synthesis).reshape(x.shape[0], -1))
+        y = acted.reshape(-1, analysis.shape[0]) @ analysis
+        if out is None:     # an MLP may change the channel count
+            out = np.empty((acted.shape[0], x.shape[1], analysis.shape[1]))
+        out[:, start:start + xb.shape[1]] = y.reshape(acted.shape[0], -1,
+                                                      analysis.shape[1])
+    return out
 
 
 def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
@@ -300,11 +326,12 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     activation.
 
     The result is project_column(activate(lift_sum(work)), m) on the
-    oversampled fields, evaluated _NODE_BLOCK S^2 nodes at a time: the K
-    inputs of a block, as rows [Re f_k, Im f_k], times the real form of the
-    lift phases exp(-i k gamma_j) give the lifted samples at the n = 2 B_work
-    gamma nodes; one activation call acts on them; times the real form of
-    fiber_dft's phases exp(i m gamma_j) / n they give the output orders.
+    oversampled fields, evaluated by _fiber_map: the K inputs at each S^2
+    node, as rows [Re f_k, Im f_k], times the real form of the lift phases
+    exp(-i k gamma_j) give the lifted samples at the n = 2 B_work gamma
+    nodes; the activation acts on them; times the real form of fiber_dft's
+    phases exp(i m gamma_j) / n they give the output orders.  The fields
+    must have one channel count.
     """
     if oversample < 1:
         raise ValueError("oversample factor must be a positive integer")
@@ -317,26 +344,18 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
         return []
     B_work = B * oversample
     grid = quadrature_grid("S2", B_work)
-    # the resampled fields live only until they are stacked
-    x = _real_rows([resample(f, B_work) if B_work != B else f
-                    for f in fields_in])                      # [C, nodes, 2K]
     gammas = grid.alphas            # the SO(3) grid's gamma nodes
     n = gammas.size
     orders_in = np.array([f.field_type.order for f in fields_in])
     E = _real_form(np.exp(-1j * np.outer(orders_in, gammas)))   # [2K, 2n]
     P = _real_form(np.exp(1j * np.outer(gammas, out_orders)) / n)   # [2n, 2M]
-    n_ch, n_nodes, M = x.shape[0], grid.n_nodes, len(out_orders)
-    out = None
-    for start in range(0, n_nodes, _NODE_BLOCK):
-        xb = x[:, start:start + _NODE_BLOCK]
-        size = xb.shape[1]
-        lifted = xb.reshape(-1, xb.shape[2]) @ E             # [C size, 2n]
-        acted = spec.apply_real(lifted.reshape(n_ch, -1))    # [C', size 2n]
-        proj = (acted.reshape(-1, 2 * n) @ P).reshape(-1, size, 2 * M)
-        if out is None:
-            out = np.empty((M, proj.shape[0], n_nodes), dtype=complex)
-        out.real[:, :, start:start + size] = proj[:, :, :M].transpose(2, 0, 1)
-        out.imag[:, :, start:start + size] = proj[:, :, M:].transpose(2, 0, 1)
+    # the resampled fields live only until they are stacked, and their
+    # rows [C, nodes, 2K] only until they are mapped
+    proj = _fiber_map(_real_rows([resample(f, B_work) if B_work != B else f
+                                  for f in fields_in]),
+                      E, spec, P)                             # [C', nodes, 2M]
+    out = np.ascontiguousarray(proj.reshape(*proj.shape[:2], 2, -1).transpose(
+        3, 0, 1, 2)).view(complex)[..., 0]                  # [M, C', nodes]
     fields_out = []
     for m, samples in zip(out_orders, out):
         f = TensorField(grid, FieldType("SO2", m), samples)
@@ -348,9 +367,6 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
 # Per-point sphere nonlinearity for SE(3) features
 # ---------------------------------------------------------------------------
 
-_POINT_BLOCK = 32     # points per activation call in point_sphere_nonlin
-
-
 def point_sphere_nonlin(features: list, spec: ActivationSpec,
                         bandwidth: int) -> list:
     """Per-point nonlinearity on SE(3) features in the real basis.
@@ -361,13 +377,8 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     feature stack is synthesized as channels of a function on the sphere
     using real orthonormal harmonics Y, the activation is applied on the
     sphere grid (a per-point MLP mixes channels), and the result is
-    analyzed back to the same orders with the quadrature weights w.
-
-    Points go in blocks of _POINT_BLOCK: per block one synthesis matmul
-    with Y, one activation call on a [channels, points * nodes] array (valid
-    for every kind, as the MLP mixes channels node by node) and one
-    analysis matmul with Y w, so the sphere samples held at once do not
-    grow with the number of points.
+    analyzed back to the same orders with the quadrature weights w: the
+    points run through _fiber_map with synthesis Y^T and analysis Y w.
     """
     lmax = max(l for l, f in enumerate(features) if f is not None)
     if lmax >= bandwidth:
@@ -375,22 +386,14 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     grid = quadrature_grid("S2", bandwidth)
     Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
     Yw = Y * grid.weights[:, None]
-    n_nodes, dim = Y.shape
+    dim = Y.shape[1]
     n_pts, _, n_ch = next(f.shape for f in features if f is not None)
     coeff = np.zeros((n_ch, n_pts, dim))
     for l, f in enumerate(features):
         if f is None:
             continue
         coeff[:, :, l * l:(l + 1) * (l + 1)] = f.transpose(2, 0, 1)
-    blocks = []
-    # one empty block when there are no points, so the result has 0 rows
-    for start in range(0, max(n_pts, 1), _POINT_BLOCK):
-        c = coeff[:, start:start + _POINT_BLOCK]
-        vals = (c.reshape(-1, dim) @ Y.T).reshape(n_ch, -1)    # sphere samples
-        acted = spec.apply_real(vals)
-        blocks.append((acted.reshape(-1, n_nodes) @ Yw).reshape(
-            acted.shape[0], -1, dim))
-    back = np.concatenate(blocks, axis=1)                    # [ch, point, d]
+    back = _fiber_map(coeff, Y.T, spec, Yw)                  # [ch, point, d]
     out: list = [None] * len(features)
     for l, f in enumerate(features):
         if f is None:

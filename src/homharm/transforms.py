@@ -14,52 +14,49 @@ Every grid transform runs one spin transform pair (``_spin_analysis`` /
 n = k of its lift's SO(3) spectrum, so its transform reads only the columns
 d^l_{mk}(beta) of the small-d matrices: an FFT along alpha, then for each
 alpha frequency m one weighted sum over beta (the Kostelec-Rockmore
-separable scheme).  Each transform runs those sums as one batched real GEMM,
-with no loop over l or m and no fftshift:
+separable scheme).  Each transform over the degrees l < L runs those sums as
+one batched real GEMM, with no loop over l or m and no fftshift:
 
 - an FFT along alpha, which leaves frequency m at index m mod 2B;
+- a gather (scatter, for synthesis) of the 2L indices ``_freqs(B, L, k < 0)``
+  that hold the frequencies |m| < L;
 - one GEMM with the plan P (or its transpose, for synthesis) on the
-  real-stacked matrix [B, 2B, 2 halves x C x (re, im)] of the FFT output;
-- one gather (scatter, for synthesis) between the GEMM's output and the
-  flat l-major coefficients, at index l^2 + l + m - k^2, through the index
-  of ``_slots(B, L, k)``;
+  real-stacked matrix [L, 2B, 2 halves x C x (re, im)] of those rows;
+- one gather (scatter) between the GEMM's output and the flat l-major
+  coefficients, at index l^2 + l + m - k^2, through ``_slots(L, k)``;
 - for synthesis, the inverse FFT along alpha.
 
 Plan layout: ``_spin_plan(grid, k, L)`` is one read-only array P[p, r, j],
-[B, L, 2B], per key (B, |k|, L), where L <= B is the number of degrees the
-call reads.  Item p pairs the two alpha frequencies whose FFT indices are p
-(m = p, half 0) and B + p (m = -(B - p), half 1; item 0's second half is
-the unused Nyquist index).  In the full [B, B] (item, row) layout, row r of
-item p holds d^l_{m|k|}(beta_j) for l = B-1-r of half 0 when r <= B-1-p and
-for l = r of half 1 otherwise, so each row serves one half, every degree up
-to B-1 fits in B rows, and the gather index depends on B and L alone.  The
-window rule: item p keeps rows lo_p..lo_p+L-1, lo_p = B-L for p < L and 0
-otherwise, which hold every (l, m) with l < L; L = B is the full layout.
-Rows with l < |k| or l >= L are zero.  A plan takes 16 B^2 L bytes (0.5
-MiB at B = L = 32, 2 MiB at B = 64, L = 32, 32 MiB at B = L = 128).  The
-rows of degree l are the same bits at every L, so a transform over L < B
-degrees gives the bits of the full one sliced.
+[L, L, 2B], per key (B, |k|, L), where L <= B is the number of degrees the
+call reads.  Item p pairs the alpha frequencies m = p (half 0) and
+m = p - L (half 1; item 0's second half, m = -L, is unused).  Row r of item
+p holds d^l_{m|k|}(beta_j) for l = L-1-r of half 0 when r <= L-1-p and for
+l = r of half 1 otherwise, so each row serves one half and the layout
+depends on L alone.  Rows with l < |k| are zero: a plan has L^2 - k^2
+nonzero rows, one per coefficient, and takes 16 B L^2 bytes (0.5 MiB at
+B = L = 32, 1 MiB at B = 64, L = 32, 32 MiB at B = L = 128).  The rows of
+degree l are the same bits at every L, so a transform over L < B degrees
+gives the bits of the full one sliced.
 
 The mirror: order -k reads the plan of |k| through
-d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k}.  Analysis reverses the alpha-frequency
-index (i -> -i mod 2B) of the FFT output, runs the |k| GEMM, and gathers
-(l, m) from the slot of (l, -m) times (-1)^(m+k); synthesis scatters with
-the sign into the slot of (l, -m), runs the GEMM, reverses, then runs the
-inverse FFT.  So orders k and -k share one plan.
+d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k}.  Its alpha-frequency indices are
+negated (i -> -i mod 2B), and (l, m) sits in the slot of (l, -m) with the
+sign (-1)^(m+k).  So orders k and -k share one plan.
 
 Plan cache: it holds at most ``_PLAN_BYTES`` (64 MiB) and evicts the least
-recently used plan; a plan larger than the bound (16 B^2 L > 64 MiB, e.g.
-B = L >= 162 or B = 256, L > 64) is returned without being stored.  An
-SO(3) transform at bandwidth L reads the L plans (B, |n|, L) of its columns
-n, each once for both signs, 16 B^2 L^2 bytes in all; when they cannot fit
-in the bound together (from B = L = 46), it builds them without storing
-them, so the plans of other calls survive.  ``spin_coeffs``,
-``spin_synthesis``, ``resample``, the SHT and SO(3) transform pairs and
-everything built on them read this cache.  ``_plan_cache_info()`` reports
-its hits, misses, bytes held and keys.  Building a plan runs the column
-recursion ``harmonics._wigner_d_columns`` and writes each degree into the
-plan as it is yielded, so the build holds O(B L) floats beside the plan.
-The recursion reads ``harmonics._interior_constants``, the beta-independent
+recently used plan; only a plan smaller than the bound is stored, so one
+plan never flushes all the others: a plan of 16 B L^2 >= 64 MiB (e.g.
+B = L >= 162 or B = 256, L >= 128) is rebuilt on every call.  An SO(3)
+transform at bandwidth L reads the L plans (B, |n|, L) of its columns n,
+each once for both signs, 16 B L^3 bytes in all; unless they take less than
+the bound together (up to B = L = 45), it builds them without storing them,
+so the plans of other calls survive.  ``spin_coeffs``, ``spin_synthesis``,
+``resample``, the SHT and SO(3) transform pairs and everything built on
+them read this cache.  ``_plan_cache_info()`` reports its hits, misses,
+bytes held and keys.  Building a plan runs the column recursion
+``harmonics._wigner_d_columns`` and writes each degree into the plan as it
+is yielded, so the build holds O(B L) floats beside the plan.  The
+recursion reads ``harmonics._interior_constants``, the beta-independent
 recursion constants of each (degree l, column range); that cache keeps its
 most recent 4096 keys, O(l) floats per column: every column up to B = 64
 (7.5 MiB there).
@@ -189,42 +186,36 @@ _plan_counts = {"hits": 0, "misses": 0, "bytes": 0}
 
 
 @lru_cache(maxsize=64)
-def _layout(B: int, L: int) -> tuple:
-    """Where flat coefficient q = l^2 + l + m, l < L, sits in a plan of
-    bandwidth B reading L <= B degrees: read-only int arrays [L^2] of its
-    slot, degree l and order m.
+def _layout(L: int) -> tuple:
+    """Where flat coefficient q = l^2 + l + m, l < L, sits in a plan of L
+    degrees: read-only int arrays [L^2] of its slot, degree l and order m.
 
-    Alpha frequency m lives at FFT index m mod 2B: item p = m mod B, half
-    h = 0 for m >= 0 (index p) and h = 1 for m < 0 (index B + p).  In the
-    full [B, B] (item, row) layout, row r of item p is degree l = B-1-r of
-    half 0 for r <= B-1-p and degree l = r of half 1 otherwise, so every row
-    serves exactly one half and the layout does not depend on k.  Item p
-    keeps the L rows lo_p..lo_p+L-1, lo_p = B-L for p < L and 0 otherwise,
-    which hold every (l, m) with l < L.  The slot 2(pL + r - lo_p) + h
-    indexes the [B, L, 2] (item, row, half) axes of the real-stacked
+    Item p = m mod L pairs m = p (half h = 0) with m = p - L (h = 1).  Row
+    r of item p is degree l = L-1-r of half 0 for r <= L-1-p and degree
+    l = r of half 1 otherwise, so every row serves exactly one half and the
+    layout does not depend on k or on the grid.  The slot 2(pL + r) + h
+    indexes the [L, L, 2] (item, row, half) axes of the real-stacked
     coefficient matrix.
     """
     l = np.repeat(np.arange(L), 2 * np.arange(L) + 1)
     m = np.arange(L * L) - l * (l + 1)
     neg = m < 0
-    p = m % B
-    row = np.where(neg, l, B - 1 - l) - np.where(p < L, B - L, 0)
-    slot = 2 * (p * L + row) + neg
+    slot = 2 * ((m % L) * L + np.where(neg, l, L - 1 - l)) + neg
     for arr in (slot, l, m):
         arr.setflags(write=False)
     return slot, l, m
 
 
 @lru_cache(maxsize=256)
-def _slots(B: int, L: int, k: int) -> tuple:
+def _slots(L: int, k: int) -> tuple:
     """The plan slot of each flat coefficient l^2 + l + m - k^2, l = |k|..L-1,
     of an order-k transform, its sign and its synthesis weight (2l+1) times
     the sign.  Order -k reads the |k| plan through the mirror
     d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k}: the slot of (l, -m) with the sign
-    (-1)^(m+k), on alpha frequencies reversed by _reverse; order k >= 0 has
+    (-1)^(m+k), on the negated frequencies of _freqs; order k >= 0 has
     sign None (all +1).
     """
-    slot, l, m = _layout(B, L)
+    slot, l, m = _layout(L)
     q = np.arange(k * k, L * L)
     sign = None
     if k < 0:
@@ -239,21 +230,23 @@ def _slots(B: int, L: int, k: int) -> tuple:
     return slot, sign, weight
 
 
-@lru_cache(maxsize=64)
-def _reverse(B: int) -> np.ndarray:
-    """The alpha-frequency reversal: FFT index i -> -i mod 2B, read-only."""
-    index = -np.arange(2 * B) % (2 * B)
+@lru_cache(maxsize=256)
+def _freqs(B: int, L: int, reverse: bool) -> np.ndarray:
+    """The alpha-FFT indices [2, L] (half, item) of the plan's frequencies
+    m = p and m = p - L at m mod 2B, negated mod 2B when reverse (order -k);
+    read-only."""
+    index = (np.arange(L) + [[0], [2 * B - L]]) * (-1) ** reverse % (2 * B)
     index.setflags(write=False)
     return index
 
 
 def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None,
                store: bool = True) -> np.ndarray:
-    """The read-only plan P[p, r, j] = d^l_{m|k|}(beta_j), [B, L, 2B], of
+    """The read-only plan P[p, r, j] = d^l_{m|k|}(beta_j), [L, L, 2B], of
     order |k| and degrees l < L (default B), with (l, m) of item p and row r
-    as in _layout, zero where l < |k| or l >= L; cached on (B, |k|, L)
-    unless store is false.  Each degree's rows are written as the recursion
-    yields them.
+    as in _layout, zero where l < |k|; cached on (B, |k|, L) if store is
+    true and it takes less than _PLAN_BYTES.  Each degree's rows are written
+    as the recursion yields them.
     """
     B = grid.bandwidth
     k, L = abs(k), B if L is None else L
@@ -264,14 +257,14 @@ def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None,
         _plan_counts["hits"] += 1
         return plan
     _plan_counts["misses"] += 1
-    rows = _layout(B, L)[0] // 2
-    plan = np.zeros((B * L, 2 * B))
+    rows = _layout(L)[0] // 2
+    plan = np.zeros((L * L, 2 * B))
     for l, d in enumerate(_wigner_d_columns(L - 1, grid.betas, k, k)):
         if d is not None:
             plan[rows[l * l:(l + 1) ** 2]] = d[:, :, 0].T
-    plan = plan.reshape(B, L, 2 * B)
+    plan = plan.reshape(L, L, 2 * B)
     plan.setflags(write=False)
-    if store and plan.nbytes <= _PLAN_BYTES:
+    if store and plan.nbytes < _PLAN_BYTES:
         _plans[key] = plan
         _plan_counts["bytes"] += plan.nbytes
         while _plan_counts["bytes"] > _PLAN_BYTES:
@@ -304,16 +297,14 @@ def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
     L = B if L is None else L
     C = f.shape[0]
     F = np.fft.ifft(f, axis=1)                      # frequency m at m mod 2B
-    if k < 0:
-        F = F[:, _reverse(B)]                       # frequency -m at m mod 2B
-    # [c, h, p, j] -> [p, j, h, c], weighted by w_j
-    X = np.multiply(F.reshape(C, 2, B, 2 * B).transpose(2, 3, 1, 0),
+    # the plan's frequencies [c, h, p, j] -> [p, j, h, c], weighted by w_j
+    X = np.multiply(F[:, _freqs(B, L, k < 0)].transpose(2, 3, 1, 0),
                     grid.beta_weights[:, None, None], order="C")
     if plan is None:
         plan = _spin_plan(grid, k, L)
-    Y = np.matmul(plan, X.view(float).reshape(B, 2 * B, 4 * C))  # [p, r, (h, c)]
-    slot, sign, _ = _slots(B, L, k)
-    a = Y.view(complex).reshape(2 * B * L, C)[slot].T
+    Y = np.matmul(plan, X.view(float).reshape(L, 2 * B, 4 * C))  # [p, r, (h, c)]
+    slot, sign, _ = _slots(L, k)
+    a = Y.view(complex).reshape(2 * L * L, C)[slot].T
     if sign is not None:
         a *= sign
     return a
@@ -330,19 +321,17 @@ def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int,
     B = grid.bandwidth
     C = a.shape[0]
     L = isqrt(k * k + a.shape[1])
-    slot, _, weight = _slots(B, L, k)
-    X = np.zeros((2 * B * L, C), dtype=complex)     # [(p, r, h), c]
+    slot, _, weight = _slots(L, k)
+    X = np.zeros((2 * L * L, C), dtype=complex)     # [(p, r, h), c]
     X[slot] = (a * weight).T
     if plan is None:
         plan = _spin_plan(grid, k, L)
     Y = np.matmul(plan.transpose(0, 2, 1),
-                  X.view(float).reshape(B, L, 4 * C))       # [p, j, (h, c)]
-    # [p, j, h, c] -> [c, h, p, j]: row m mod 2B holds frequency m
-    F = np.ascontiguousarray(
-        Y.view(complex).reshape(B, 2 * B, 2, C).transpose(3, 2, 0, 1))
-    F = F.reshape(C, 2 * B, 2 * B)
-    if k < 0:
-        F = F[:, _reverse(B)]
+                  X.view(float).reshape(L, L, 4 * C))       # [p, j, (h, c)]
+    # [p, j, h, c] -> [c, h, p, j] at the rows of its frequencies
+    F = np.zeros((C, 2 * B, 2 * B), dtype=complex)
+    F[:, _freqs(B, L, k < 0)] = Y.view(complex).reshape(
+        L, 2 * B, 2, C).transpose(3, 2, 0, 1)
     return np.fft.fft(F, axis=1)
 
 
@@ -365,10 +354,11 @@ def _flat(coeffs: list, k: int, channels: int) -> np.ndarray:
 
 
 def _so3_store(B: int, L: int) -> bool:
-    """Whether the L plans (|k| < L) of one SO(3) transform at bandwidth L
-    fit in the cache together; if not, they are built without being stored,
-    so they do not evict the plans of other calls."""
-    return L * 16 * B * B * L <= _PLAN_BYTES
+    """Whether the L plans (|k| < L) of one SO(3) transform at bandwidth L,
+    16 B L^3 bytes, take less than the cache bound together; if not, they
+    are built without being stored, so they do not evict the plans of other
+    calls."""
+    return 16 * B * L ** 3 < _PLAN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +369,7 @@ def _so3_store(B: int, L: int) -> bool:
 def _sht_relabel(B: int) -> tuple:
     """Index of a^l_{-m} and the factor sqrt(2l+1) (-1)^m for each flat
     index l^2 + l + m, l < B."""
-    _, l, m = _layout(B, B)
+    _, l, m = _layout(B)
     return np.arange(B * B) - 2 * m, np.sqrt(2 * l + 1) * (-1.0) ** m
 
 

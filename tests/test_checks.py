@@ -1,7 +1,10 @@
 """The conv-commutes-with-action check, which applies the induced action to
 a block of rotations at once: it still fails on a convolution that is not
 equivariant, sends every drawn rotation through both sides in bounded
-blocks, and runs one Wigner-d recursion per block."""
+blocks, draws them block by block, and runs one Wigner-d recursion per
+block."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -53,6 +56,16 @@ def test_rotations_go_through_both_sides_in_bounded_blocks(monkeypatch):
     assert blocks[0::2] == blocks[1::2]          # f and conv(f) see the same g
     drawn = [g for b in blocks[0::2] for g in b]
     assert len(set(drawn)) == trials * pairs
+    # the draws of one list of all trials per order pair, drawn up front:
+    # drawing block by block leaves the report bytes as they were
+    rng = checks._rng_for(checks.default_config() | {"seed": 1}, NAME)[0]
+    want = []
+    for m_in in checks._orders(2):
+        for m_out in checks._orders(2):
+            checks._rand_kernel(rng, 2, m_in, m_out)
+            checks._rand_field(rng, 2, m_in)
+            want += [checks._rand_rotation(rng) for _ in range(trials)]
+    assert drawn == [(g.alpha, g.beta, g.gamma) for g in want]
 
 
 def test_one_wigner_recursion_per_block_and_side(monkeypatch):
@@ -66,3 +79,19 @@ def test_one_wigner_recursion_per_block_and_side(monkeypatch):
     monkeypatch.setattr(harmonics, "wigner_d_stack", counted)
     assert conv_check(4, 20) <= 1e-8
     assert len(calls) <= 2 * len(checks._orders(4)) ** 2
+
+
+def test_rotations_are_drawn_block_by_block():
+    """--trials does not build a list of all its rotations: the check's
+    peak traced memory at ten times the trials stays flat."""
+    conv_check(2, 32)                            # warm the caches
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            conv_check(2, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(320) <= 1.25 * peak(32)

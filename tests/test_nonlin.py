@@ -9,7 +9,7 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             project, resample)
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import real_sph_harm_matrix, wigner_D_real
-from homharm.nonlin import _ERF_EDGES, _ERF_PIECES, _NODE_BLOCK, _erf
+from homharm.nonlin import _ERF_EDGES, _ERF_PIECES, _FIBER_BLOCK, _erf
 from homharm.nonlin import (ActivationSpec, activate, delta_projection_kernel,
                             lift_sum, nonlinearity, point_sphere_nonlin,
                             project_column, project_kernel)
@@ -271,20 +271,25 @@ class TestFiberLocalNonlinearity:
     @pytest.mark.parametrize("kind", list(SPECS))
     def test_matches_full_grid(self, kind, B, oversample):
         # the working grid's node count leaves a partial last block
-        assert (2 * B * oversample) ** 2 % _NODE_BLOCK != 0
+        assert (2 * B * oversample) ** 2 % _FIBER_BLOCK != 0
         # order 0 twice; output order 2 is in no input
         self.assert_matches(self.fields(B, (0, -1, 0, 1), oversample),
                             self.SPECS[kind], [1, 2, 0, -2], oversample)
 
     def test_matches_full_grid_whole_blocks(self):
-        assert (2 * 4 * 2) ** 2 % _NODE_BLOCK == 0
+        assert (2 * 4 * 2) ** 2 % _FIBER_BLOCK == 0
         self.assert_matches(self.fields(4, (-1, 0, 1)), self.SPECS["relu"],
                             [-1, 0, 1], 2)
 
-    def test_single_channel_field_broadcasts(self):
+    def test_mixed_channel_counts_are_rejected(self):
+        # a one-channel field is not broadcast against C-channel fields
         fields = [random_field(3, 0, gen=np.random.default_rng(17))
                   ] + self.fields(3, (1,))
-        self.assert_matches(fields, self.SPECS["tanh"], [0, 1], 2)
+        assert fields[0].channels != fields[1].channels
+        with pytest.raises(ValueError, match="channel count"):
+            lift_sum(fields)
+        with pytest.raises(ValueError, match="channel count"):
+            nonlinearity(fields, self.SPECS["tanh"], [0, 1])
 
     def test_no_output_orders(self):
         assert nonlinearity(self.fields(3, (0,)), self.SPECS["relu"], []) == []

@@ -239,7 +239,7 @@ class TestPlanCache:
         monkeypatch.setattr(transforms, "_PLAN_BYTES", 1000)
         grid = quadrature_grid("S2", 6)
         before = _plan_cache_info()
-        plan = _spin_plan(grid, -5)           # 16 * 6^3 = 3456 bytes
+        plan = _spin_plan(grid, -5)           # 16 B L^2 = 16 * 6^3 = 3456 bytes
         after = _plan_cache_info()
         assert plan.shape == (6, 6, 12)
         assert (6, 5, 6) not in after["keys"]
@@ -279,7 +279,7 @@ class TestPlanCache:
         info = _plan_cache_info()
         assert (info["misses"], info["hits"]) == (4, 4)
         assert info["keys"] == [(6, k, 4) for k in range(4)]
-        assert info["bytes"] == 4 * 16 * 6 * 6 * 4
+        assert info["bytes"] == 4 * 16 * 6 * 4 * 4      # 16 B L^2 each
 
     def test_plan_is_built_in_place(self):
         # the recursion's degrees are written into the plan as they come, so
@@ -296,8 +296,9 @@ class TestPlanCache:
 
 
 class TestWindowedPlans:
-    """A transform reading L < B degrees uses the [B, L, 2B] window of the
-    full plan; its coefficients are the full analysis sliced, bit for bit."""
+    """A transform reading the degree window l < L < B uses the [L, L, 2B]
+    plan of the L-degree layout on the grid's betas; its coefficients are
+    the full analysis sliced, bit for bit."""
 
     @pytest.mark.parametrize("B, L", [(64, 32), (32, 16), (16, 8)])
     def test_coarsening_resample_reads_the_window(self, B, L):
@@ -307,24 +308,54 @@ class TestWindowedPlans:
         for k in (0, 1, -1):
             f = TensorField(grid, FieldType("SO2", k), samples)
             full = spin_coeffs(f)
+            before = _plan_cache_info()
             resample(f, L)                    # then synthesis on (L, |k|, L)
             assert _plan_cache_info()["keys"][-2] == (B, abs(k), L)
-            assert transforms._plans[(B, abs(k), L)].nbytes == 16 * B * B * L
+            assert transforms._plans[(B, abs(k), L)].nbytes == 16 * B * L * L
             window = _spin_analysis(f.flat().reshape(2, 2 * B, 2 * B), grid,
                                     k, L)
             assert np.array_equal(window, np.concatenate(full[abs(k):L], axis=1))
+            if k < 0:                         # order -1 reads the plans of 1
+                assert _plan_cache_info()["misses"] == before["misses"]
 
     def test_window_rows_are_the_full_plan_rows(self):
         grid = quadrature_grid("S2", 16)
-        full_rows = transforms._layout(16, 16)[0][:36] // 2    # degrees < 6
-        rows = transforms._layout(16, 6)[0] // 2
+        full_rows = transforms._layout(16)[0][:36] // 2        # degrees < 6
+        rows = transforms._layout(6)[0] // 2
         for k in (0, 3):
             full = _spin_plan(grid, k).reshape(-1, 32)
-            window = _spin_plan(grid, k, 6).reshape(-1, 32).copy()
-            assert window.shape == (16 * 6, 32)
-            assert np.array_equal(window[rows], full[full_rows])
-            window[rows] = 0.0                # every other row is zero
-            assert not window.any()
+            window = _spin_plan(grid, k, 6).reshape(-1, 32)
+            assert window.shape == (6 * 6, 32)
+            for l in range(6):                # degree l at its own slots
+                q = slice(l * l, (l + 1) ** 2)
+                assert np.array_equal(window[rows[q]], full[full_rows[q]])
+
+    @pytest.mark.parametrize("B, L, k", [(8, 8, 0), (8, 8, 3), (16, 5, 4),
+                                         (16, 9, 0), (16, 9, 1)])
+    def test_one_nonzero_row_per_coefficient(self, B, L, k):
+        # the rows of degrees |k| <= l < L, L^2 - k^2 of them, and no item
+        # of the plan is all zeros
+        plan = _spin_plan(quadrature_grid("S2", B), k, L)
+        nonzero = plan.any(axis=2)
+        assert plan.shape == (L, L, 2 * B)
+        assert nonzero.sum() == L * L - k * k
+        assert nonzero.any(axis=1).all()
+        rows = transforms._layout(L)[0][k * k:] // 2
+        assert np.array_equal(np.flatnonzero(nonzero), np.sort(rows))
+
+    def test_plan_of_exactly_the_bound_is_not_stored(self, monkeypatch):
+        # storing a plan of the bound would flush every other plan
+        monkeypatch.setattr(transforms, "_PLAN_BYTES", 16 * 8 * 4 * 4)
+        monkeypatch.setattr(transforms, "_plans", OrderedDict())
+        monkeypatch.setattr(transforms, "_plan_counts",
+                            {"hits": 0, "misses": 0, "bytes": 0})
+        grid = quadrature_grid("S2", 8)
+        _spin_plan(grid, 0, 2)                # 512 bytes: stored
+        plan = _spin_plan(grid, 1, 4)         # 16 B L^2 = 2048 bytes
+        assert plan.nbytes == transforms._PLAN_BYTES
+        info = _plan_cache_info()
+        assert (info["keys"], info["bytes"]) == ([(8, 0, 2)], 512)
+        assert info["misses"] == 2
 
 
 def reference_spin_analysis(f, grid, k):
@@ -407,7 +438,8 @@ class TestAccuracyAtB128:
 
 class TestAccuracyAtB256:
     """Degrees below 64 on the B = 256 grid: each plan (256, |k|, 64) takes
-    exactly _PLAN_BYTES, so it is stored, and order -1 reads that of 1."""
+    16 B L^2 = 16 MiB, a quarter of _PLAN_BYTES, so it is stored, and order
+    -1 reads that of 1."""
 
     B, L = 256, 64
 
@@ -424,7 +456,8 @@ class TestAccuracyAtB256:
             back = _spin_analysis(f.reshape(1, n, n), grid, k, self.L)
             after = _plan_cache_info()
             assert after["keys"][-1] == (self.B, abs(k), self.L)
-            assert after["bytes"] == _PLAN_BYTES
+            assert (transforms._plans[after["keys"][-1]].nbytes
+                    == 16 * self.B * self.L ** 2 == _PLAN_BYTES // 4)
             assert after["misses"] == before["misses"] + (k >= 0)
             want = np.concatenate(coeffs[abs(k):], axis=1)
             assert np.abs(back - want).max() < 1e-12
