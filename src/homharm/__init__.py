@@ -5,8 +5,7 @@ motions, plus the verification harness exercising their provable properties.
 
 __version__ = "0.1.0"
 
-from .groups import (QuadratureGrid, Rotation3, SE2Element, SE3Element,
-                     compose, inverse, quadrature_grid, section, twist)
+from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .fields import (FieldType, GroupFunction, TensorField, induced_action,
                      lift, project, regular_action)
 from .transforms import (ShtCoeffs, SpectralBlocks, fiber_dft, sht_forward,

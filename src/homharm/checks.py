@@ -13,7 +13,8 @@ before any check runs, so every check may assume B >= 2.  (At B = 1 every
 S^2 field is a constant, so no order-1 field, kernel or cotangent exists.)
 It also rejects bandwidth > 128 and bandwidth * oversample > 256, the
 largest grids the tests run, so a huge value ends as a usage error rather
-than in an allocation.
+than in an allocation, and trials > 1024, 32 rotation blocks per order pair
+in conv-commutes-with-action, so the run time stays bounded.
 An exception raised inside a check does not stop the suite: that check is
 recorded as failed, with measured error inf and the exception in
 CheckResult.error, and the remaining checks run.
@@ -56,6 +57,7 @@ class CheckConfigError(ValueError):
 
 _MAX_BANDWIDTH = 128        # the grid of TestAccuracyAtB128
 _MAX_WORK_BANDWIDTH = 256   # bandwidth * oversample, as in the B = 128 layer
+_MAX_TRIALS = 1024          # 32 blocks of _ROTATION_BLOCK per order pair
 
 
 @dataclass
@@ -686,9 +688,10 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
         if cfg[key] < least:
             raise CheckConfigError(f"{key} must be at least {least}, "
                                    f"got {cfg[key]}")
-    if cfg["bandwidth"] > _MAX_BANDWIDTH:
-        raise CheckConfigError(f"bandwidth must be at most {_MAX_BANDWIDTH}, "
-                               f"got {cfg['bandwidth']}")
+    for key, most in (("bandwidth", _MAX_BANDWIDTH), ("trials", _MAX_TRIALS)):
+        if cfg[key] > most:
+            raise CheckConfigError(f"{key} must be at most {most}, "
+                                   f"got {cfg[key]}")
     if cfg["bandwidth"] * cfg["oversample"] > _MAX_WORK_BANDWIDTH:
         raise CheckConfigError(
             f"bandwidth * oversample must be at most {_MAX_WORK_BANDWIDTH}, "

@@ -33,7 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--bandwidth", type=int, default=8, metavar="B",
                        help="grid bandwidth, 2 to 128 (default 8)")
     check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--trials", type=int, default=20)
+    check.add_argument("--trials", type=int, default=20,
+                       help="random draws per equivariance check, 1 to 1024 "
+                            "(default 20)")
     check.add_argument("--oversample", type=int, default=2,
                        help="activation-grid oversampling factor, with "
                             "bandwidth x oversample at most 256 (default 2)")

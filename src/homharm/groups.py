@@ -1,5 +1,5 @@
-"""Group elements for SO(3), SE(2), SE(3), coset sections, twist functions,
-and Haar-weighted quadrature grids.
+"""SO(3) rotations, the coset section, projection and twist of
+S^2 = SO(3)/SO(2), and Haar-weighted quadrature grids.
 
 Conventions used throughout the package:
 
@@ -102,111 +102,7 @@ class Rotation3:
 
 
 # ---------------------------------------------------------------------------
-# SE(2)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SE2Element:
-    """Rigid motion of the plane, translation in polar form plus rotation.
-
-    The translation is a*(cos phi, sin phi); theta is the rotation angle.
-    """
-
-    a: float
-    phi: float
-    theta: float
-
-    def __post_init__(self):
-        if self.a < 0.0:
-            raise ValueError("radius a must be nonnegative")
-
-    @staticmethod
-    def identity() -> "SE2Element":
-        return SE2Element(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_xy(x: float, y: float, theta: float) -> "SE2Element":
-        a = float(np.hypot(x, y))
-        phi = _wrap(np.arctan2(y, x)) if a > 0.0 else 0.0
-        return SE2Element(a, phi, _wrap(theta))
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.a * np.cos(self.phi), self.a * np.sin(self.phi)])
-
-    def matrix(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        x, y = self.xy
-        return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
-
-    @staticmethod
-    def from_matrix(M: np.ndarray) -> "SE2Element":
-        M = np.asarray(M, dtype=float)
-        theta = np.arctan2(M[1, 0], M[0, 0])
-        return SE2Element.from_xy(M[0, 2], M[1, 2], theta)
-
-    def compose(self, other: "SE2Element") -> "SE2Element":
-        return SE2Element.from_matrix(self.matrix() @ other.matrix())
-
-    def inverse(self) -> "SE2Element":
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        x, y = self.xy
-        return SE2Element.from_xy(-(c * x + s * y), -(-s * x + c * y), -self.theta)
-
-
-# ---------------------------------------------------------------------------
-# SE(3)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SE3Element:
-    """Rigid motion of 3-space: translation x followed by rotation R."""
-
-    x: np.ndarray
-    R: Rotation3
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
-
-    @staticmethod
-    def identity() -> "SE3Element":
-        return SE3Element(np.zeros(3), Rotation3.identity())
-
-    def matrix(self) -> np.ndarray:
-        M = np.eye(4)
-        M[:3, :3] = self.R.matrix()
-        M[:3, 3] = self.x
-        return M
-
-    @staticmethod
-    def from_matrix(M: np.ndarray) -> "SE3Element":
-        M = np.asarray(M, dtype=float)
-        return SE3Element(M[:3, 3], Rotation3.from_matrix(M[:3, :3]))
-
-    def compose(self, other: "SE3Element") -> "SE3Element":
-        return SE3Element(self.x + self.R.apply(other.x), self.R.compose(other.R))
-
-    def inverse(self) -> "SE3Element":
-        Rinv = self.R.inverse()
-        return SE3Element(-Rinv.apply(self.x), Rinv)
-
-
-GroupElement = Rotation3 | SE2Element | SE3Element
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Group product g1 * g2, canonicalized to the stored parameter ranges."""
-    if type(g1) is not type(g2):
-        raise TypeError(f"cannot compose {type(g1).__name__} with {type(g2).__name__}")
-    return g1.compose(g2)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-# ---------------------------------------------------------------------------
-# Sections, coset projections and twists
+# The S^2 section, coset projection and twist
 # ---------------------------------------------------------------------------
 
 def section_s2(alpha: float, beta: float) -> Rotation3:
@@ -217,27 +113,6 @@ def section_s2(alpha: float, beta: float) -> Rotation3:
 def project_s2(g: Rotation3) -> tuple[float, float]:
     """Coset projection SO(3) -> S^2 (image of the north pole); gamma drops."""
     return g.alpha, g.beta
-
-
-def section_r2(x: np.ndarray) -> SE2Element:
-    """Coset section for R^2 = SE(2)/SO(2): translation with zero rotation."""
-    x = np.asarray(x, dtype=float)
-    return SE2Element.from_xy(x[0], x[1], 0.0)
-
-
-def section_r3(x: np.ndarray) -> SE3Element:
-    """Coset section for R^3 = SE(3)/SO(3): translation with identity rotation."""
-    return SE3Element(np.asarray(x, dtype=float), Rotation3.identity())
-
-
-def section(space: str, x) -> GroupElement:
-    if space == "S2":
-        return section_s2(x[0], x[1])
-    if space == "R2":
-        return section_r2(x)
-    if space == "R3":
-        return section_r3(x)
-    raise ValueError(f"unknown homogeneous space {space!r}")
 
 
 def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
@@ -252,26 +127,6 @@ def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
     if h.beta > 1e-9 and np.pi - h.beta > 1e-9:
         raise ValueError("twist did not land in the stabilizer")
     return _wrap(h.alpha + h.gamma)
-
-
-def twist_se2(g: SE2Element, x=None) -> float:
-    """Twist of SE(2) acting on R^2; independent of the base point."""
-    return g.theta
-
-
-def twist_se3(g: SE3Element, x=None) -> Rotation3:
-    """Twist of SE(3) acting on R^3; independent of the base point."""
-    return g.R
-
-
-def twist(g: GroupElement, x=None):
-    if isinstance(g, Rotation3):
-        return twist_s2(g, x)
-    if isinstance(g, SE2Element):
-        return twist_se2(g, x)
-    if isinstance(g, SE3Element):
-        return twist_se3(g, x)
-    raise TypeError(f"unsupported group element {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -168,13 +168,6 @@ def wigner_d_column(lmax: int, betas, k: int) -> list:
             for d in _wigner_d_columns(lmax, betas, k, k)]
 
 
-def wigner_d(l: int, beta: float) -> np.ndarray:
-    """Real orthogonal small-d matrix d^l(beta), indices m, n in -l..l."""
-    if l < 0:
-        raise ValueError("degree l must be >= 0")
-    return wigner_d_stack(l, [beta])[l][0]
-
-
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
     if l < 0:
@@ -249,21 +242,6 @@ def _small_d(lmax: int, betas, zonal: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # Spherical harmonics
 # ---------------------------------------------------------------------------
-
-
-def sph_harm(l: int, m: int, alpha, beta):
-    """Y^l_m at azimuth alpha, colatitude beta (orthonormal, unit-area sphere).
-
-    Y^l_m(alpha, beta) = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta); dividing by
-    sqrt(4pi) recovers the usual quantum-mechanics normalization.
-    """
-    if abs(m) > l:
-        raise ValueError("|m| must not exceed l")
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    d = wigner_d_column(l, np.ravel(beta), 0)[l][:, l + m]
-    val = np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d.reshape(beta.shape)
-    return val if val.shape else complex(val)
 
 
 def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:

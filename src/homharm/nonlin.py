@@ -158,21 +158,28 @@ _ERF_PIECES = (_erf_tiny, _erf_small, _erf_mid, _erf_tail(_ERF_RA, _ERF_SA),
 
 
 def _erf(x) -> np.ndarray:
-    """Elementwise erf of a float array, within an ulp of math.erf; one
-    search picks the pieces, and a one-piece array skips gather and scatter."""
+    """Elementwise erf of a float array, within an ulp of math.erf.  The
+    piece holding most elements runs on the whole array; only the elements
+    outside its range are gathered, searched and evaluated again."""
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).reshape(-1)
     ax = np.abs(x)
     # fmin skips nan and max keeps it, so a nan beside finite values is mixed
     lo, hi = np.searchsorted(_ERF_EDGES, [np.fmin.reduce(ax, initial=np.inf),
                                           ax.max(initial=0.0)], "right")
-    if lo == hi:
+    if lo >= hi:                          # one piece, or an empty array
         return _ERF_PIECES[lo](x, ax).reshape(shape)
-    piece = np.searchsorted(_ERF_EDGES, ax, "right")
-    out = np.empty_like(x)
-    for k in range(lo, hi + 1):           # none for an empty array
-        i = np.flatnonzero(piece == k)
-        out[i] = _ERF_PIECES[k](x[i], ax[i])
+    # elements below each edge between the pieces lo..hi; nan is below none
+    below = [np.count_nonzero(ax < e) for e in _ERF_EDGES[lo:hi]]
+    k = lo + int(np.argmax(np.diff(below, prepend=0, append=x.size)))
+    with np.errstate(all="ignore"):       # the values outside are replaced
+        out = _ERF_PIECES[k](x, ax)
+    lower, upper = np.r_[0.0, _ERF_EDGES, np.inf][[k, k + 1]]
+    i = np.flatnonzero((ax < lower) | ~(ax < upper))   # nan and inf too
+    piece = np.searchsorted(_ERF_EDGES, ax[i], "right")
+    for j in range(lo, hi + 1):
+        m = i[piece == j]
+        out[m] = _ERF_PIECES[j](x[m], ax[m])
     return out.reshape(shape)
 
 
@@ -333,7 +340,7 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     phases exp(i m gamma_j) / n they give the output orders.  The fields
     must have one channel count.
     """
-    if oversample < 1:
+    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError("oversample factor must be a positive integer")
     B = _shared_grid(fields_in).bandwidth
     for f in fields_in:
@@ -380,7 +387,10 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     analyzed back to the same orders with the quadrature weights w: the
     points run through _fiber_map with synthesis Y^T and analysis Y w.
     """
-    lmax = max(l for l, f in enumerate(features) if f is not None)
+    orders = [l for l, f in enumerate(features) if f is not None]
+    if not orders:
+        raise ValueError("point nonlinearity needs at least one feature order")
+    lmax = orders[-1]
     if lmax >= bandwidth:
         raise ValueError("feature order reaches the sphere bandwidth")
     grid = quadrature_grid("S2", bandwidth)

@@ -230,6 +230,8 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
     """
     if radius <= 0:
         raise ValueError("neighbor radius must be positive")
+    if not terms:
+        raise ValueError("point convolution needs at least one kernel term")
     weights = []
     for basis, weight in terms:
         weight = np.asarray(weight, dtype=float)

@@ -16,7 +16,8 @@ from homharm.cli import main as cli_main
 from homharm.fields import (field_from_spin_coeffs, induced_action, lift,
                             lift_spectrum)
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import clebsch_gordan, wigner_D_matrix, wigner_d
+from homharm.harmonics import (clebsch_gordan, wigner_D_matrix,
+                               wigner_d_stack)
 from homharm.nonlin import (ActivationSpec, activate, lift_sum, nonlinearity,
                             project_column)
 from homharm.se_kernels import (PointCloud, SE2KernelBasis, SE3KernelBasis,
@@ -319,7 +320,7 @@ def test_08_representation_golden_values():
             [-s / np.sqrt(2), c, s / np.sqrt(2)],
             [(1 - c) / 2, -s / np.sqrt(2), (1 + c) / 2],
         ])
-        worst = max(worst, np.abs(wigner_d(1, beta) - ref).max())
+        worst = max(worst, np.abs(wigner_d_stack(1, [beta])[1][0] - ref).max())
     report("wigner-d-l1-closed-form", worst, 1e-14)
 
     # (b) CG values against the Racah oracle, l <= 4

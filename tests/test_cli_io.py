@@ -246,17 +246,19 @@ class TestCli:
                 (["--bandwidth", "129", "--oversample", "1"], "at most 128"),
                 (["--oversample", str(10 ** 9)], "bandwidth \\* oversample"),
                 (["--bandwidth", "128", "--oversample", "3"], "at most 256"),
-                (["--bandwidth", "2", "--oversample", "129"], "at most 256")):
+                (["--bandwidth", "2", "--oversample", "129"], "at most 256"),
+                (["--trials", "1025"], "trials must be at most 1024")):
             assert main(["check", *argv]) == 2, argv
             out, err = capsys.readouterr()
             assert out == "", argv
             assert re.search(match, err), (argv, err)
         # the largest accepted sizes pass the gate (every check then runs)
-        for cfg in ({"bandwidth": 128, "oversample": 2},
-                    {"bandwidth": 2, "oversample": 128}):
-            report = checks.run_suite("transforms", cfg)
-            assert all(c.error == "AssertionError: a check ran"
-                       for c in report.checks)
+        for suite, cfg in (("transforms", {"bandwidth": 128, "oversample": 2}),
+                           ("transforms", {"bandwidth": 2, "oversample": 128}),
+                           ("se2", {"bandwidth": 2, "trials": 1024})):
+            report = checks.run_suite(suite, cfg)
+            assert report.checks and all(
+                c.error == "AssertionError: a check ran" for c in report.checks)
 
     def _break_one_check(self, monkeypatch):
         """Make the first transforms check raise; return its name."""

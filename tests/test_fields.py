@@ -8,6 +8,7 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             regular_action, resample, spin_coeffs,
                             spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
+from homharm.harmonics import wigner_d_column
 
 rng = np.random.default_rng(404)
 
@@ -25,6 +26,13 @@ def random_field(B, order, channels=1, scale=1.0):
 def random_rotation():
     return Rotation3(rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                      rng.uniform(0, 2 * np.pi))
+
+
+def sph_harm(l, m, alpha, beta):
+    """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta) at one point, with
+    d^l_{m0} from the recursion's column n = 0."""
+    d = wigner_d_column(l, [beta], 0)[l][0, l + m]
+    return np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d
 
 
 class TestFieldTypes:
@@ -166,7 +174,6 @@ class TestActions:
             alpha, beta = grid.nodes[idx]
             y = project_s2(gi.compose(section_s2(alpha, beta)))
             val = 0.0
-            from homharm.harmonics import sph_harm
             for l in range(8):
                 for m in range(-l, l + 1):
                     val += ((2 * l + 1) * coeffs[l][0, m + l]

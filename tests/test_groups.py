@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from homharm.groups import (Rotation3, SE2Element, SE3Element, compose,
-                            inverse, project_s2, quadrature_grid, section,
-                            section_s2, twist, twist_s2)
+from homharm.groups import (Rotation3, project_s2, quadrature_grid,
+                            section_s2, twist_s2)
 
 rng = np.random.default_rng(101)
 
@@ -61,28 +60,6 @@ class TestRotation3:
             Rotation3(0.0, -0.5, 0.0)
 
 
-class TestSE2SE3:
-    def test_se2_compose_inverse(self):
-        g = SE2Element.from_xy(1.0, -2.0, 0.7)
-        h = SE2Element.from_xy(0.3, 0.4, -1.1)
-        gh = compose(g, h)
-        assert np.allclose(gh.matrix(), g.matrix() @ h.matrix(), atol=1e-12)
-        assert np.allclose(compose(g, inverse(g)).matrix(), np.eye(3),
-                           atol=1e-12)
-
-    def test_se3_compose_inverse(self):
-        g = SE3Element(np.array([1.0, 0.0, -2.0]), random_rotation())
-        h = SE3Element(np.array([0.5, 0.5, 0.5]), random_rotation())
-        assert np.allclose(compose(g, h).matrix(),
-                           g.matrix() @ h.matrix(), atol=1e-12)
-        assert np.allclose(compose(inverse(g), g).matrix(), np.eye(4),
-                           atol=1e-12)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(TypeError):
-            compose(SE2Element.from_xy(0, 0, 0), random_rotation())
-
-
 class TestSectionsAndTwist:
     def test_section_hits_the_point(self):
         # s(x) applied to the north pole gives x
@@ -102,18 +79,6 @@ class TestSectionsAndTwist:
             gx = project_s2(gs)
             recon = section_s2(*gx).compose(Rotation3.rz(theta))
             assert np.allclose(recon.matrix(), gs.matrix(), atol=1e-10)
-
-    def test_twist_dispatch(self):
-        g = SE2Element.from_xy(1.0, 2.0, 0.3)
-        assert twist(g) == pytest.approx(0.3)
-        r = random_rotation()
-        se3 = SE3Element(np.zeros(3), r)
-        assert np.allclose(twist(se3).matrix(), r.matrix())
-
-    def test_section_dispatch(self):
-        assert isinstance(section("R3", np.zeros(3)), SE3Element)
-        with pytest.raises(ValueError):
-            section("R7", np.zeros(3))
 
 
 class TestQuadratureGrid:

@@ -9,11 +9,25 @@ from homharm.checks import run_suite
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import (_wigner_D_blocks, cg_matrix, clebsch_gordan,
                                real_basis_change, real_sph_harm_matrix,
-                               sph_harm, sph_harm_matrix, wigner_D_matrix,
-                               wigner_D_real, wigner_d, wigner_d_column,
-                               wigner_d_stack)
+                               sph_harm_matrix, wigner_D_matrix,
+                               wigner_D_real, wigner_d_column, wigner_d_stack)
 
 rng = np.random.default_rng(202)
+
+
+def wigner_d(l, beta):
+    """Real orthogonal d^l(beta) from the recursion, indices m, n in -l..l."""
+    return wigner_d_stack(l, [beta])[l][0]
+
+
+def sph_harm(l, m, alpha, beta):
+    """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta), with d^l_{m0} from
+    the recursion's column n = 0; a complex scalar for scalar angles."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    d = wigner_d_column(l, np.ravel(beta), 0)[l][:, l + m]
+    val = np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d.reshape(beta.shape)
+    return val if val.shape else complex(val)
 
 
 def d_matrix_oracle(l, beta):

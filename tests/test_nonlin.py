@@ -200,6 +200,12 @@ class TestNonlinearity:
             nonlinearity([random_field(3, 0)], ActivationSpec("relu"), [0],
                          oversample=0)
 
+    def test_fractional_oversample(self):
+        f = field_from_spin_coeffs([np.ones((1, 1)), np.ones((1, 3))], 0,
+                                   quadrature_grid("S2", 2))
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            nonlinearity([f], ActivationSpec("relu"), [0], oversample=1.5)
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="need at least one field"):
             nonlinearity([], ActivationSpec("relu"), [0])
@@ -351,6 +357,10 @@ class TestPointSphereNonlin:
         assert out[0].shape == (0, 1, 2) and out[1] is None
         assert out[2].shape == (0, 5, 2)
 
+    def test_no_feature_orders(self):
+        with pytest.raises(ValueError, match="at least one feature order"):
+            point_sphere_nonlin([None, None], ActivationSpec("relu"), 4)
+
     def test_order_must_fit_bandwidth(self):
         feats = [None, None, rng.standard_normal((1, 5, 1))]
         with pytest.raises(ValueError):
@@ -391,7 +401,7 @@ class TestErf:
         assert _erf(0.5) == math.erf(0.5)
 
     def test_equals_one_mask_per_piece_bit_for_bit(self):
-        """The one-search dispatch against a mask, gather and scatter per
+        """The bulk-piece dispatch against a mask, gather and scatter per
         piece, on arrays mixing pieces and on single-piece arrays."""
         def masked(x):
             ax, out = np.abs(x), np.sign(x)
@@ -411,7 +421,16 @@ class TestErf:
                                                   rng.uniform(-7, 7, 500)])),
                   rng.uniform(-0.8, 0.8, 300), rng.uniform(7, 9, 5),
                   np.array([np.nan, 0.1]), np.array([np.nan, np.inf]),
-                  np.array([-np.nan]), np.array([0.1, 2.0])]
+                  np.array([-np.nan]), np.array([0.1, 2.0]),
+                  np.array([np.nan, 7.0, -np.nan, 0.1]),
+                  np.array([1e-30, -2e-29, 0.5, -0.0])]
+        # shaped like a 32,768-sample GELU block of the point-cloud layer's
+        # second nonlinearity: all below 0.84375 but for a few values below
+        # 2^-28, +-0.0 among them
+        block = rng.uniform(-0.8, 0.8, 32 * 1024)
+        block[rng.choice(block.size, 6, replace=False)] = [
+            0.0, -0.0, 3e-9, -1e-12, 5e-324, -2.0 ** -29]
+        arrays.append(block)
         for x in arrays:
             assert np.array_equal(_erf(x).view(np.int64), masked(x).view(np.int64))
 

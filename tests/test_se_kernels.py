@@ -245,6 +245,11 @@ class TestTfnConv:
         with pytest.raises(ValueError):
             tfn_point_conv(random_cloud(3), [], radius=0.0)
 
+    def test_no_terms(self):
+        cloud = PointCloud(np.eye(3), [np.ones((3, 1, 1))])
+        with pytest.raises(ValueError, match="at least one kernel term"):
+            tfn_point_conv(cloud, [], radius=1.0)
+
     def test_equivariance(self):
         cloud = random_cloud(64, lmax=2, channels=2)
         terms = make_terms(2, 2, 2)
