@@ -12,8 +12,11 @@ over gamma) both act along the gamma fiber only, so lift -> activate ->
 project is local to each S^2 node.  ``nonlinearity`` uses this: it never
 holds a function on the SO(3) grid, but runs blocks of S^2 nodes through one
 real matrix product onto the gamma nodes, one activation call and one real
-matrix product back to the output orders.  ``lift_sum``, ``activate`` and
-``project_column`` are the same steps on the whole SO(3) grid.
+matrix product back to the output orders.  On the working grid it holds one
+real rows array of the inputs, one projection array of the outputs and one
+block buffer of lifted samples, which relu and tanh overwrite in place.
+``lift_sum``, ``activate`` and ``project_column`` are the same steps on the
+whole SO(3) grid.
 ``point_sphere_nonlin`` runs the same blocked map, ``_fiber_map``, with real
 harmonics as its synthesis and analysis matrices.
 """
@@ -57,12 +60,18 @@ class ActivationSpec:
         self.weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
                         for W, b in self.weights]
 
-    def apply_real(self, x: np.ndarray) -> np.ndarray:
-        """Apply the activation to a real array [channels, nodes]."""
+    def apply_real(self, x: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """Apply the activation to a real array [channels, nodes].
+
+        relu and tanh write into out when it is given (out may be x); gelu
+        and the MLP, which can change the channel count, return a new array
+        whatever out is, so callers use the returned array.
+        """
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         if self.kind == "gelu":
             return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
         out = x
@@ -295,31 +304,29 @@ def _real_form(q: np.ndarray) -> np.ndarray:
     return np.block([[q.real, q.imag], [-q.imag, q.real]])
 
 
-def _real_rows(fields: list) -> np.ndarray:
-    """Samples of K fields as a real array [channels, nodes, 2K] holding
-    Re f_1 .. Re f_K, Im f_1 .. Im f_K per node."""
-    parts = [f.flat() for f in fields]
-    return np.stack([p.real for p in parts] + [p.imag for p in parts], axis=-1)
-
-
 def _fiber_map(x: np.ndarray, synthesis: np.ndarray, spec: ActivationSpec,
                analysis: np.ndarray) -> np.ndarray:
     """spec(x @ synthesis) @ analysis for x [channels, rows, a], synthesis
     [a, s] and analysis [s, b], _FIBER_BLOCK rows at a time: one apply_real
     call per block on [channels, block * s] (an MLP mixes channels sample
-    by sample), so the fiber samples held do not grow with the rows.
+    by sample), so the fiber samples held do not grow with the rows.  Each
+    block is lifted into one buffer, which relu and tanh overwrite.
     Returns [channels', rows, b]."""
+    C, rows, a = x.shape
+    s, b = analysis.shape
+    lifted = np.empty(C * min(rows, _FIBER_BLOCK) * s)
     out = None
     # one empty block when there are no rows, so the result has 0 rows
-    for start in range(0, max(x.shape[1], 1), _FIBER_BLOCK):
+    for start in range(0, max(rows, 1), _FIBER_BLOCK):
         xb = x[:, start:start + _FIBER_BLOCK]
-        acted = spec.apply_real(
-            (xb.reshape(-1, xb.shape[2]) @ synthesis).reshape(x.shape[0], -1))
-        y = acted.reshape(-1, analysis.shape[0]) @ analysis
+        r = xb.shape[1]
+        buf = lifted[:C * r * s].reshape(C, r * s)
+        np.matmul(xb.reshape(C * r, a), synthesis, out=buf.reshape(C * r, s))
+        acted = spec.apply_real(buf, out=buf)
+        y = acted.reshape(-1, s) @ analysis
         if out is None:     # an MLP may change the channel count
-            out = np.empty((acted.shape[0], x.shape[1], analysis.shape[1]))
-        out[:, start:start + xb.shape[1]] = y.reshape(acted.shape[0], -1,
-                                                      analysis.shape[1])
+            out = np.empty((acted.shape[0], rows, b))
+        out[:, start:start + r] = y.reshape(acted.shape[0], r, b)
     return out
 
 
@@ -337,8 +344,10 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     node, as rows [Re f_k, Im f_k], times the real form of the lift phases
     exp(-i k gamma_j) give the lifted samples at the n = 2 B_work gamma
     nodes; the activation acts on them; times the real form of fiber_dft's
-    phases exp(i m gamma_j) / n they give the output orders.  The fields
-    must have one channel count.
+    phases exp(i m gamma_j) / n they give the output orders.  The inputs
+    are resampled one at a time into the rows, and the projection's
+    columns are ordered (order, re/im), so its result viewed as complex is
+    the outputs [C', nodes, M].  The fields must have one channel count.
     """
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError("oversample factor must be a positive integer")
@@ -353,19 +362,23 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     grid = quadrature_grid("S2", B_work)
     gammas = grid.alphas            # the SO(3) grid's gamma nodes
     n = gammas.size
+    K = len(fields_in)
     orders_in = np.array([f.field_type.order for f in fields_in])
     E = _real_form(np.exp(-1j * np.outer(orders_in, gammas)))   # [2K, 2n]
     P = _real_form(np.exp(1j * np.outer(gammas, out_orders)) / n)   # [2n, 2M]
-    # the resampled fields live only until they are stacked, and their
-    # rows [C, nodes, 2K] only until they are mapped
-    proj = _fiber_map(_real_rows([resample(f, B_work) if B_work != B else f
-                                  for f in fields_in]),
-                      E, spec, P)                             # [C', nodes, 2M]
-    out = np.ascontiguousarray(proj.reshape(*proj.shape[:2], 2, -1).transpose(
-        3, 0, 1, 2)).view(complex)[..., 0]                  # [M, C', nodes]
+    # columns in (order, re/im) order, so the projections view as complex
+    P = P.reshape(-1, 2, len(out_orders)).transpose(0, 2, 1).reshape(2 * n, -1)
+    rows = np.empty((fields_in[0].channels, grid.n_nodes, 2 * K))
+    for k, f in enumerate(fields_in):
+        work = (resample(f, B_work) if B_work != B else f).flat()
+        rows[:, :, k] = work.real
+        rows[:, :, K + k] = work.imag
+    del work                # the last input is not held through the map,
+    proj = _fiber_map(rows, E, spec, P).view(complex)        # [C', nodes, M]
+    del rows                # nor the rows through the output resampling
     fields_out = []
-    for m, samples in zip(out_orders, out):
-        f = TensorField(grid, FieldType("SO2", m), samples)
+    for j, m in enumerate(out_orders):
+        f = TensorField(grid, FieldType("SO2", m), proj[:, :, j])
         fields_out.append(resample(f, B) if B_work != B else f)
     return fields_out
 
@@ -397,11 +410,15 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
     Yw = Y * grid.weights[:, None]
     dim = Y.shape[1]
-    n_pts, _, n_ch = next(f.shape for f in features if f is not None)
+    n_pts, _, n_ch = features[orders[0]].shape
     coeff = np.zeros((n_ch, n_pts, dim))
-    for l, f in enumerate(features):
-        if f is None:
-            continue
+    for l in orders:
+        f = features[l]
+        if f.shape != (n_pts, 2 * l + 1, n_ch):
+            raise ValueError(
+                f"feature order {l} has shape {f.shape}, expected [points, "
+                f"{2 * l + 1}, channels] with the {n_pts} points and {n_ch} "
+                f"channels of order {orders[0]}")
         coeff[:, :, l * l:(l + 1) * (l + 1)] = f.transpose(2, 0, 1)
     back = _fiber_map(coeff, Y.T, spec, Yw)                  # [ch, point, d]
     out: list = [None] * len(features)

@@ -442,15 +442,15 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
         raise ValueError("block bandwidth exceeds grid bandwidth")
     n = 2 * B
     C = blocks.channels
-    G = np.zeros((n, C, n, n), dtype=complex)   # [n mod 2B, c, alpha, beta]
+    G = np.zeros((C, n, n, n), dtype=complex)   # [c, alpha, beta, n mod 2B]
     store = _so3_store(B, L)
     for k in range(L):
         plan = _spin_plan(grid, k, L, store)
         for col in sorted({k, -k}):
-            G[col % n] = _spin_synthesis(
+            G[..., col % n] = _spin_synthesis(
                 np.concatenate(blocks.column(col), axis=1), grid, col, plan)
-    f = np.moveaxis(np.fft.fft(G, axis=0), 0, -1)   # [c, alpha, beta, gamma]
-    return f.reshape(C, n ** 3)
+    np.fft.fft(G, axis=-1, out=G)               # [c, alpha, beta, gamma]
+    return G.reshape(C, n ** 3)
 
 
 def fiber_dft(samples, grid: QuadratureGrid, order: int) -> np.ndarray:

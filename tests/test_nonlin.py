@@ -50,6 +50,23 @@ class TestActivationSpec:
         # relu(W1 x) = [0, 4]; W2 . + b2 = [0.5, 4]
         assert np.allclose(spec.apply_real(x), [[0.5], [4.0]])
 
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    def test_in_place(self, kind):
+        spec = ActivationSpec(kind)
+        x = np.random.default_rng(19).standard_normal((3, 40))
+        want = spec.apply_real(x)
+        assert spec.apply_real(x, out=x) is x
+        assert np.array_equal(x, want)
+
+    def test_gelu_and_mlp_return_a_new_array(self):
+        x = np.random.default_rng(20).standard_normal((2, 7))
+        kept = x.copy()
+        mlp = ActivationSpec("per_point_mlp", [(np.ones((3, 2)), np.zeros(3))])
+        for spec, channels in ((ActivationSpec("gelu"), 2), (mlp, 3)):
+            got = spec.apply_real(x, out=x)
+            assert got is not x and got.shape == (channels, 7)
+            assert np.array_equal(x, kept)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             ActivationSpec("sigmoid")
@@ -300,20 +317,34 @@ class TestFiberLocalNonlinearity:
     def test_no_output_orders(self):
         assert nonlinearity(self.fields(3, (0,)), self.SPECS["relu"], []) == []
 
-    def test_holds_no_lifted_grid(self):
-        B, ov, C = 16, 2, 4
+    @staticmethod
+    def traced_peak(B, ov, C, orders):
         gen = np.random.default_rng(18)
-        fields = [random_field(B, k, channels=C, gen=gen) for k in (-1, 0, 1)]
+        fields = [random_field(B, k, channels=C, gen=gen) for k in orders]
         spec = ActivationSpec("relu")
-        nonlinearity(fields, spec, [-1, 0, 1], oversample=ov)  # warm caches
+        nonlinearity(fields, spec, orders, oversample=ov)  # warm caches
         tracemalloc.start()
         try:
-            nonlinearity(fields, spec, [-1, 0, 1], oversample=ov)
-            peak = tracemalloc.get_traced_memory()[1]
+            nonlinearity(fields, spec, orders, oversample=ov)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_holds_no_lifted_grid(self):
+        B, ov, C = 16, 2, 4
+        peak = self.traced_peak(B, ov, C, [-1, 0, 1])
         lifted_grid = (2 * B * ov) ** 3 * C * 16      # complex samples
         assert peak < lifted_grid / 4
+
+    def test_holds_one_rows_and_one_projection_array(self):
+        # the real rows [C, nodes, 2K] and the projections [C, nodes, 2M]
+        # on the working grid, and little beside them: no second copy of
+        # either, one block buffer
+        B, ov, C, orders = 16, 2, 4, [-1, 0, 1]
+        peak = self.traced_peak(B, ov, C, orders)
+        nodes = (2 * B * ov) ** 2
+        rows_and_proj = 2 * (C * nodes * 2 * len(orders) * 8)
+        assert peak <= 1.25 * rows_and_proj
 
 
 class TestPointSphereNonlin:
@@ -360,6 +391,19 @@ class TestPointSphereNonlin:
     def test_no_feature_orders(self):
         with pytest.raises(ValueError, match="at least one feature order"):
             point_sphere_nonlin([None, None], ActivationSpec("relu"), 4)
+
+    @pytest.mark.parametrize("shapes", [
+        [(5, 1, 4), (5, 3, 1)],       # one channel would be broadcast
+        [(5, 1, 2), (1, 3, 2)],       # one point would be broadcast
+        [(5, 1, 2), (5, 1, 2)],       # order 1 with one component
+    ])
+    def test_feature_shapes_must_agree(self, shapes):
+        feats = [rng.standard_normal(s) for s in shapes]
+        (p0, _, c0), (p1, d1, c1) = shapes
+        with pytest.raises(ValueError) as err:
+            point_sphere_nonlin(feats, ActivationSpec("relu"), 4)
+        assert str((p1, d1, c1)) in str(err.value)
+        assert f"{p0} points and {c0} channels" in str(err.value)
 
     def test_order_must_fit_bandwidth(self):
         feats = [None, None, rng.standard_normal((1, 5, 1))]

@@ -127,6 +127,21 @@ class TestSo3Ft:
         spatial = float(np.sum(grid.weights * np.abs(f[0]) ** 2))
         assert spatial == pytest.approx(blocks.norm_squared(), rel=1e-12)
 
+    def test_inverse_holds_one_grid_array(self):
+        # the gamma FFT runs in place on the array the columns fill
+        B, C = 16, 2
+        grid = quadrature_grid("SO3", B)
+        blocks = random_blocks(B, channels=C)
+        so3_ft_inverse(blocks, grid)            # warm the plan cache
+        tracemalloc.start()
+        try:
+            f = so3_ft_inverse(blocks, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (C, (2 * B) ** 3)
+        assert peak < 1.5 * f.nbytes
+
     def test_truncated_forward(self):
         B = 5
         grid = quadrature_grid("SO3", B)
