@@ -9,8 +9,8 @@ Fourier coefficients of the lift, which occupy column n = k only:
                            d^l_{mk}(beta) dmu(alpha, beta)
 
 with synthesis f(alpha, beta) = sum_l (2l+1) sum_m a^l_m e^{-i m alpha}
-d^l_{mk}(beta).  Group actions are applied spectrally (rotate the coefficient
-vectors by conjugated Wigner blocks), which is exact for bandlimited fields.
+d^l_{mk}(beta).  Group actions are applied spectrally (harmonics._rotate applies
+conj(D^l(g)) without forming it), which is exact for bandlimited fields.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
-from .harmonics import _wigner_D_blocks
+from .harmonics import _rotate
 from .transforms import (SpectralBlocks, _degrees, _flat, _spin_analysis,
                          _spin_synthesis, so3_ft_forward, so3_ft_inverse)
 
@@ -231,11 +231,10 @@ def induced_action(g: Rotation3, field: TensorField) -> TensorField:
 def _induced_actions(rotations, field: TensorField) -> TensorField:
     """L_g f for R rotations g at once, as one field of R * C channels:
     channel r * C + c is channel c of L_{g_r} f.  One analysis, one
-    small-d recursion over all the betas and one synthesis."""
-    coeffs = spin_coeffs(field)
-    out = [None if a is None else
-           np.einsum("rmn,cn->rcm", np.conj(D), a).reshape(-1, a.shape[1])
-           for a, D in zip(coeffs, _wigner_D_blocks(len(coeffs) - 1, rotations))]
+    _rotate over all the rotations and one synthesis."""
+    coeffs = [None if a is None else a[:, :, None] for a in spin_coeffs(field)]
+    out = [None if a is None else a.reshape(-1, a.shape[2])
+           for a in _rotate(rotations, coeffs)]
     return field_from_spin_coeffs(out, field.field_type.order, field.grid)
 
 
@@ -245,8 +244,7 @@ def regular_action(g: Rotation3, gf: GroupFunction) -> GroupFunction:
     Exact for functions bandlimited below the grid bandwidth.
     """
     blocks = so3_ft_forward(gf.flat(), gf.grid)
-    rotated = [np.einsum("mj,cjn->cmn", np.conj(D[0]), b) for b, D in
-               zip(blocks.blocks, _wigner_D_blocks(blocks.bandwidth - 1, [g]))]
+    rotated = [b[0] for b in _rotate([g], blocks.blocks)]
     out = so3_ft_inverse(SpectralBlocks(blocks.bandwidth, rotated), gf.grid)
     return GroupFunction(gf.grid, out)
 

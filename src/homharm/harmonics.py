@@ -170,72 +170,72 @@ def wigner_d_column(lmax: int, betas, k: int) -> list:
 
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
-    if l < 0:
-        raise ValueError("degree l must be >= 0")
     return _wigner_D_blocks(l, [g])[l][0]
 
 
 def _wigner_D_blocks(lmax: int, rotations) -> list:
-    """[D^l(g_r) for l = 0..lmax], each [R, 2l+1, 2l+1], from one _small_d
-    call over the R betas; the bits depend neither on R nor on lmax."""
-    m = np.arange(-lmax, lmax + 1)
-    ea = np.exp(-1j * m * np.array([g.alpha for g in rotations])[:, None])
-    eg = np.exp(-1j * m * np.array([g.gamma for g in rotations])[:, None])
-    out = []
-    for l, d in enumerate(_small_d(lmax, [g.beta for g in rotations])):
-        j = slice(lmax - l, lmax + l + 1)                # m = -l..l
-        out.append(ea[:, j, None] * d * eg[:, None, j])
-    return out
+    """[D^l(g_r) for l = 0..lmax], each [R, 2l+1, 2l+1]: the conjugate of
+    _rotate on identity blocks; the bits depend neither on R nor on lmax."""
+    if lmax < 0:
+        raise ValueError("degree l must be >= 0")
+    eye = [np.eye(2 * l + 1)[None] for l in range(lmax + 1)]
+    return [np.conj(b[:, 0]) for b in _rotate(rotations, eye)]
 
 
-# T^l of degree l <= _DELTA_LMAX, never evicted: (2l+2)(2l+1)^2 floats
-# each, 1.04 MiB in all (16 MiB up to l = 31)
-_DELTA_LMAX = 15
-_delta_tables: list = []
+# (Delta^l = d^l(pi/2), Z^l) of every degree used so far, read-only and never
+# evicted: (2l+1)^2 + (2l+2)(2l+1) floats each, 0.09 MiB up to l = 15
+_deltas: list = []
+_I_POWERS = np.array([1, 1j, -1, -1j])                   # i^n at n mod 4
 
 
-def _delta_table(D: np.ndarray) -> np.ndarray:
-    """T^l [2l+2, (2l+1)^2] from D = Delta^l = d^l(pi/2): row 2q holds the
-    cos(q beta) and row 2q+1 the sin(q beta) coefficients of the flattened
-    d^l_{mn}(beta) = sum_q Delta_{qm} Delta_{qn} cos((m-n) pi/2 - q beta)
-    (Trapani & Navaza 2006), the terms q and -q folded."""
-    l = (len(D) - 1) // 2
-    k = np.subtract.outer(np.arange(2 * l + 1), np.arange(2 * l + 1)) % 4
-    cos_phi, sin_phi = np.array([1.0, 0, -1, 0])[k], np.array([0.0, 1, 0, -1])[k]
-    P = D[:, :, None] * D[:, None, :]                     # [q, m, n]
-    T = np.empty((l + 1, 2, 2 * l + 1, 2 * l + 1))
-    T[:, 0], T[:, 1] = P[l:] * cos_phi, P[l:] * sin_phi
-    T[1:, 0] += P[l - 1::-1] * cos_phi
-    T[1:, 1] -= P[l - 1::-1] * sin_phi
-    return T.reshape(2 * l + 2, -1)
+def _delta(lmax: int) -> list:
+    """[(Delta^l, Z^l) for l = 0..lmax], the degrees not yet held from one
+    recursion at pi/2.  Rows 2q, 2q+1 of Z^l [2l+2, 2l+1] hold the cos(q beta),
+    sin(q beta) coefficients of d^l_{m0}(beta) = sum_q Delta_{qm} Delta_{q0}
+    cos(m pi/2 - q beta) (Trapani & Navaza 2006), q and -q folded."""
+    if len(_deltas) <= lmax:
+        for D in wigner_d_stack(lmax, [np.pi / 2])[len(_deltas):]:
+            D, l = D[0], len(_deltas)
+            P, k = D * D[:, l:l + 1], np.arange(-l, l + 1) % 4        # P: [q, m]
+            phi = np.array([[1.0, 0, -1, 0], [0, 1, 0, -1]])[:, k]    # cos, sin(m pi/2)
+            Z = P[l:, None] * phi                                 # [q, cos/sin, m]
+            Z[1:] += P[:l][::-1, None] * phi * [[1.0], [-1.0]]
+            D.flags.writeable = Z.flags.writeable = False
+            _deltas.append((D, Z.reshape(2 * l + 2, -1)))
+    return _deltas[:lmax + 1]
 
 
 def _delta_cache_info() -> dict:
-    """Degrees held by the Delta table cache and their bytes."""
-    return {"degrees": list(range(len(_delta_tables))),
-            "bytes": sum(T.nbytes for T in _delta_tables)}
+    """Degrees held by the Delta^l and Z^l cache and their bytes."""
+    return {"degrees": list(range(len(_deltas))),
+            "bytes": sum(D.nbytes + Z.nbytes for D, Z in _deltas)}
 
 
-def _small_d(lmax: int, betas, zonal: bool = False) -> list:
-    """d^l(beta) for l = 0..lmax, [n_beta, 2l+1, 2l+1] per degree, or with
-    zonal only its column n = 0, [n_beta, 2l+1].  Up to _DELTA_LMAX one
-    einsum of [cos(q beta), sin(q beta)] with T^l (a BLAS product would
-    make each beta's bits depend on the batch), the recursion above."""
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    top = min(lmax, _DELTA_LMAX)
-    if len(_delta_tables) <= top:
-        deltas = wigner_d_stack(top, [np.pi / 2])[len(_delta_tables):]
-        _delta_tables.extend(_delta_table(D[0]) for D in deltas)
-    qb = np.multiply.outer(betas, np.arange(top + 1))
-    f = np.stack([np.cos(qb), np.sin(qb)], axis=-1).reshape(-1, 2 * top + 2)
+def _rotate(rotations, coeffs: list) -> list:
+    """conj(D^l(g_r)) a for each degree's a [C, 2l+1, K] (or None), as
+    [R, C, 2l+1, K], never forming D^l: two products with the real Delta^l
+    between diagonal phases,
+
+    conj(D^l(g)) a = e^{im alpha} i^{-m} Delta^T e^{iq beta} Delta i^n e^{in gamma} a
+
+    (Risbo 1996; Pinchon & Hoggan 2007).  Each product is an einsum over
+    columns (r, c, k, re/im), not BLAS: every entry sums its rows in order,
+    so its bits depend neither on R nor on the other degrees."""
+    lmax = len(coeffs) - 1
+    m = np.arange(-lmax, lmax + 1)[:, None]
+    ea, eb, eg = np.exp(1j * m * np.array([[g.alpha, g.beta, g.gamma]
+                                           for g in rotations]).T[:, None])
+    ea, eb, eg = (e[:, :, None, None] for e in    # [2lmax+1, R, 1, 1]
+                  (ea * _I_POWERS[-m % 4], eb, eg * _I_POWERS[m % 4]))
     out = []
-    for l, T in enumerate(_delta_tables[:top + 1]):
-        n = 2 * l + 1
-        d = np.einsum("rq,qn->rn", f[:, :n + 1], T[:, l::n] if zonal else T)
-        out.append(d if zonal else d.reshape(-1, n, n))
-    if lmax > _DELTA_LMAX:
-        out += (wigner_d_column(lmax, betas, 0) if zonal
-                else wigner_d_stack(lmax, betas))[_DELTA_LMAX + 1:]
+    for l, (a, (D, _)) in enumerate(zip(coeffs, _delta(lmax))):
+        j = slice(lmax - l, lmax + l + 1)
+        if a is not None:                               # x: [2l+1, R, C, K]
+            x = eg[j] * a.transpose(1, 0, 2)[:, None]
+            x = eb[j] * np.einsum("qn,n...->q...", D, x.view(float)).view(complex)
+            x = ea[j] * np.einsum("qm,q...->m...", D, x.view(float)).view(complex)
+            a = x.transpose(1, 2, 0, 3)
+        out.append(a)
     return out
 
 
@@ -248,14 +248,22 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
     """Stacked Y^l_m values, shape [n_points, (lmax+1)^2].
 
     Coefficient index runs over l = 0..lmax, m = -l..l (offset l^2 + l + m).
-    The d^l_{m0} come from column n = 0 of the Delta tables of _small_d.
+    The d^l_{m0} come from the zonal folds Z^l of _zonal.
     """
     alphas = np.asarray(alphas, dtype=float).ravel()
     phase = np.exp(1j * np.outer(alphas, np.arange(-lmax, lmax + 1)))
     return np.concatenate(
         [np.sqrt(2 * l + 1) * phase[:, lmax - l:lmax + l + 1] * d
-         for l, d in enumerate(_small_d(lmax, np.ravel(betas), zonal=True))],
-        axis=1)
+         for l, d in enumerate(_zonal(lmax, betas))], axis=1)
+
+
+def _zonal(lmax: int, betas) -> list:
+    """d^l_{m0}(beta) for l = 0..lmax, [n_beta, 2l+1] per degree: [cos(q beta),
+    sin(q beta)] times Z^l, an einsum so that no beta's bits depend on the batch."""
+    qb = np.multiply.outer(np.ravel(betas).astype(float), np.arange(lmax + 1))
+    f = np.stack([np.cos(qb), np.sin(qb)], axis=-1).reshape(-1, 2 * lmax + 2)
+    return [np.einsum("rq,qn->rn", f[:, :2 * l + 2], Z)
+            for l, (_, Z) in enumerate(_delta(lmax))]
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +334,11 @@ def real_basis_change(l: int) -> np.ndarray:
     """
     if l < 0:
         raise ValueError("degree l must be >= 0")
-    n = 2 * l + 1
-    U = np.zeros((n, n), dtype=complex)
+    mu, r = np.arange(1, l + 1), 1.0 / np.sqrt(2.0)
+    U = np.zeros((2 * l + 1, 2 * l + 1), dtype=complex)
     U[l, l] = 1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for mu in range(1, l + 1):
-        U[l + mu, l + mu] = (-1.0) ** mu * inv_sqrt2
-        U[l + mu, l - mu] = inv_sqrt2
-        U[l - mu, l + mu] = -1j * (-1.0) ** mu * inv_sqrt2
-        U[l - mu, l - mu] = 1j * inv_sqrt2
+    U[l + mu, l + mu], U[l + mu, l - mu] = (-1.0) ** mu * r, r
+    U[l - mu, l + mu], U[l - mu, l - mu] = -1j * (-1.0) ** mu * r, 1j * r
     return U
 
 
@@ -348,8 +352,6 @@ def _wigner_D_real_blocks(lmax: int, rotations) -> list:
 
 def wigner_D_real(l: int, g: Rotation3) -> np.ndarray:
     """Real orthogonal form of D^l(g): U D^l(g) U^H."""
-    if l < 0:
-        raise ValueError("degree l must be >= 0")
     return _wigner_D_real_blocks(l, [g])[l][0]
 
 
@@ -362,7 +364,7 @@ def real_sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
     ma = np.multiply.outer(alphas, np.arange(1, lmax + 1))
     cos, sin = np.cos(ma), np.sin(ma)
     blocks = []                                           # mu = -l..l
-    for l, d in enumerate(_small_d(lmax, np.ravel(betas), zonal=True)):
+    for l, d in enumerate(_zonal(lmax, betas)):
         w = np.sqrt(2 * (2 * l + 1)) * (-1.0) ** np.arange(1, l + 1) * d[:, l + 1:]
         blocks += [(w * sin[:, :l])[:, ::-1], np.sqrt(2 * l + 1) * d[:, l:l + 1],
                    w * cos[:, :l]]

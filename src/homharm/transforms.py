@@ -64,9 +64,8 @@ most recent 4096 keys, O(l) floats per column: every column up to B = 64
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
 each reading the plan of its column n.  No transform builds a full
-``wigner_d_stack``; rotations read the Delta tables of ``harmonics._small_d``
-up to degree 15, and one recursion over all the betas of a call above.  The
-SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
+``wigner_d_stack``; rotations run ``harmonics._rotate`` on the cached Delta^l.
+The SHT is the k = 0 pair relabelled: sht.data[l][m] = sqrt(2l+1) (-1)^m a^l_{-m}.
 """
 
 from __future__ import annotations

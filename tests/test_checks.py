@@ -1,8 +1,9 @@
 """The conv-commutes-with-action check, which applies the induced action to
 a block of rotations at once: it still fails on a convolution that is not
 equivariant, sends every drawn rotation through both sides in bounded
-blocks, draws them block by block, and runs one Wigner-d recursion per
-block."""
+blocks, draws them block by block, and runs no Wigner-d recursion once
+Delta = d(pi/2) is cached; a wrong quarter-turn phase in the rotation chain
+fails the suite."""
 
 import tracemalloc
 
@@ -68,17 +69,33 @@ def test_rotations_go_through_both_sides_in_bounded_blocks(monkeypatch):
     assert drawn == [(g.alpha, g.beta, g.gamma) for g in want]
 
 
-def test_one_wigner_recursion_per_block_and_side(monkeypatch):
+def test_one_wigner_recursion_builds_delta_and_none_follows(monkeypatch):
     calls = []
     stack = harmonics.wigner_d_stack
 
     def counted(lmax, betas):
-        calls.append(len(betas))
+        calls.append(lmax)
         return stack(lmax, betas)
 
     monkeypatch.setattr(harmonics, "wigner_d_stack", counted)
+    monkeypatch.setattr(harmonics, "_deltas", [])
     assert conv_check(4, 20) <= 1e-8
-    assert len(calls) <= 2 * len(checks._orders(4)) ** 2
+    assert calls == [3]                          # Delta^l for l <= B - 1
+    assert conv_check(4, 20) <= 1e-8
+    assert calls == [3]
+
+
+def test_conjugated_quarter_turns_fail_the_suite(monkeypatch):
+    """Conjugating i^n in the rotation chain turns each rotation g into
+    (alpha + pi, beta, gamma + pi).  The S^2 checks that rotate both sides
+    with the same chain cannot see it; the checks that compare with rotated
+    points must."""
+    cfg = {"bandwidth": 4, "seed": 1}
+    assert checks.run_suite("all", cfg).passed
+    monkeypatch.setattr(harmonics, "_I_POWERS", np.conj(harmonics._I_POWERS))
+    report = checks.run_suite("all", cfg)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert not report.passed and "se3-steerability" in failed
 
 
 def test_rotations_are_drawn_block_by_block():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homharm import fields, harmonics
 from homharm.checks import _ROTATION_BLOCK
 from homharm.fields import (FieldType, GroupFunction, TensorField,
                             _induced_actions, field_from_spin_coeffs, induced_action,
@@ -145,6 +146,17 @@ class TestActions:
             ref = induced_action(g, field).samples
             err = np.abs(out.samples[3 * r:3 * r + 3] - ref).max()
             assert err <= 1e-14 * np.abs(ref).max()
+
+    def test_actions_never_form_wigner_blocks(self, monkeypatch):
+        """Both actions rotate through _rotate; neither builds D^l."""
+        def forbidden(*args):
+            raise AssertionError("_wigner_D_blocks called")
+
+        monkeypatch.setattr(harmonics, "_wigner_D_blocks", forbidden)
+        monkeypatch.setattr(fields, "_wigner_D_blocks", forbidden, raising=False)
+        field, g = random_field(6, 1, channels=2), random_rotation()
+        a = lift(_induced_actions([g], field)).flat()
+        assert np.abs(a - regular_action(g, lift(field)).flat()).max() < 1e-10
 
     def test_action_is_a_homomorphism(self):
         field = random_field(6, -2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from scipy.linalg import expm
 from homharm import harmonics
 from homharm.checks import run_suite
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import (_wigner_D_blocks, cg_matrix, clebsch_gordan,
-                               real_basis_change, real_sph_harm_matrix,
-                               sph_harm_matrix, wigner_D_matrix,
-                               wigner_D_real, wigner_d_column, wigner_d_stack)
+from homharm.harmonics import (_rotate, _wigner_D_blocks, cg_matrix,
+                               clebsch_gordan, real_basis_change,
+                               real_sph_harm_matrix, sph_harm_matrix,
+                               wigner_D_matrix, wigner_D_real, wigner_d_column,
+                               wigner_d_stack)
 
 rng = np.random.default_rng(202)
 
@@ -121,11 +123,11 @@ class TestWignerD:
 
 
 class TestDeltaTables:
-    """Rotations of degree <= harmonics._DELTA_LMAX read cached tables
-    built from Delta = d(pi/2); these tests hold them to references that do
-    not."""
+    """Every rotation runs one chain through the cached Delta^l = d^l(pi/2)
+    and every harmonic reads the zonal fold Z^l beside it, at any degree;
+    these tests hold them to references that do not."""
 
-    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 15])
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 15, 20, 31])
     def test_against_matrix_exponential(self, l):
         m = np.arange(-l, l + 1)
         for beta in [0.0, 1e-9, np.pi / 2, np.pi - 1e-9, np.pi]:
@@ -135,17 +137,31 @@ class TestDeltaTables:
             got = wigner_D_matrix(l, Rotation3(a, beta, c))
             assert np.abs(got - ref).max() < 5e-13, beta
 
-    def test_unitary_on_both_sides_of_the_bound(self):
+    def test_rotate_is_unitary(self):
         rots = [Rotation3(*rng.uniform(0, np.pi, 3)) for _ in range(6)]
-        blocks = _wigner_D_blocks(31, rots)
-        for l in (harmonics._DELTA_LMAX, harmonics._DELTA_LMAX + 1):
-            gram = blocks[l] @ np.conj(blocks[l]).transpose(0, 2, 1)
-            assert np.abs(gram - np.eye(2 * l + 1)).max() < 1e-13
+        for l in (15, 16, 127):
+            eye = [None] * l + [np.eye(2 * l + 1)[None]]
+            cols = _rotate(rots, eye)[l][:, 0]            # conj(D^l(g_r))
+            gram = cols @ np.conj(cols).transpose(0, 2, 1)
+            assert np.abs(gram - np.eye(2 * l + 1)).max() < 1e-13, l
+
+    def test_rotate_holds_no_wigner_blocks(self):
+        """32 rotations at degree 127 hold the rotated coefficients (8 MiB)
+        and a few degree-sized temporaries, not the D^l blocks (2 GiB)."""
+        lmax, rots = 127, [Rotation3(*rng.uniform(0, np.pi, 3)) for _ in range(32)]
+        coeffs = [rng.standard_normal((1, 2 * l + 1, 1)) + 0j for l in range(lmax + 1)]
+        _rotate(rots[:1], coeffs)                         # fills the cache
+        tracemalloc.start()
+        try:
+            _rotate(rots, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_harmonics_against_the_recursion(self):
-        """Y^l and U Y^l against sph_harm, which runs the recursion, at
-        degrees on both sides of the bound."""
-        lmax = harmonics._DELTA_LMAX + 2
+        """Y^l and U Y^l against sph_harm, which runs the recursion."""
+        lmax = 17
         alphas = rng.uniform(0, 2 * np.pi, 7)
         betas = np.concatenate([[0.0, np.pi], rng.uniform(0, np.pi, 5)])
         S = real_sph_harm_matrix(lmax, alphas, betas)
@@ -157,15 +173,15 @@ class TestDeltaTables:
             ref = (ref @ real_basis_change(l).T).real
             assert np.abs(S[:, l * l:(l + 1) ** 2] - ref).max() < 1e-13
 
-    def test_cache_stays_within_its_bound(self):
+    def test_cache_holds_delta_and_zonal_fold_per_degree(self, monkeypatch):
+        """The B = 16 suite reads degrees 0..15: (2l+1)^2 floats of Delta^l
+        and (2l+2)(2l+1) of Z^l each, 0.09 MiB in all."""
+        monkeypatch.setattr(harmonics, "_deltas", [])
         assert run_suite("all", {"bandwidth": 16, "seed": 1}).passed
-        _wigner_D_blocks(31, [Rotation3(0.1, 0.2, 0.3)])
         info = harmonics._delta_cache_info()
-        lmax = harmonics._DELTA_LMAX
-        assert info["degrees"] == list(range(lmax + 1))
-        assert info["bytes"] == 8 * sum((2 * l + 2) * (2 * l + 1) ** 2
-                                        for l in range(lmax + 1))
-        assert info["bytes"] <= 1.1 * 2 ** 20
+        assert info["degrees"] == list(range(16))
+        assert info["bytes"] == 8 * sum((2 * l + 1) ** 2 + (2 * l + 2) * (2 * l + 1)
+                                        for l in range(16)) == 89344
 
 
 class TestWignerDColumn:
