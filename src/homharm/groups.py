@@ -7,7 +7,7 @@ Conventions used throughout the package:
   alpha, gamma in [0, 2pi) and beta in [0, pi].  The associated matrix is
   Rz(alpha) Ry(beta) Rz(gamma).
 * The Haar measure is normalized to total volume 1 on every space (SO(3),
-  S^2, the circle).  All quadrature weights sum to 1.
+  S^2).  All quadrature weights sum to 1.
 * At the gimbal degeneracies beta in {0, pi} the stored gamma is 0 and the
   angle sum/difference is folded into alpha, so equal rotations compare equal.
 """
@@ -25,12 +25,37 @@ TAU = 2.0 * np.pi
 _GIMBAL_EPS = 1e-10
 
 
-def _wrap(angle: float) -> float:
-    a = float(np.mod(angle, TAU))
+def _wrap(angle):
+    a = np.mod(angle, TAU)
     # map values within rounding of 2pi back to 0
-    if TAU - a < 1e-15:
-        a = 0.0
-    return a
+    return np.where(TAU - a < 1e-15, 0.0, a)
+
+
+def _zyz_matrix(alpha, beta, gamma) -> np.ndarray:
+    """Rz(alpha) Ry(beta) Rz(gamma) for broadcast arrays of angles: [..., 3, 3]."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    rows = np.broadcast_arrays(ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb,
+                               sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb,
+                               -sb * cg, sb * sg, cb)
+    return np.stack(rows, axis=-1).reshape(rows[0].shape + (3, 3))
+
+
+def _zyz_angles(M: np.ndarray) -> tuple:
+    """Canonical ZYZ Euler angles (alpha, beta, gamma) of rotation matrices
+    [..., 3, 3], arrays over the leading axes.  Where sin(beta) is below
+    _GIMBAL_EPS, gamma is 0 and alpha carries alpha + gamma (beta = 0) or
+    alpha - gamma (beta = pi)."""
+    cb = np.clip(M[..., 2, 2], -1.0, 1.0)
+    sb = np.hypot(M[..., 0, 2], M[..., 1, 2])
+    gimbal, up = sb < _GIMBAL_EPS, cb > 0.0
+    alpha = np.where(gimbal, np.where(up, np.arctan2(M[..., 1, 0], M[..., 0, 0]),
+                                      np.arctan2(-M[..., 0, 1], M[..., 1, 1])),
+                     np.arctan2(M[..., 1, 2], M[..., 0, 2]))
+    beta = np.where(gimbal, np.where(up, 0.0, np.pi), np.arctan2(sb, cb))
+    gamma = np.where(gimbal, 0.0, np.arctan2(M[..., 2, 1], -M[..., 2, 0]))
+    return _wrap(alpha), beta, _wrap(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +80,7 @@ class Rotation3:
 
     @staticmethod
     def rz(angle: float) -> "Rotation3":
-        return Rotation3(_wrap(angle), 0.0, 0.0)
+        return Rotation3(float(_wrap(angle)), 0.0, 0.0)
 
     @staticmethod
     def ry(angle: float) -> "Rotation3":
@@ -66,39 +91,17 @@ class Rotation3:
         return Rotation3(np.pi, TAU - a, np.pi)
 
     def matrix(self) -> np.ndarray:
-        ca, sa = np.cos(self.alpha), np.sin(self.alpha)
-        cb, sb = np.cos(self.beta), np.sin(self.beta)
-        cg, sg = np.cos(self.gamma), np.sin(self.gamma)
-        return np.array([
-            [ca * cb * cg - sa * sg, -ca * cb * sg - sa * cg, ca * sb],
-            [sa * cb * cg + ca * sg, -sa * cb * sg + ca * cg, sa * sb],
-            [-sb * cg, sb * sg, cb],
-        ])
+        return _zyz_matrix(self.alpha, self.beta, self.gamma)
 
     @staticmethod
     def from_matrix(M: np.ndarray) -> "Rotation3":
-        M = np.asarray(M, dtype=float)
-        cb = min(1.0, max(-1.0, M[2, 2]))
-        sb = float(np.hypot(M[0, 2], M[1, 2]))
-        if sb < _GIMBAL_EPS:
-            if cb > 0.0:
-                # pure z-rotation by alpha + gamma; store it all in alpha
-                return Rotation3(_wrap(np.arctan2(M[1, 0], M[0, 0])), 0.0, 0.0)
-            # beta = pi: z-rotation by alpha - gamma composed with Ry(pi)
-            return Rotation3(_wrap(np.arctan2(-M[0, 1], M[1, 1])), np.pi, 0.0)
-        alpha = np.arctan2(M[1, 2], M[0, 2])
-        gamma = np.arctan2(M[2, 1], -M[2, 0])
-        beta = np.arctan2(sb, cb)
-        return Rotation3(_wrap(alpha), float(beta), _wrap(gamma))
+        return Rotation3(*map(float, _zyz_angles(np.asarray(M, dtype=float))))
 
     def compose(self, other: "Rotation3") -> "Rotation3":
         return Rotation3.from_matrix(self.matrix() @ other.matrix())
 
     def inverse(self) -> "Rotation3":
         return Rotation3.from_matrix(self.matrix().T)
-
-    def apply(self, xyz: np.ndarray) -> np.ndarray:
-        return self.matrix() @ np.asarray(xyz, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +110,7 @@ class Rotation3:
 
 def section_s2(alpha: float, beta: float) -> Rotation3:
     """Coset section for S^2 = SO(3)/SO(2): the gamma = 0 representative."""
-    return Rotation3(_wrap(alpha), float(beta), 0.0)
+    return Rotation3(float(_wrap(alpha)), float(beta), 0.0)
 
 
 def project_s2(g: Rotation3) -> tuple[float, float]:
@@ -126,7 +129,7 @@ def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
     # h must be a z-rotation; after canonicalization its angle sits in alpha
     if h.beta > 1e-9 and np.pi - h.beta > 1e-9:
         raise ValueError("twist did not land in the stabilizer")
-    return _wrap(h.alpha + h.gamma)
+    return float(_wrap(h.alpha + h.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,6 @@ class QuadratureGrid:
     nodes holds one coordinate tuple per sample:
       S2     -> (alpha, beta), 2B x 2B samples
       SO3    -> (alpha, beta, gamma), 2B x 2B x 2B samples
-      Circle -> (angle,), 2B samples
 
     Node ordering is row-major over (alpha, beta[, gamma]).
     """
@@ -174,23 +176,20 @@ class QuadratureGrid:
         return _beta_weights(self.bandwidth)
 
 
-def _dh_beta_weights(B: int) -> np.ndarray:
-    """Equiangular colatitude weights exact for Legendre degrees < 2B.
+@functools.lru_cache(maxsize=None)
+def _beta_weights(B: int) -> np.ndarray:
+    """Equiangular colatitude weights exact for Legendre degrees < 2B,
+    normalized to sum 1 (read-only).
 
     Sum over nodes beta_j = pi j / (2B) of w_j P_n(cos beta_j) equals
-    2*delta(n) for all n < 2B; the weights sum to 2 (the measure of [-1,1]).
+    delta(n) for all n < 2B.
     """
     j = np.arange(2 * B)
     theta = np.pi * j / (2 * B)
     k = np.arange(B)
-    # w_j = (2/B) sin(theta_j) * sum_k sin((2k+1) theta_j) / (2k+1)
+    # 2 w_j = (2/B) sin(theta_j) * sum_k sin((2k+1) theta_j) / (2k+1)
     S = np.sin(np.outer(theta, 2 * k + 1)) @ (1.0 / (2 * k + 1))
-    return (2.0 / B) * np.sin(theta) * S
-
-
-@functools.lru_cache(maxsize=None)
-def _beta_weights(B: int) -> np.ndarray:
-    w = _dh_beta_weights(B) / 2.0
+    w = (2.0 / B) * np.sin(theta) * S / 2.0
     w.setflags(write=False)
     return w
 
@@ -203,7 +202,7 @@ def quadrature_grid(space: str, bandwidth: int) -> QuadratureGrid:
     """
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
-    if space not in ("Circle", "S2", "SO3"):
+    if space not in ("S2", "SO3"):
         raise ValueError(f"unknown space {space!r}")
     return _grid(space, bandwidth)
 
@@ -214,10 +213,7 @@ def _grid(space: str, B: int) -> QuadratureGrid:
     alphas = np.pi * np.arange(n) / B
     betas = np.pi * np.arange(n) / n
     wb = _beta_weights(B)
-    if space == "Circle":
-        nodes = alphas[:, None]
-        weights = np.full(n, 1.0 / n)
-    elif space == "S2":
+    if space == "S2":
         A, Bt = np.meshgrid(alphas, betas, indexing="ij")
         nodes = np.stack([A.ravel(), Bt.ravel()], axis=1)
         weights = (np.full((n, 1), 1.0 / n) * wb[None, :]).ravel()

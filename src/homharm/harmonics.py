@@ -157,17 +157,6 @@ def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     return list(_wigner_d_columns(lmax, betas, -lmax, lmax))
 
 
-def wigner_d_column(lmax: int, betas, k: int) -> list:
-    """Column n = k of the small-d matrices: d^l_{mk}(beta) for l = |k|..lmax.
-
-    Returns a list indexed by l (None below |k|) of real arrays
-    [n_beta, 2l+1]: the column k..k of _wigner_d_columns, bit for bit
-    wigner_d_stack(lmax, betas)[l][:, :, l + k], in O(lmax^2 n_beta) work.
-    """
-    return [None if d is None else d[:, :, 0]
-            for d in _wigner_d_columns(lmax, betas, k, k)]
-
-
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:
     """D^l_{mn}(g) = exp(-i m alpha) d^l_{mn}(beta) exp(-i n gamma)."""
     return _wigner_D_blocks(l, [g])[l][0]
@@ -190,19 +179,38 @@ _I_POWERS = np.array([1, 1j, -1, -1j])                   # i^n at n mod 4
 
 def _delta(lmax: int) -> list:
     """[(Delta^l, Z^l) for l = 0..lmax], the degrees not yet held from one
-    recursion at pi/2.  Rows 2q, 2q+1 of Z^l [2l+2, 2l+1] hold the cos(q beta),
-    sin(q beta) coefficients of d^l_{m0}(beta) = sum_q Delta_{qm} Delta_{q0}
-    cos(m pi/2 - q beta) (Trapani & Navaza 2006), q and -q folded."""
+    recursion at pi/2, with the zonal fold Z^l = _fold(Delta^l, 0)."""
     if len(_deltas) <= lmax:
         for D in wigner_d_stack(lmax, [np.pi / 2])[len(_deltas):]:
-            D, l = D[0], len(_deltas)
-            P, k = D * D[:, l:l + 1], np.arange(-l, l + 1) % 4        # P: [q, m]
-            phi = np.array([[1.0, 0, -1, 0], [0, 1, 0, -1]])[:, k]    # cos, sin(m pi/2)
-            Z = P[l:, None] * phi                                 # [q, cos/sin, m]
-            Z[1:] += P[:l][::-1, None] * phi * [[1.0], [-1.0]]
+            D, Z = D[0], _fold(D[0], 0)
             D.flags.writeable = Z.flags.writeable = False
-            _deltas.append((D, Z.reshape(2 * l + 2, -1)))
+            _deltas.append((D, Z))
     return _deltas[:lmax + 1]
+
+
+def _fold(D: np.ndarray, n: int) -> np.ndarray:
+    """Column n of d^l(beta) as a trigonometric polynomial from
+    Delta^l = D = d^l(pi/2): [2l+2, 2l+1], so that d^l_{mn}(beta) =
+    (_fold_basis(beta, l) @ _fold(D, n))[m + l].  It folds q and -q of
+
+        d^l_{mn}(beta) = sum_q Delta_{qm} Delta_{qn} cos((m - n) pi/2 - q beta)
+
+    (Trapani & Navaza 2006) into rows 2q, 2q+1, the cos(q beta) and
+    sin(q beta) coefficients."""
+    l = len(D) // 2
+    P, k = D * D[:, l + n:l + n + 1], (np.arange(-l, l + 1) - n) % 4    # P: [q, m]
+    phi = np.array([[1.0, 0, -1, 0], [0, 1, 0, -1]])[:, k]   # cos, sin((m-n) pi/2)
+    Z = P[l:, None] * phi                                     # [q, cos/sin, m]
+    Z[1:] += P[:l][::-1, None] * phi * [[1.0], [-1.0]]
+    return Z.reshape(2 * l + 2, -1)
+
+
+def _fold_basis(betas, lmax: int) -> np.ndarray:
+    """[..., 2lmax+2]: cos(q beta), sin(q beta) interleaved for q = 0..lmax,
+    the rows of _fold; its first 2l+2 entries serve degree l."""
+    qb = np.multiply.outer(betas, np.arange(lmax + 1))
+    return np.stack([np.cos(qb), np.sin(qb)], axis=-1).reshape(
+        qb.shape[:-1] + (2 * lmax + 2,))
 
 
 def _delta_cache_info() -> dict:
@@ -258,10 +266,9 @@ def sph_harm_matrix(lmax: int, alphas, betas) -> np.ndarray:
 
 
 def _zonal(lmax: int, betas) -> list:
-    """d^l_{m0}(beta) for l = 0..lmax, [n_beta, 2l+1] per degree: [cos(q beta),
-    sin(q beta)] times Z^l, an einsum so that no beta's bits depend on the batch."""
-    qb = np.multiply.outer(np.ravel(betas).astype(float), np.arange(lmax + 1))
-    f = np.stack([np.cos(qb), np.sin(qb)], axis=-1).reshape(-1, 2 * lmax + 2)
+    """d^l_{m0}(beta) for l = 0..lmax, [n_beta, 2l+1] per degree: _fold_basis
+    times Z^l, an einsum so that no beta's bits depend on the batch."""
+    f = _fold_basis(np.ravel(betas).astype(float), lmax)
     return [np.einsum("rq,qn->rn", f[:, :2 * l + 2], Z)
             for l, (_, Z) in enumerate(_delta(lmax))]
 

@@ -107,8 +107,10 @@ def _check_doc(doc, path: str) -> dict:
     """Return a field document unchanged, or reject it: not an object,
     another version, a missing required key, an unknown space, field_orders
     and data of unequal length, a grid bandwidth that is not an integer
-    >= 1, or a field order that is not an integer (null is allowed in SO3
-    files, negative orders are not allowed in point clouds).
+    >= 1, channels that is not an integer >= 0 or differs from the number
+    of channels of a data block, a field order that is not an integer (null
+    is allowed in SO3 files, negative orders are not allowed in point
+    clouds), or an order that a point cloud holds twice.
     """
     if not isinstance(doc, dict):
         raise FieldFormatError(f"{path}: expected a JSON object")
@@ -134,6 +136,14 @@ def _check_doc(doc, path: str) -> dict:
                                     and doc["bandwidth"] >= 1):
         raise FieldFormatError(f"{path}: bandwidth must be an integer >= 1, "
                                f"got {doc['bandwidth']!r}")
+    channels = doc["channels"]
+    if not (_is_int(channels) and channels >= 0):
+        raise FieldFormatError(f"{path}: channels must be an integer >= 0, "
+                               f"got {channels!r}")
+    for idx, block in enumerate(data):
+        if isinstance(block, list) and len(block) != channels:
+            raise FieldFormatError(f"{path}: data[{idx}] holds {len(block)} "
+                                   f"channels, the header says {channels}")
     for order in orders:
         if order is None and space == "SO3":
             continue
@@ -141,6 +151,9 @@ def _check_doc(doc, path: str) -> dict:
             kind = "a non-negative integer" if space == "R3points" else "an integer"
             raise FieldFormatError(f"{path}: field order must be {kind}, "
                                    f"got {order!r}")
+    if space == "R3points" and len(set(orders)) != len(orders):
+        raise FieldFormatError(f"{path}: a point cloud holds each field order "
+                               f"once, got {orders}")
     return doc
 
 
@@ -154,6 +167,9 @@ def save_fields(path: str, fields: list):
     if not fields:
         raise ValueError("nothing to save")
     first = fields[0]
+    if any(f.channels != first.channels for f in fields):
+        raise ValueError("fields of one file must have equal channel counts, "
+                         f"got {[f.channels for f in fields]}")
     if isinstance(first, GroupFunction):
         space = "SO3"
         orders = [None] * len(fields)
@@ -200,7 +216,11 @@ def load_fields(path: str) -> list:
 
 def save_point_cloud(path: str, cloud: PointCloud):
     orders = [l for l, f in enumerate(cloud.features) if f is not None]
-    channels = cloud.features[orders[0]].shape[2] if orders else 0
+    counts = [cloud.features[l].shape[2] for l in orders]
+    if len(set(counts)) > 1:
+        raise ValueError("feature orders of one file must have equal channel "
+                         f"counts, got {counts}")
+    channels = counts[0] if counts else 0
     data = []
     for l in orders:
         f = cloud.features[l]                         # [n, 2l+1, c] real

@@ -12,7 +12,9 @@ and kappa_hat^l is nonzero only at entry (m_in, m_out), where it equals
 c^l / (2l+1) under our forward-transform normalization (the Plancherel
 weight lives in the inverse transform).  The whole operation therefore
 collapses to scaling the input column by c^l / (2l+1) and relabelling it as
-column m_out.
+column m_out.  conv_spatial_oracle checks this in direct space, with kappa's
+beta profile folded from Delta^l = d^l(pi/2): it shares no Wigner recursion
+with the transforms it checks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Rotation3, quadrature_grid
-from .harmonics import wigner_d_column
+from .groups import _zyz_angles, _zyz_matrix, quadrature_grid
+from .harmonics import _delta, _fold, _fold_basis
 from .fields import (FieldType, TensorField, field_from_spin_coeffs, lift,
                      spin_coeffs)
 from .transforms import SpectralBlocks
@@ -167,28 +169,7 @@ def kernel_to_spatial(kernel: SparseKernelSpec) -> np.ndarray:
     return lift(field_from_spin_coeffs(coeffs, kernel.m_out, s2_grid)).flat()
 
 
-_ORACLE_FLOATS = 2 ** 22   # d values per block of conv_spatial_oracle: 32 MiB
-
-
-def _relative_euler(s_out, s_in):
-    """ZYZ Euler angles of Q = s_in^{-1} s_out for every pair of sections
-    s_out [n_out, 3, 3] and s_in [n_in, 3, 3]: arrays [n_out, n_in]."""
-    Q = s_in.transpose(0, 2, 1) @ s_out[:, None]
-    sin_b = np.hypot(Q[..., 0, 2], Q[..., 1, 2])
-    beta = np.arctan2(sin_b, Q[..., 2, 2])
-    alpha = np.where(sin_b > 1e-12, np.arctan2(Q[..., 1, 2], Q[..., 0, 2]), 0.0)
-    gamma = np.where(sin_b > 1e-12, np.arctan2(Q[..., 2, 1], -Q[..., 2, 0]), 0.0)
-    # gimbal: beta = 0 leaves only alpha + gamma determined (fold into gamma),
-    # beta = pi only alpha - gamma (fold into alpha)
-    gimbal = sin_b <= 1e-12
-    if np.any(gimbal):
-        flip = Q[..., 2, 2] < 0
-        sum_ang = np.arctan2(Q[..., 1, 0], Q[..., 0, 0])
-        diff_ang = np.arctan2(-Q[..., 0, 1], Q[..., 1, 1])
-        alpha = np.where(gimbal, np.where(flip, diff_ang, 0.0), alpha)
-        gamma = np.where(gimbal, np.where(flip, 0.0, sum_ang), gamma)
-        beta = np.where(gimbal, np.where(flip, np.pi, 0.0), beta)
-    return alpha, beta, gamma
+_ORACLE_FLOATS = 2 ** 21   # values of _fold_basis per block of conv_spatial_oracle: 16 MiB
 
 
 def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorField:
@@ -196,40 +177,39 @@ def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorF
 
     For each output node x with section s(x) = R(alpha, beta, 0),
 
-        f_out(x) = sum_{x'} w' exp(-i m_out gamma_Q) kappa'(alpha_Q, beta_Q)
-                   f_in(x')
+        f_out(x) = sum_{x'} w' exp(-i m_in alpha_Q) kappa'(beta_Q)
+                   exp(-i m_out gamma_Q) f_in(x')
 
     where Q = s(x')^{-1} s(x) with Euler angles (alpha_Q, beta_Q, gamma_Q),
-    and kappa'(a, b) = sum_l c^l e^{-i m_in a} d^l_{m_in, m_out}(b) is the
-    kernel's gamma = 0 profile.  The twist phase on gamma_Q carries the
-    output order.  Each block of output nodes (one block up to B = 8) takes
-    one _relative_euler and one wigner_d_column call, on the recursion.
+    and kappa'(b) = sum_l c^l d^l_{m_in, m_out}(b) is the kernel's beta
+    profile: one trigonometric polynomial of degree B-1, summed once from the
+    folds _fold(Delta^l, m_out) of the cached Delta^l = d^l(pi/2).  The
+    twist phase on gamma_Q carries the output order.  Each block of output
+    nodes (one block up to B = 9) takes one product of _fold_basis(beta_Q)
+    with the profile; no Wigner recursion runs once Delta^l is cached.
     Used only as an independent check on conv_spectral.
     """
     if field.field_type.order != kernel.m_in:
         raise ValueError("field order does not match the kernel input order")
     if field.channels != kernel.c_in:
         raise ValueError("channel mismatch between field and kernel")
-    grid, n = field.grid, field.grid.n_nodes
-    alphas, betas = grid.nodes[:, 0], grid.nodes[:, 1]
-    ca, sa, cb, sb = np.cos(alphas), np.sin(alphas), np.cos(betas), np.sin(betas)
-    s = np.stack([ca * cb, -sa, ca * sb, sa * cb, ca, sa * sb,      # s(x)
-                  -sb, np.zeros_like(sb), cb], axis=-1).reshape(-1, 3, 3)
-    rows = max(1, _ORACLE_FLOATS // (n * kernel.bandwidth ** 2))
+    grid, n, L = field.grid, field.grid.n_nodes, kernel.bandwidth - 1
+    profile = np.zeros((2 * L + 2, kernel.c_out * kernel.c_in), dtype=complex)
+    deltas = _delta(L)
+    for l in kernel.degrees:
+        col = _fold(deltas[l][0], kernel.m_out)[:, kernel.m_in + l]
+        profile[:2 * l + 2] += np.multiply.outer(col, kernel.coeff(l).ravel())
+    s = _zyz_matrix(grid.nodes[:, 0], grid.nodes[:, 1], 0.0)       # s(x)
+    fw = field.flat() * grid.weights
+    rows = max(1, _ORACLE_FLOATS // (n * (2 * L + 2)))
     out = np.empty((kernel.c_out, n), dtype=complex)
     for i in range(0, n, rows):
-        a_q, b_q, g_q = _relative_euler(s[i:i + rows], s)       # [x, x']
-        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q.ravel(), kernel.m_out)
-        phase_a = np.exp(-1j * kernel.m_in * a_q)[:, None, None, :]
-        # output node first, so each node's sum runs in the order of a call
-        # for that node alone
-        kap = np.zeros((len(a_q), kernel.c_out, kernel.c_in, n), dtype=complex)
-        for l in kernel.degrees:
-            d = d_cols[l][:, kernel.m_in + l].reshape(a_q.shape)[:, None, None, :]
-            kap += kernel.coeff(l)[:, :, None] * (phase_a * d)
-        integrand = kap * np.exp(-1j * kernel.m_out * g_q)[:, None, None, :]
-        out[:, i:i + rows] = np.einsum("xoip,ip,p->ox", integrand, field.flat(),
-                                       grid.weights)
+        a_q, b_q, g_q = _zyz_angles(np.swapaxes(s, 1, 2) @ s[i:i + rows, None])
+        # an einsum, not BLAS: each output node's bits do not depend on the block
+        kap = np.einsum("xpq,qk->xpk", _fold_basis(b_q, L), profile.view(float))
+        kap = kap.view(complex).reshape(len(a_q), n, kernel.c_out, kernel.c_in)
+        phase = np.exp(-1j * (kernel.m_in * a_q + kernel.m_out * g_q))
+        out[:, i:i + rows] = np.einsum("xpoi,xp,ip->ox", kap, phase, fw)
     return TensorField(grid, FieldType("SO2", kernel.m_out), out)
 
 

@@ -99,8 +99,6 @@ class ShtCoeffs:
     def channels(self) -> int:
         return self.data[0].shape[0]
 
-    def copy(self) -> "ShtCoeffs":
-        return ShtCoeffs(self.bandwidth, [b.copy() for b in self.data])
 
 
 @dataclass
@@ -118,8 +116,6 @@ class SpectralBlocks:
     def channels(self) -> int:
         return self.blocks[0].shape[0]
 
-    def copy(self) -> "SpectralBlocks":
-        return SpectralBlocks(self.bandwidth, [b.copy() for b in self.blocks])
 
     @staticmethod
     def zeros(bandwidth: int, channels: int) -> "SpectralBlocks":

@@ -47,6 +47,24 @@ class TestFieldFiles:
         assert isinstance(back, GroupFunction)
         assert np.array_equal(back.samples, gf.samples)
 
+    def test_fields_of_unequal_channel_counts_are_not_saved(self, tmp_path):
+        fields = random_s2_fields(channels=1)[:1] + random_s2_fields(channels=3)
+        with pytest.raises(ValueError, match=r"\[1, 3, 3\]"):
+            save_fields(tmp_path / "f.json", fields)
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("channels", [1, 3, -1, 2.0, "2"])
+    def test_block_channels_disagree_with_header(self, tmp_path, channels):
+        path, csv = tmp_path / "f.json", tmp_path / "f.csv"
+        save_fields(path, random_s2_fields())
+        doc = json.loads(path.read_text())
+        doc["channels"] = channels
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="channels"):
+            load_fields(path)
+        assert main(["convert", str(path), str(csv)]) == 3
+        assert not csv.exists()
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "f.json"
         save_fields(path, random_s2_fields())
@@ -130,6 +148,35 @@ class TestPointCloudIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(FieldFormatError, match=match):
             load_point_cloud(path)
+
+    def test_an_order_held_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "cloud.json"
+        save_point_cloud(path, PointCloud(np.zeros((2, 3)),
+                                          [np.ones((2, 1, 1))]))
+        doc = json.loads(path.read_text())
+        doc["field_orders"], doc["data"] = [0, 0], doc["data"] * 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="each field order once"):
+            load_point_cloud(path)
+        assert main(["convert", str(path), str(tmp_path / "c.csv")]) == 3
+
+    def test_orders_of_unequal_channel_counts_are_not_saved(self, tmp_path):
+        cloud = PointCloud(np.zeros((2, 3)), [np.ones((2, 1, 2)),
+                                              np.ones((2, 3, 3))])
+        with pytest.raises(ValueError, match=r"\[2, 3\]"):
+            save_point_cloud(tmp_path / "cloud.json", cloud)
+        assert not (tmp_path / "cloud.json").exists()
+
+    def test_block_channels_disagree_with_header(self, tmp_path):
+        path = tmp_path / "cloud.json"
+        save_point_cloud(path, PointCloud(np.zeros((2, 3)),
+                                          [np.ones((2, 1, 2))]))
+        doc = json.loads(path.read_text())
+        doc["channels"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="holds 2 channels"):
+            load_point_cloud(path)
+        assert main(["convert", str(path), str(tmp_path / "c.csv")]) == 3
 
     def test_xyz_import(self, tmp_path):
         path = tmp_path / "mol.xyz"

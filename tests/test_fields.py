@@ -9,7 +9,7 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             regular_action, resample, spin_coeffs,
                             spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import wigner_d_column
+from homharm.harmonics import _wigner_d_columns
 
 rng = np.random.default_rng(404)
 
@@ -32,7 +32,7 @@ def random_rotation():
 def sph_harm(l, m, alpha, beta):
     """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta) at one point, with
     d^l_{m0} from the recursion's column n = 0."""
-    d = wigner_d_column(l, [beta], 0)[l][0, l + m]
+    d = list(_wigner_d_columns(l, [beta], 0, 0))[l][0, l + m, 0]
     return np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from homharm.groups import (Rotation3, project_s2, quadrature_grid,
-                            section_s2, twist_s2)
+from homharm.groups import (Rotation3, _zyz_angles, _zyz_matrix, project_s2,
+                            quadrature_grid, section_s2, twist_s2)
 
 rng = np.random.default_rng(101)
 
@@ -60,11 +60,33 @@ class TestRotation3:
             Rotation3(0.0, -0.5, 0.0)
 
 
+class TestVectorizedZYZ:
+    """_zyz_matrix and _zyz_angles on arrays give, entry for entry, the bits
+    of Rotation3.matrix and Rotation3.from_matrix on one rotation."""
+
+    def test_matrices_and_angles_equal_the_scalar_methods(self):
+        a = np.concatenate([rng.uniform(0, 2 * np.pi, 20), [0.0, 1.0, 5.0, 2.5]])
+        b = np.concatenate([rng.uniform(0, np.pi, 20), [0.0, np.pi, 0.0, np.pi]])
+        g = np.concatenate([rng.uniform(0, 2 * np.pi, 20), [0.0, 0.0, 0.0, 3.0]])
+        M = _zyz_matrix(a, b, g)
+        assert M.shape == (24, 3, 3)
+        # products land off the canonical triples, at and near the gimbal
+        M = np.concatenate([M, M @ M[::-1], M @ _zyz_matrix(0.3, np.pi, 0.4)])
+        angles = _zyz_angles(M)
+        for i in range(len(a)):
+            assert np.array_equal(M[i], Rotation3(a[i], b[i], g[i]).matrix())
+        for i in range(len(M)):
+            h = Rotation3.from_matrix(M[i])
+            assert [x[i] for x in angles] == [h.alpha, h.beta, h.gamma]
+        assert set(angles[1][[20, 21, 22, 23]]) == {0.0, np.pi}
+        assert np.all(angles[2][[20, 21, 22, 23]] == 0.0)
+
+
 class TestSectionsAndTwist:
     def test_section_hits_the_point(self):
         # s(x) applied to the north pole gives x
         alpha, beta = 1.1, 0.6
-        v = section_s2(alpha, beta).apply([0.0, 0.0, 1.0])
+        v = section_s2(alpha, beta).matrix() @ [0.0, 0.0, 1.0]
         expect = [np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
                   np.cos(beta)]
         assert np.allclose(v, expect, atol=1e-14)
@@ -82,7 +104,7 @@ class TestSectionsAndTwist:
 
 
 class TestQuadratureGrid:
-    @pytest.mark.parametrize("space", ["S2", "SO3", "Circle"])
+    @pytest.mark.parametrize("space", ["S2", "SO3"])
     def test_weights_sum_to_one(self, space):
         grid = quadrature_grid(space, 6)
         assert grid.weights.sum() == pytest.approx(1.0, abs=1e-13)
@@ -91,7 +113,6 @@ class TestQuadratureGrid:
         B = 5
         assert quadrature_grid("S2", B).n_nodes == (2 * B) ** 2
         assert quadrature_grid("SO3", B).n_nodes == (2 * B) ** 3
-        assert quadrature_grid("Circle", B).n_nodes == 2 * B
 
     def test_beta_weights_integrate_legendre(self):
         """The colatitude weights integrate Legendre polynomials of degree

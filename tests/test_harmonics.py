@@ -8,10 +8,10 @@ from scipy.linalg import expm
 from homharm import harmonics
 from homharm.checks import run_suite
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import (_rotate, _wigner_D_blocks, cg_matrix,
-                               clebsch_gordan, real_basis_change,
-                               real_sph_harm_matrix, sph_harm_matrix,
-                               wigner_D_matrix, wigner_D_real, wigner_d_column,
+from homharm.harmonics import (_fold, _fold_basis, _rotate, _wigner_D_blocks,
+                               _wigner_d_columns, cg_matrix, clebsch_gordan,
+                               real_basis_change, real_sph_harm_matrix,
+                               sph_harm_matrix, wigner_D_matrix, wigner_D_real,
                                wigner_d_stack)
 
 rng = np.random.default_rng(202)
@@ -22,12 +22,19 @@ def wigner_d(l, beta):
     return wigner_d_stack(l, [beta])[l][0]
 
 
+def d_column(lmax, betas, k):
+    """Column n = k of d^l(beta), l = 0..lmax: [n_beta, 2l+1] per degree,
+    None below |k|; the column view of the recursion."""
+    return [None if d is None else d[:, :, 0]
+            for d in _wigner_d_columns(lmax, betas, k, k)]
+
+
 def sph_harm(l, m, alpha, beta):
     """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta), with d^l_{m0} from
     the recursion's column n = 0; a complex scalar for scalar angles."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    d = wigner_d_column(l, np.ravel(beta), 0)[l][:, l + m]
+    d = d_column(l, np.ravel(beta), 0)[l][:, l + m]
     val = np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d.reshape(beta.shape)
     return val if val.shape else complex(val)
 
@@ -173,6 +180,24 @@ class TestDeltaTables:
             ref = (ref @ real_basis_change(l).T).real
             assert np.abs(S[:, l * l:(l + 1) ** 2] - ref).max() < 1e-13
 
+    def test_zonal_fold_is_the_fold_of_column_zero(self):
+        stack = wigner_d_stack(20, [np.pi / 2])
+        for l, (D, Z) in enumerate(harmonics._delta(20)):
+            assert np.array_equal(_fold(stack[l][0], 0), Z)
+            assert np.array_equal(_fold(D, 0), Z)
+
+    def test_fold_matches_the_stack(self):
+        """[cos q beta, sin q beta] @ _fold(Delta^l, n) against the
+        recursion's column n, both poles and pi/2 included."""
+        lmax = 20
+        betas = np.concatenate([[0.0, 1e-9, np.pi / 2, np.pi - 1e-9, np.pi],
+                                rng.uniform(0, np.pi, 6)])
+        stack, basis = wigner_d_stack(lmax, betas), _fold_basis(betas, lmax)
+        for l, (D, _) in enumerate(harmonics._delta(lmax)):
+            for n in range(-l, l + 1):
+                got = basis[:, :2 * l + 2] @ _fold(D, n)
+                assert np.abs(got - stack[l][:, :, l + n]).max() <= 1e-14, (l, n)
+
     def test_cache_holds_delta_and_zonal_fold_per_degree(self, monkeypatch):
         """The B = 16 suite reads degrees 0..15: (2l+1)^2 floats of Delta^l
         and (2l+2)(2l+1) of Z^l each, 0.09 MiB in all."""
@@ -191,7 +216,7 @@ class TestWignerDColumn:
         for k in sorted({-l, -1, 0, 1, l}):
             if abs(k) > l:
                 continue
-            col = wigner_d_column(l, betas, k)[l]
+            col = d_column(l, betas, k)[l]
             for j, beta in enumerate(betas):
                 ref = d_matrix_oracle(l, beta)[:, l + k]
                 assert np.abs(col[j] - ref).max() < 5e-13
@@ -204,7 +229,7 @@ class TestWignerDColumn:
                             (64, edges)):
             stack = wigner_d_stack(lmax, betas)
             for k in range(-lmax, lmax + 1):
-                cols = wigner_d_column(lmax, betas, k)
+                cols = d_column(lmax, betas, k)
                 assert all(c is None for c in cols[:abs(k)])
                 for l in range(abs(k), lmax + 1):
                     assert np.array_equal(cols[l], stack[l][:, :, l + k]), (lmax, k, l)
@@ -212,8 +237,8 @@ class TestWignerDColumn:
     def test_prefix(self):
         betas = rng.uniform(0, np.pi, 5)
         for k in (-3, 0, 2):
-            short = wigner_d_column(10, betas, k)
-            long = wigner_d_column(20, betas, k)
+            short = d_column(10, betas, k)
+            long = d_column(20, betas, k)
             assert len(short) == 11
             for a, b in zip(short, long[:11]):
                 assert (a is None and b is None) or np.array_equal(a, b)
@@ -223,7 +248,7 @@ class TestWignerDColumn:
         # runs on the difference d^l - d^{l-1}, so no region loses accuracy
         betas = np.array([0.0, 0.004, 0.05, 0.9, 1.7, 2.6, np.pi - 0.01, np.pi])
         for k in (-200, -57, -1, 0, 3, 150, 200):
-            cols = wigner_d_column(200, betas, k)
+            cols = d_column(200, betas, k)
             for l in range(abs(k), 201):
                 norms = np.sum(cols[l] ** 2, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-13, (k, l)

@@ -1,16 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homharm import spectral_conv
+from homharm import harmonics, spectral_conv
 from homharm.fields import (FieldType, field_from_spin_coeffs,
                             induced_action, lift_spectrum, spin_coeffs)
-from homharm.groups import Rotation3, quadrature_grid
+from homharm.groups import Rotation3, _zyz_angles, quadrature_grid
 from homharm.spectral_conv import (SparseKernelSpec, conv_field,
                                    conv_spatial_oracle, conv_spectral,
                                    conv_vjp, kernel_degrees,
                                    kernel_to_spatial,
                                    spectral_identity_kernel)
-from homharm.harmonics import wigner_d_column
+from homharm.harmonics import _wigner_d_columns
 from homharm.transforms import SpectralBlocks, so3_ft_forward
 
 rng = np.random.default_rng(505)
@@ -187,11 +189,12 @@ def per_node_oracle(field, kernel):
     for node in range(grid.n_nodes):
         a_q, b_q, g_q = per_node_relative_euler(alphas[node], betas[node],
                                                 alphas, betas)
-        d_cols = wigner_d_column(kernel.bandwidth - 1, b_q, kernel.m_out)
+        d_cols = list(_wigner_d_columns(kernel.bandwidth - 1, b_q,
+                                        kernel.m_out, kernel.m_out))
         kap = np.zeros((kernel.c_out, kernel.c_in, grid.n_nodes), dtype=complex)
         phase_a = np.exp(-1j * kernel.m_in * a_q)
         for l in kernel.degrees:
-            d = d_cols[l][:, kernel.m_in + l]
+            d = d_cols[l][:, kernel.m_in + l, 0]
             kap += kernel.coeff(l)[:, :, None] * (phase_a * d)[None, None, :]
         integrand = kap * np.exp(-1j * kernel.m_out * g_q)[None, None, :]
         out[:, node] = np.einsum("oip,ip,p->o", integrand, fin, grid.weights)
@@ -199,31 +202,56 @@ def per_node_oracle(field, kernel):
 
 
 class TestOnePassOracle:
-    @pytest.mark.parametrize("B", [2, 3, 4])
-    def test_equals_the_per_node_loop_bit_for_bit(self, B, monkeypatch):
-        calls = []
-        monkeypatch.setattr(spectral_conv, "wigner_d_column",
-                            lambda *a: calls.append(a) or wigner_d_column(*a))
+    @pytest.mark.parametrize("B", [2, 3, 4, 5])
+    def test_matches_the_per_node_loop(self, B):
+        """The folded Delta^l profile against the recursion, node by node;
+        the two share no arithmetic."""
         for (m_in, m_out) in [(0, 0), (1, -1), (min(2, B - 1), 1)]:
             field = random_field(B, m_in, channels=2)
             kernel = random_kernel(m_in, m_out, B, c_out=3, c_in=2)
-            del calls[:]
             got = conv_spatial_oracle(field, kernel).flat()
-            assert len(calls) == 1
-            assert np.array_equal(got, per_node_oracle(field, kernel))
+            want = per_node_oracle(field, kernel)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_blocks_of_output_nodes_keep_the_bits(self, monkeypatch):
-        """A bound of 1000 d values splits B = 3 (36 nodes, 9 d values per
-        pair) into 12 blocks of 3 output nodes."""
-        calls = []
-        monkeypatch.setattr(spectral_conv, "wigner_d_column",
-                            lambda *a: calls.append(a) or wigner_d_column(*a))
-        monkeypatch.setattr(spectral_conv, "_ORACLE_FLOATS", 1000)
+        """A bound of 1000 basis values splits B = 3 (36 nodes, 6 values per
+        pair) into 9 blocks of 4 output nodes."""
         field = random_field(3, 1, channels=2)
         kernel = random_kernel(1, -1, 3, c_out=3, c_in=2)
+        whole = conv_spatial_oracle(field, kernel).flat()
+        calls = []
+        monkeypatch.setattr(spectral_conv, "_zyz_angles",
+                            lambda M: calls.append(M.shape) or _zyz_angles(M))
+        monkeypatch.setattr(spectral_conv, "_ORACLE_FLOATS", 1000)
         got = conv_spatial_oracle(field, kernel).flat()
-        assert len(calls) == 12
-        assert np.array_equal(got, per_node_oracle(field, kernel))
+        assert calls == [(4, 36, 3, 3)] * 9
+        assert np.array_equal(got, whole)
+
+    def test_runs_no_wigner_recursion_once_delta_is_cached(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the oracle ran the Wigner recursion")
+
+        field = random_field(4, 1, channels=2)
+        kernel = random_kernel(1, 2, 4, c_out=2, c_in=2)
+        harmonics._delta(3)
+        want = conv_spatial_oracle(field, kernel).flat()
+        monkeypatch.setattr(harmonics, "_wigner_d_columns", fail)
+        monkeypatch.setattr(harmonics, "wigner_d_stack", fail)
+        assert np.array_equal(conv_spatial_oracle(field, kernel).flat(), want)
+
+    def test_memory_at_bandwidth_8(self):
+        """The d values of every node pair (B^2 of them) are never held: one
+        call at B = 8 peaked at 82.7 MiB traced with them, 21.5 MiB without."""
+        field = random_field(8, 1, channels=2)
+        kernel = random_kernel(1, -1, 8, c_out=2, c_in=2)
+        conv_spatial_oracle(field, kernel)
+        tracemalloc.start()
+        try:
+            conv_spatial_oracle(field, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20, peak / 2 ** 20
 
 
 class TestEquivariance:

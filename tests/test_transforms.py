@@ -8,7 +8,7 @@ from homharm import transforms
 from homharm.fields import (FieldType, TensorField, resample, spin_coeffs,
                             spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import sph_harm_matrix, wigner_D_matrix, wigner_d_column
+from homharm.harmonics import _wigner_d_columns, sph_harm_matrix, wigner_D_matrix
 from homharm.transforms import (_PLAN_BYTES, ShtCoeffs, SpectralBlocks,
                                 _plan_cache_info, _spin_analysis, _spin_plan,
                                 fiber_dft,
@@ -381,18 +381,18 @@ def reference_spin_analysis(f, grid, k):
     F = np.fft.fftshift(np.fft.ifft(f.reshape(-1, n, n), axis=1),
                         axes=1) * grid.beta_weights
     return [None if d is None else
-            np.einsum("cmj,jm->cm", F[:, B - l:B + l + 1, :], d)
-            for l, d in enumerate(wigner_d_column(B - 1, grid.betas, k))]
+            np.einsum("cmj,jm->cm", F[:, B - l:B + l + 1, :], d[:, :, 0])
+            for l, d in enumerate(_wigner_d_columns(B - 1, grid.betas, k, k))]
 
 
 def reference_spin_synthesis(coeffs, grid, k):
     B = grid.bandwidth
     n = 2 * B
     F = np.zeros((coeffs[-1].shape[0], n, n), dtype=complex)
-    for l, d in enumerate(wigner_d_column(len(coeffs) - 1, grid.betas, k)):
+    for l, d in enumerate(_wigner_d_columns(len(coeffs) - 1, grid.betas, k, k)):
         if d is not None:
             F[:, B - l:B + l + 1, :] += (2 * l + 1) * np.einsum(
-                "cm,jm->cmj", coeffs[l], d)
+                "cm,jm->cmj", coeffs[l], d[:, :, 0])
     return np.fft.fft(np.fft.ifftshift(F, axes=1), axis=1).reshape(-1, n * n)
 
 
