@@ -8,9 +8,10 @@ random draws of existing ones.  Wall times are printed for humans but
 serialized as null so report bytes stay stable.
 
 run_suite is the one gate for a configuration: it raises CheckConfigError
-for an unknown suite, bandwidth < 2, trials < 1, oversample < 1 or seed < 0
-before any check runs, so every check may assume B >= 2.  (At B = 1 every
-S^2 field is a constant, so no order-1 field, kernel or cotangent exists.)
+for an unknown suite or config key, bandwidth < 2, trials < 1, oversample
+< 1 or seed < 0 before any check runs, so every check may assume B >= 2.
+(At B = 1 every S^2 field is a constant, so no order-1 field, kernel or
+cotangent exists.)
 It also rejects bandwidth > 128 and bandwidth * oversample > 256, the
 largest grids the tests run, so a huge value ends as a usage error rather
 than in an allocation, and trials > 1024, 32 rotation blocks per order pair
@@ -106,8 +107,7 @@ class CheckReport:
 
 
 def default_config() -> dict:
-    return {"bandwidth": 8, "seed": 42, "trials": 20, "oversample": 2,
-            "tolerances": {}}
+    return {"bandwidth": 8, "seed": 42, "trials": 20, "oversample": 2}
 
 
 def _rng_for(cfg: dict, name: str):
@@ -674,8 +674,11 @@ SUITES = {
 def run_suite(suite: str, config: dict | None = None) -> CheckReport:
     """Run one named suite (or 'all') and return its report."""
     cfg = default_config()
-    if config:
-        cfg.update(config)
+    unknown = sorted(set(config or {}) - set(cfg))
+    if unknown:
+        raise CheckConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                               f"choose from {', '.join(cfg)}")
+    cfg.update(config or {})
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -696,13 +699,10 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
         raise CheckConfigError(
             f"bandwidth * oversample must be at most {_MAX_WORK_BANDWIDTH}, "
             f"got {cfg['bandwidth']} * {cfg['oversample']}")
-    echo = {k: v for k, v in cfg.items() if k != "tolerances"}
-    echo["suites"] = names
-    report = CheckReport(suite, echo)
+    report = CheckReport(suite, {**cfg, "suites": names})
     for name in names:
         for check_name, fn, tol in SUITES[name]:
             rng, sub = _rng_for(cfg, check_name)
-            tol = cfg["tolerances"].get(check_name, tol)
             t0 = time.perf_counter()
             error = None
             try:

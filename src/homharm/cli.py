@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import SUITES, CheckConfigError, run_suite
+from .checks import SUITES, CheckConfigError, default_config, run_suite
 from .io import FieldFormatError, convert_field
 
 EXIT_OK = 0
@@ -51,12 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    config = {
-        "bandwidth": args.bandwidth,
-        "seed": args.seed,
-        "trials": args.trials,
-        "oversample": args.oversample,
-    }
+    config = {key: getattr(args, key) for key in default_config()}
     try:
         report = run_suite(args.suite, config)
     except CheckConfigError as e:

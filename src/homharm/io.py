@@ -15,6 +15,12 @@ Field file layout (format_version 1):
       "positions": [[x, y, z], ...]    # R3points only
     }
 
+A field file is valid when _check_doc accepts its header, each block has
+the shape that header implies, every value is finite and point-cloud values
+are real.  _decode is that definition; both loaders and both directions of
+convert_field run it.  A CSV file holds the header in '# key=value'
+comments, then one row per (field, channel, node, dim) cell.
+
 Floats are serialized with Python's shortest round-trip repr, which is
 lossless at double precision (at most 17 significant digits).
 """
@@ -22,7 +28,9 @@ lossless at double precision (at most 17 significant digits).
 from __future__ import annotations
 
 import json
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +51,8 @@ FORMAT_VERSION = 1
 
 
 class FieldFormatError(ValueError):
-    """Raised for malformed or unsupported field files, with context."""
+    """Raised for a malformed or unsupported field file, kernel or activation
+    spec, or XYZ file, naming the path or spec and the line or key at fault."""
 
 
 def _pairs(block: np.ndarray) -> list:
@@ -64,10 +73,6 @@ def _float_array(data, ndim: int, last: int, where: str, expected: str) -> np.nd
     return arr
 
 
-def _pair_array(data, where: str) -> np.ndarray:
-    return _float_array(data, 4, 2, where, "[channel][node][dim] of [re, im] pairs")
-
-
 def _unpairs(arr: np.ndarray) -> np.ndarray:
     """[..., 2] float [re, im] pairs -> [...] complex, bit for bit (a real
     part -0.0 stays -0.0, which re + 1j * im would make +0.0)."""
@@ -75,54 +80,59 @@ def _unpairs(arr: np.ndarray) -> np.ndarray:
 
 
 def _positions(doc: dict, path: str) -> np.ndarray:
-    """The positions as an [n, 3] array; an empty list is a cloud of n = 0."""
+    """The finite positions as an [n, 3] array; an empty list is a cloud of
+    n = 0."""
     data = doc["positions"]
-    return _float_array(np.zeros((0, 3)) if data == [] else data, 2, 3,
-                        f"{path}: positions", "a list of [x, y, z]")
+    arr = _float_array(np.zeros((0, 3)) if data == [] else data, 2, 3,
+                       f"{path}: positions", "a list of [x, y, z]")
+    if not np.isfinite(arr).all():
+        raise FieldFormatError(f"{path}: positions must be finite")
+    return arr
 
 
 def _dump(doc: dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True,
+                                     separators=(",", ":")) + "\n")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer (bool is an int subclass in Python, not in JSON)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _read_doc(path: str) -> dict:
-    """Read a JSON field document and check it with _check_doc."""
+def _json(text: str, where: str):
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise FieldFormatError(f"{path}: invalid JSON at line {e.lineno}, "
+        raise FieldFormatError(f"{where}: invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}") from e
-    return _check_doc(doc, path)
 
 
-def _check_doc(doc, path: str) -> dict:
-    """Return a field document unchanged, or reject it: not an object,
-    another version, a missing required key, an unknown space, field_orders
-    and data of unequal length, a grid bandwidth that is not an integer
-    >= 1, channels that is not an integer >= 0 or differs from the number
-    of channels of a data block, a field order that is not an integer (null
-    is allowed in SO3 files, negative orders are not allowed in point
-    clouds), or an order that a point cloud holds twice.
-    """
+def _require(doc, keys, where: str):
+    """doc, if it is a JSON object holding every one of keys."""
     if not isinstance(doc, dict):
-        raise FieldFormatError(f"{path}: expected a JSON object")
+        raise FieldFormatError(f"{where}: expected a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise FieldFormatError(f"{where}: missing key(s) {', '.join(missing)}")
+    return doc
+
+
+def _check_doc(doc, path: str) -> list:
+    """The [channels, nodes, dim] shape of each block, computed from a field
+    document's header without building a grid: C channels of (2B)^2 (S2) or
+    (2B)^3 (SO3) nodes of dimension 1, or of one point per position of
+    dimension 2l+1 (R3points, order l).  Rejected: not an object, another
+    version, a missing required key, an unknown space, field_orders and data
+    of unequal length, a bandwidth that is not an integer >= 1, channels that
+    is not an integer >= 0 or differs from a data block's, a field order that
+    is not an integer (null is allowed in SO3 files, negative orders are not
+    allowed in point clouds), an order that a point cloud holds twice, or
+    positions that are not a list of finite [x, y, z].
+    """
+    _require(doc, (), path)
+    # type(x) is int: a JSON integer (bool is an int subclass in Python)
     v = doc.get("format_version")
-    if v != FORMAT_VERSION:
+    if type(v) is not int or v != FORMAT_VERSION:
         raise FieldFormatError(f"{path}: unsupported format_version {v!r} "
                                f"(this reader handles {FORMAT_VERSION})")
     extra = "positions" if doc.get("space") == "R3points" else "bandwidth"
-    missing = [key for key in ("space", "channels", "field_orders", "data", extra)
-               if key not in doc]
-    if missing:
-        raise FieldFormatError(f"{path}: missing key(s) {', '.join(missing)}")
+    _require(doc, ("space", "channels", "field_orders", "data", extra), path)
     space = doc["space"]
     if space not in ("S2", "SO3", "R3points"):
         raise FieldFormatError(f"{path}: space must be S2, SO3 or R3points, "
@@ -132,12 +142,12 @@ def _check_doc(doc, path: str) -> dict:
             and len(orders) == len(data)):
         raise FieldFormatError(f"{path}: field_orders and data must be lists "
                                f"of equal length")
-    if space != "R3points" and not (_is_int(doc["bandwidth"])
+    if space != "R3points" and not (type(doc["bandwidth"]) is int
                                     and doc["bandwidth"] >= 1):
         raise FieldFormatError(f"{path}: bandwidth must be an integer >= 1, "
                                f"got {doc['bandwidth']!r}")
     channels = doc["channels"]
-    if not (_is_int(channels) and channels >= 0):
+    if not (type(channels) is int and channels >= 0):
         raise FieldFormatError(f"{path}: channels must be an integer >= 0, "
                                f"got {channels!r}")
     for idx, block in enumerate(data):
@@ -147,14 +157,52 @@ def _check_doc(doc, path: str) -> dict:
     for order in orders:
         if order is None and space == "SO3":
             continue
-        if not _is_int(order) or (space == "R3points" and order < 0):
+        if not type(order) is int or (space == "R3points" and order < 0):
             kind = "a non-negative integer" if space == "R3points" else "an integer"
             raise FieldFormatError(f"{path}: field order must be {kind}, "
                                    f"got {order!r}")
-    if space == "R3points" and len(set(orders)) != len(orders):
+    if space != "R3points":
+        n = (2 * doc["bandwidth"]) ** (2 if space == "S2" else 3)
+        return [(channels, n, 1)] * len(orders)
+    if len(set(orders)) != len(orders):
         raise FieldFormatError(f"{path}: a point cloud holds each field order "
                                f"once, got {orders}")
-    return doc
+    n = len(_positions(doc, path))
+    return [(channels, n, 2 * l + 1) for l in orders]
+
+
+def _decode(doc, path: str) -> list:
+    """The blocks of a valid field document (see the module docstring) as
+    complex [channels, nodes, dim] arrays.  No grid is built, so a header
+    meets its data before anything of the header's size is allocated."""
+    shapes = _check_doc(doc, path)
+    noun = "points" if doc["space"] == "R3points" else "nodes"
+    blocks = []
+    for idx, (block, (_, n, dim)) in enumerate(zip(doc["data"], shapes)):
+        where = f"{path}: data[{idx}]"
+        arr = _float_array(block, 4, 2, where,
+                           "[channel][node][dim] of [re, im] pairs")
+        if arr.shape[1:3] != (n, dim):
+            raise FieldFormatError(
+                f"{where} holds {arr.shape[1]} {noun} of dimension "
+                f"{arr.shape[2]}, expected {n} {noun} of dimension {dim}")
+        if not np.isfinite(arr).all() or (noun == "points" and arr[..., 1].any()):
+            raise FieldFormatError(f"{where}: values must be finite"
+                                   + (" and real" if noun == "points" else ""))
+        blocks.append(_unpairs(arr))
+    return blocks
+
+
+def _save(path: str, header: dict, orders: list, blocks: list):
+    """Write a field file of the header's space keys and one complex
+    [channels, nodes, dim] block per order, all of one channel count."""
+    counts = [block.shape[0] for block in blocks]
+    if len(set(counts)) > 1:
+        raise ValueError("blocks of one file must have equal channel counts, "
+                         f"got {counts}")
+    _dump({"format_version": FORMAT_VERSION, **header, "field_orders": orders,
+           "channels": counts[0] if counts else 0,
+           "data": [_pairs(block) for block in blocks]}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +214,25 @@ def save_fields(path: str, fields: list):
     """Write TensorFields (shared S2 grid) or GroupFunctions (SO3) as JSON."""
     if not fields:
         raise ValueError("nothing to save")
-    first = fields[0]
-    if any(f.channels != first.channels for f in fields):
-        raise ValueError("fields of one file must have equal channel counts, "
-                         f"got {[f.channels for f in fields]}")
-    if isinstance(first, GroupFunction):
-        space = "SO3"
-        orders = [None] * len(fields)
-    else:
-        space = first.grid.space
-        orders = [f.field_type.order for f in fields]
-    B = first.grid.bandwidth
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "space": space,
-        "bandwidth": B,
-        "field_orders": orders,
-        "channels": first.channels,
-        "data": [_pairs(f.samples) for f in fields],
-    }
-    _dump(doc, path)
+    grid = fields[0].grid
+    _save(path, {"space": grid.space, "bandwidth": grid.bandwidth},
+          [None if isinstance(f, GroupFunction) else f.field_type.order
+           for f in fields], [f.samples for f in fields])
 
 
 def load_fields(path: str) -> list:
     """Read a field file back into TensorFields or GroupFunctions."""
-    doc = _read_doc(path)
+    doc = _json(Path(path).read_text(), path)
+    blocks = _decode(doc, path)
     space = doc["space"]
-    if space not in ("S2", "SO3"):
+    if space == "R3points":
         raise FieldFormatError(f"{path}: space must be S2 or SO3 in a grid "
                                f"field file, got {space!r}")
     grid = quadrature_grid(space, doc["bandwidth"])
-    out = []
-    for idx, (order, block) in enumerate(zip(doc["field_orders"], doc["data"])):
-        samples = _unpairs(_pair_array(block, f"{path}: data[{idx}]"))
-        if samples.shape[1] != grid.n_nodes:
-            raise FieldFormatError(f"{path}: data[{idx}] has {samples.shape[1]} "
-                                   f"nodes, grid expects {grid.n_nodes}")
-        if space == "SO3":
-            out.append(GroupFunction(grid, samples.reshape(samples.shape[0], -1)))
-        else:
-            out.append(TensorField(grid, FieldType("SO2", order), samples))
-    return out
+    if space == "SO3":
+        return [GroupFunction(grid, block) for block in blocks]
+    return [TensorField(grid, FieldType("SO2", order), block)
+            for order, block in zip(doc["field_orders"], blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,69 +242,47 @@ def load_fields(path: str) -> list:
 
 def save_point_cloud(path: str, cloud: PointCloud):
     orders = [l for l, f in enumerate(cloud.features) if f is not None]
-    counts = [cloud.features[l].shape[2] for l in orders]
-    if len(set(counts)) > 1:
-        raise ValueError("feature orders of one file must have equal channel "
-                         f"counts, got {counts}")
-    channels = counts[0] if counts else 0
-    data = []
-    for l in orders:
-        f = cloud.features[l]                         # [n, 2l+1, c] real
-        block = np.transpose(f, (2, 0, 1)).astype(complex)
-        data.append(_pairs(block))
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "space": "R3points",
-        "field_orders": orders,
-        "channels": channels,
-        "positions": cloud.positions.tolist(),
-        "data": data,
-    }
-    _dump(doc, path)
+    _save(path, {"space": "R3points", "positions": cloud.positions.tolist()},
+          orders, [np.transpose(cloud.features[l], (2, 0, 1)) for l in orders])
 
 
 def load_point_cloud(path: str) -> PointCloud:
-    doc = _read_doc(path)
+    doc = _json(Path(path).read_text(), path)
+    blocks = _decode(doc, path)
     if doc["space"] != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
                                f"{doc['space']!r}")
-    positions = _positions(doc, path)
     orders = doc["field_orders"]
     features: list = [None] * (max(orders) + 1 if orders else 0)
-    for l, block in zip(orders, doc["data"]):
-        arr = _unpairs(_pair_array(block, f"{path}: order {l}"))
-        if arr.shape[1:] != (len(positions), 2 * l + 1):
-            raise FieldFormatError(
-                f"{path}: order {l} holds {arr.shape[1]} points of dimension "
-                f"{arr.shape[2]}, expected {len(positions)} points (the "
-                f"positions) of dimension {2 * l + 1}")
-        features[l] = np.transpose(arr.real, (1, 2, 0))
-    return PointCloud(positions, features)
+    for l, block in zip(orders, blocks):
+        features[l] = np.transpose(block.real, (1, 2, 0))
+    return PointCloud(_positions(doc, path), features)
 
 
 def load_xyz(path: str) -> np.ndarray:
-    """Import positions from XYZ-style text: one 'label x y z' line per atom;
-    an optional leading count line and comment line are skipped.
-    """
+    """Import positions as an [n, 3] array from XYZ-style text: one
+    'label x y z' line per atom; an optional leading count line, which must
+    match the atom lines, and the comment line after it are skipped."""
     positions = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    start = 0
-    if lines and lines[0].strip().isdigit():
-        start = 2
+    lines = Path(path).read_text().splitlines()
+    count = int(lines[0]) if lines and lines[0].strip().isdecimal() else None
+    start = 0 if count is None else 2
     for ln, line in enumerate(lines[start:], start=start + 1):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) < 4:
-            raise FieldFormatError(f"{path}: line {ln}: expected "
-                                   f"'label x y z', got {line!r}")
         try:
-            positions.append([float(p) for p in parts[1:4]])
-        except ValueError as e:
-            raise FieldFormatError(f"{path}: line {ln}: non-numeric "
-                                   f"coordinate in {line!r}") from e
-    return np.asarray(positions, dtype=float)
+            xyz = [float(p) for p in parts[1:4]]
+        except ValueError:
+            xyz = []
+        if len(xyz) < 3 or not all(map(math.isfinite, xyz)):
+            raise FieldFormatError(f"{path}: line {ln}: expected 'label x y z' "
+                                   f"of finite numbers, got {line!r}")
+        positions.append(xyz)
+    if count is not None and count != len(positions):
+        raise FieldFormatError(f"{path}: line 1: count {count}, but "
+                               f"{len(positions)} atom lines follow")
+    return np.asarray(positions, dtype=float).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -286,114 +290,110 @@ def load_xyz(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "field_index,order,channel,node,dim,re,im"
+_CSV_META = {"format_version": int, "space": str, "bandwidth": int,
+             "channels": int, "field_orders": lambda v: [
+                 None if o == "None" else int(o) for o in v.split(",") if v]}
 
 
-def _field_doc_to_csv(doc: dict, path: str) -> str:
-    blocks = [_pair_array(block, f"{path}: data[{fi}]").tolist()
-              for fi, block in enumerate(doc["data"])]
-    lines = [f"# format_version={doc['format_version']}",
-             f"# space={doc['space']}"]
-    if "bandwidth" in doc:
+def _field_doc_to_csv(doc, path: str) -> str:
+    blocks = _decode(doc, path)
+    space, orders = doc["space"], doc["field_orders"]
+    lines = [f"# format_version={doc['format_version']}", f"# space={space}"]
+    if space != "R3points":
         lines.append(f"# bandwidth={doc['bandwidth']}")
     lines.append(f"# channels={doc['channels']}")
-    lines.append("# field_orders=" + ",".join(str(o) for o in doc["field_orders"]))
-    if "positions" in doc:
-        for p in _positions(doc, path).tolist():
-            lines.append("# position=" + ",".join(repr(v) for v in p))
+    lines.append("# field_orders=" + ",".join(str(o) for o in orders))
+    if space == "R3points":
+        lines += ["# position=" + ",".join(repr(v) for v in p)
+                  for p in _positions(doc, path).tolist()]
     lines.append(_CSV_HEADER)
-    for fi, block in enumerate(blocks):
-        order = doc["field_orders"][fi]
-        for c, chan in enumerate(block):
-            for nd, node in enumerate(chan):
-                for d, (re, im) in enumerate(node):
-                    lines.append(f"{fi},{order},{c},{nd},{d},{re!r},{im!r}")
+    lines += [f"{fi},{order},{c},{nd},{d},{float(z.real)!r},{float(z.imag)!r}"
+              for fi, (order, block) in enumerate(zip(orders, blocks))
+              for (c, nd, d), z in np.ndenumerate(block)]
     return "\n".join(lines) + "\n"
 
 
+def _table(rows: list, orders: list, shapes: list, path: str) -> list:
+    """The blocks of a CSV table as nested [re, im] lists: each row must name
+    a (channel, node, dim) cell of a block that its header implies, with that
+    block's order, and each cell must appear exactly once."""
+    cells = [{} for _ in orders]        # per field: flat cell -> (line, re, im)
+    for ln, fi, order, *cell, re, im in rows:
+        shape = shapes[fi] if 0 <= fi < len(orders) else ()
+        if not (shape and order == str(orders[fi])
+                and all(0 <= i < n for i, n in zip(cell, shape))):
+            raise FieldFormatError(
+                f"{path}: line {ln}: field {fi} of order {order} has no cell "
+                f"{tuple(cell)}; the header gives orders {orders} of "
+                f"[channel, node, dim] shapes {shapes}")
+        flat = (cell[0] * shape[1] + cell[1]) * shape[2] + cell[2]
+        if flat in cells[fi]:
+            raise FieldFormatError(f"{path}: line {ln}: repeats the cell of "
+                                   f"line {cells[fi][flat][0]}")
+        cells[fi][flat] = ln, re, im
+    data = []
+    for fi, (shape, found) in enumerate(zip(shapes, cells)):
+        if len(found) < math.prod(shape):    # a cell <= len(found) lacks a row
+            flat = min(set(range(len(found) + 1)) - found.keys())
+            cell = tuple(map(int, np.unravel_index(flat, shape)))
+            raise FieldFormatError(f"{path}: field {fi} has no row for cell "
+                                   f"{cell}")
+        block = np.empty((len(found), 2))
+        block[list(found)] = [v[1:] for v in found.values()]
+        data.append(block.reshape(*shape, 2).tolist())
+    return data
+
+
 def _csv_to_field_doc(text: str, path: str) -> dict:
-    meta = {}
-    position_text = []
-    rows = []
-    header_seen = False
+    doc, rows, header_seen = {}, [], False
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
+            key, eq, val = (part.strip() for part in line[1:].partition("="))
+            if not eq:
                 raise FieldFormatError(f"{path}: line {ln}: malformed "
                                        f"metadata comment {line!r}")
-            key, val = body.split("=", 1)
-            if key.strip() == "position":
-                position_text.append(val)
-            else:
-                meta[key.strip()] = val.strip()
-            continue
-        if not header_seen:
+            try:
+                if key == "position":
+                    doc.setdefault("positions", []).append(
+                        [float(v) for v in val.split(",")])
+                elif key in _CSV_META:
+                    doc[key] = _CSV_META[key](val)
+            except ValueError as e:
+                raise FieldFormatError(f"{path}: line {ln}: non-numeric "
+                                       f"metadata: {e}") from e
+        elif line and not header_seen:
             if line != _CSV_HEADER:
                 raise FieldFormatError(f"{path}: line {ln}: expected header "
                                        f"{_CSV_HEADER!r}, got {line!r}")
             header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise FieldFormatError(f"{path}: line {ln}: expected 7 fields, "
-                                   f"got {len(parts)}")
-        try:
-            rows.append((int(parts[0]), int(parts[2]), int(parts[3]),
-                         int(parts[4]), float(parts[5]), float(parts[6])))
-        except ValueError as e:
-            raise FieldFormatError(f"{path}: line {ln}: {e}") from e
-    for key in ("format_version", "space", "channels", "field_orders"):
-        if key not in meta:
-            raise FieldFormatError(f"{path}: missing metadata comment "
-                                   f"'# {key}=...'")
-    orders_raw = meta["field_orders"].split(",") if meta["field_orders"] else []
-    try:
-        version = int(meta["format_version"])
-        orders = [None if o == "None" else int(o) for o in orders_raw]
-        ints = {key: int(meta[key]) for key in ("channels", "bandwidth")
-                if key in meta}
-        positions = [[float(v) for v in p.split(",")] for p in position_text]
-    except ValueError as e:
-        raise FieldFormatError(f"{path}: non-numeric metadata: {e}") from e
-    data = []
-    for fi in range(len(orders)):
-        field_rows = [r for r in rows if r[0] == fi]
-        if not field_rows:
-            raise FieldFormatError(f"{path}: no data rows for field {fi}")
-        n_ch = max(r[1] for r in field_rows) + 1
-        n_nd = max(r[2] for r in field_rows) + 1
-        n_d = max(r[3] for r in field_rows) + 1
-        arr = np.zeros((n_ch, n_nd, n_d, 2))
-        for _, c, nd, d, re, im in field_rows:
-            arr[c, nd, d] = (re, im)
-        data.append(arr.tolist())
-    doc = {
-        "format_version": version,
-        "space": meta["space"],
-        "field_orders": orders,
-        "data": data,
-        **ints,
-    }
-    if positions or meta["space"] == "R3points":
-        doc["positions"] = positions
+        elif line:
+            try:                    # a wrong field count fails to unpack
+                fi, order, c, nd, d, re, im = line.split(",")
+                rows.append((ln, int(fi), order.strip(), int(c), int(nd),
+                             int(d), float(re), float(im)))
+            except ValueError as e:
+                raise FieldFormatError(f"{path}: line {ln}: {e}") from e
+    if doc.get("space") == "R3points":
+        doc.setdefault("positions", [])
+    doc["data"] = [None] * len(doc.get("field_orders", []))   # header first
+    shapes = _check_doc(doc, path)
+    doc["data"] = _table(rows, doc["field_orders"], shapes, path)
     return doc
 
 
 def convert_field(in_path: str, out_path: str):
-    """Convert a field file between JSON and CSV, chosen by extension."""
+    """Convert a valid field file between JSON and CSV, chosen by extension;
+    an invalid one raises FieldFormatError and writes nothing."""
     in_path, out_path = os.fspath(in_path), os.fspath(out_path)
     src = in_path.lower()
     dst = out_path.lower()
     if src.endswith(".json") and dst.endswith(".csv"):
-        text = _field_doc_to_csv(_read_doc(in_path), in_path)
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        text = _field_doc_to_csv(_json(Path(in_path).read_text(), in_path), in_path)
+        Path(out_path).write_text(text)
     elif src.endswith(".csv") and dst.endswith(".json"):
-        with open(in_path) as fh:
-            doc = _check_doc(_csv_to_field_doc(fh.read(), in_path), in_path)
+        doc = _csv_to_field_doc(Path(in_path).read_text(), in_path)
+        _decode(doc, in_path)
         _dump(doc, out_path)
     else:
         raise FieldFormatError("conversion must be between a .json and a "
@@ -416,8 +416,10 @@ def kernel_spec_to_json(kernel: SparseKernelSpec) -> str:
 
 
 def kernel_spec_from_json(text: str) -> SparseKernelSpec:
-    doc = json.loads(text)
-    coeffs = _unpairs(np.asarray(doc["coeffs"], dtype=float))
+    doc = _require(_json(text, "kernel spec"),
+                   ("m_in", "m_out", "bandwidth", "coeffs"), "kernel spec")
+    coeffs = _unpairs(_float_array(doc["coeffs"], 4, 2, "kernel spec: coeffs",
+                                   "[c_out][c_in][degree] of [re, im] pairs"))
     return SparseKernelSpec(int(doc["m_in"]), int(doc["m_out"]),
                             int(doc["bandwidth"]), coeffs)
 
@@ -429,7 +431,8 @@ def activation_spec_to_json(spec: ActivationSpec) -> str:
 
 
 def activation_spec_from_json(text: str) -> ActivationSpec:
-    doc = json.loads(text)
+    doc = _require(_json(text, "activation spec"), ("kind",),
+                   "activation spec")
     weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
                for W, b in doc.get("weights", [])]
     return ActivationSpec(doc["kind"], weights)

@@ -1,6 +1,9 @@
+import importlib
 import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +197,27 @@ class TestPointCloudIO:
         with pytest.raises(FieldFormatError, match="line 1"):
             load_xyz(path)
 
+    @pytest.mark.parametrize("text", ["", "0\nno atoms\n"])
+    def test_xyz_without_atoms_is_an_empty_cloud(self, tmp_path, text):
+        path = tmp_path / "empty.xyz"
+        path.write_text(text)
+        pos = load_xyz(path)
+        assert pos.shape == (0, 3)
+        assert PointCloud(pos).n_points == 0
+
+    def test_xyz_count_line_must_match_the_atoms(self, tmp_path):
+        path = tmp_path / "mol.xyz"
+        path.write_text("3\ncomment\nO 0.0 0.0 0.1\nH 0.0 0.7 -0.4\n")
+        with pytest.raises(FieldFormatError, match="count 3, but 2 atom"):
+            load_xyz(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_xyz_non_finite_coordinate(self, tmp_path, value):
+        path = tmp_path / "mol.xyz"
+        path.write_text(f"2\ncomment\nO 0.0 0.0 0.1\nH 0.0 {value} -0.4\n")
+        with pytest.raises(FieldFormatError, match="line 4: .*finite"):
+            load_xyz(path)
+
 
 class TestSpecSerialization:
     def test_kernel_round_trip(self):
@@ -219,6 +243,200 @@ class TestSpecSerialization:
         x = rng.standard_normal((2, 4))
         assert np.array_equal(back.apply_real(x), spec.apply_real(x))
 
+    @pytest.mark.parametrize("reader,text,match", [
+        (kernel_spec_from_json, '{"m_in": 0, "m_out": 0, "bandwidth": 4}',
+         "kernel spec: missing key.* coeffs"),
+        (activation_spec_from_json, '{"weights": []}',
+         "activation spec: missing key.* kind"),
+        (kernel_spec_from_json, '{"m_in": 0,', "kernel spec: invalid JSON"),
+        (activation_spec_from_json, "[relu", "activation spec: invalid JSON"),
+        (kernel_spec_from_json, '{"m_in": 0, "m_out": 0, "bandwidth": 4, '
+         '"coeffs": [[[[1.0], [2.0], [3.0], [4.0]]]]}', "kernel spec: coeffs"),
+    ], ids=["kernel-missing-key", "activation-missing-key", "kernel-bad-json",
+            "activation-bad-json", "kernel-coeff-not-a-pair"])
+    def test_malformed_spec(self, reader, text, match):
+        with pytest.raises(FieldFormatError, match=match):
+            reader(text)
+
+
+def _saved_doc(tmp_path, space: str) -> dict:
+    """A valid field document of the space, as its saver writes it."""
+    path = tmp_path / f"saved-{space}.json"
+    fields = random_s2_fields()
+    fields[0].samples[0, 0, 0] = complex(-0.0, 1.0)
+    if space == "S2":
+        save_fields(path, fields)
+    elif space == "SO3":
+        save_fields(path, [lift(fields[1])])
+    else:
+        save_point_cloud(path, PointCloud(rng.uniform(-1, 1, (4, 3)),
+                                          [rng.standard_normal((4, 1, 2)),
+                                           rng.standard_normal((4, 3, 2))]))
+    return json.loads(path.read_text())
+
+
+def _set(doc, keys, value):
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+
+
+def _csv_rows(lines):
+    return [i for i, l in enumerate(lines) if l[:1].isdigit()]
+
+
+def _edit_row(lines, k, edit):
+    """Replace the k-th data row of CSV lines by edit(row)."""
+    i = _csv_rows(lines)[k]
+    lines[i] = edit(lines[i])
+
+
+# name -> (space, change to the JSON document or to the CSV lines, valid)
+JSON_CORPUS = {
+    "s2": ("S2", None, True),
+    "so3": ("SO3", None, True),
+    "cloud": ("R3points", None, True),
+    "s2-three-nodes": ("S2", lambda d: _set(
+        d, ("data", 0), [c[:3] for c in d["data"][0]]), False),
+    "s2-dimension-2": ("S2", lambda d: _set(
+        d, ("data", 0), [[n * 2 for n in c] for c in d["data"][0]]), False),
+    "so3-node-missing": ("SO3", lambda d: _set(
+        d, ("data", 0), [c[1:] for c in d["data"][0]]), False),
+    "cloud-order-1-of-dimension-1": ("R3points", lambda d: _set(
+        d, ("data", 1), [[n[:1] for n in c] for c in d["data"][1]]), False),
+    "s2-nan": ("S2", lambda d: _set(d, ("data", 1, 0, 2, 0, 1), math.nan),
+               False),
+    "so3-inf": ("SO3", lambda d: _set(d, ("data", 0, 1, 5, 0, 0), math.inf),
+                False),
+    "cloud-imaginary-part": ("R3points", lambda d: _set(
+        d, ("data", 0, 0, 1, 0, 1), 0.5), False),
+    "cloud-position-nan": ("R3points", lambda d: _set(
+        d, ("positions", 2, 1), math.nan), False),
+}
+CSV_CORPUS = {
+    "s2": ("S2", None, True),
+    "so3": ("SO3", None, True),
+    "cloud": ("R3points", None, True),
+    "row-dropped": ("S2", lambda ls: ls.pop(_csv_rows(ls)[7]), False),
+    "last-row-dropped": ("S2", lambda ls: ls.pop(), False),
+    "row-duplicated": ("S2", lambda ls: ls.append(ls[_csv_rows(ls)[3]]),
+                       False),
+    "node-negative": ("S2", lambda ls: _edit_row(
+        ls, -1, lambda r: r.replace(",35,0,", ",-1,0,")), False),
+    "field-index-unknown": ("S2", lambda ls: ls.append("5,0,0,0,0,1.0,0.0"),
+                            False),
+    "order-disagrees": ("S2", lambda ls: _edit_row(
+        ls, 0, lambda r: r.replace("0,0,0,0,0,", "0,7,0,0,0,", 1)), False),
+    "no-field-orders": ("S2", lambda ls: ls.remove(
+        next(l for l in ls if l.startswith("# field_orders="))), False),
+    "value-nan": ("S2", lambda ls: _edit_row(
+        ls, 2, lambda r: r.rsplit(",", 1)[0] + ",nan"), False),
+    "cloud-imaginary-part": ("R3points", lambda ls: _edit_row(
+        ls, 0, lambda r: r.rsplit(",", 1)[0] + ",0.5"), False),
+}
+
+
+class TestOneDecoder:
+    """Both loaders and both directions of convert accept exactly the valid
+    field files, and valid files keep their bytes."""
+
+    @staticmethod
+    def _load(path, space):
+        return (load_point_cloud if space == "R3points" else load_fields)(path)
+
+    @pytest.mark.parametrize("name", JSON_CORPUS)
+    def test_json_loader_rejects_iff_convert_exits_3(self, tmp_path, name):
+        space, change, valid = JSON_CORPUS[name]
+        doc = _saved_doc(tmp_path, space)
+        if change:
+            change(doc)
+        path, out = tmp_path / "f.json", tmp_path / "f.csv"
+        path.write_text(json.dumps(doc))
+        try:
+            self._load(path, space)
+            rejected = False
+        except FieldFormatError:
+            rejected = True
+        code = main(["convert", str(path), str(out)])
+        assert rejected == (code == 3 and not out.exists()) == (not valid)
+        assert code in (0, 3)
+
+    @pytest.mark.parametrize("name", CSV_CORPUS)
+    def test_csv_convert_exits_3_iff_invalid(self, tmp_path, name, capsys):
+        space, change, valid = CSV_CORPUS[name]
+        path, csv, out = (tmp_path / "f.json", tmp_path / "f.csv",
+                          tmp_path / "back.json")
+        path.write_text(json.dumps(_saved_doc(tmp_path, space)))
+        assert main(["convert", str(path), str(csv)]) == 0
+        lines = csv.read_text().splitlines()
+        if change:
+            change(lines)
+        csv.write_text("\n".join(lines) + "\n")
+        code = main(["convert", str(csv), str(out)])
+        err = capsys.readouterr().err
+        if valid:
+            assert code == 0 and self._load(out, space)
+        else:
+            assert code == 3 and not out.exists()
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,match", [
+        ("row-dropped", r"field 0 has no row for cell \(0, 7, 0\)"),
+        ("row-duplicated", r"line 151: repeats the cell of line 10"),
+        ("node-negative",
+         r"line 150: field 1 of order 1 has no cell \(1, -1, 0\)"),
+        ("field-index-unknown", r"line 151: field 5 of order 0 has no cell"),
+        ("order-disagrees", r"line 7: field 0 of order 7 has no cell"),
+    ], ids=["row-dropped", "row-duplicated", "node-negative",
+            "field-index-unknown", "order-disagrees"])
+    def test_csv_errors_name_the_line_or_the_cell(self, tmp_path, name,
+                                                  match):
+        path, csv = tmp_path / "f.json", tmp_path / "f.csv"
+        save_fields(path, random_s2_fields())     # 144 rows, lines 7-150
+        convert_field(path, csv)
+        lines = csv.read_text().splitlines()
+        CSV_CORPUS[name][1](lines)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FieldFormatError, match=match):
+            convert_field(csv, tmp_path / "back.json")
+
+    @pytest.mark.parametrize("space", ["S2", "SO3", "R3points"])
+    def test_valid_files_round_trip_bit_for_bit(self, tmp_path, space):
+        csv, back = tmp_path / "f.csv", tmp_path / "back.json"
+        _saved_doc(tmp_path, space)
+        saved = tmp_path / f"saved-{space}.json"
+        convert_field(saved, csv)
+        convert_field(csv, back)
+        assert back.read_bytes() == saved.read_bytes()
+        if space == "S2":                     # the -0.0 real part survives
+            assert "\n0,0,0,0,0,-0.0,1.0\n" in csv.read_text()
+
+    @pytest.mark.parametrize("space", ["S2", "SO3"])
+    def test_huge_header_is_rejected_before_any_grid(self, tmp_path, space):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "space": space, "bandwidth": 512,
+            "field_orders": [0 if space == "S2" else None], "channels": 1,
+            "data": [[[[[1.0, 0.0]]]]]}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldFormatError, match="holds 1 nodes"):
+                load_fields(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["homharm"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
 
 class TestCli:
     def test_check_reports_are_byte_identical(self, tmp_path):
@@ -243,14 +461,18 @@ class TestCli:
         doc_lines = [l for l in lines[1:] if l]
         assert len(doc_lines) >= 3
 
-    def test_failing_tolerance_sets_exit_code(self, tmp_path, capsys):
+    def test_failing_tolerance_sets_exit_code(self, monkeypatch, capsys):
         # an impossible tolerance forces a failure -> exit code 1; a measured
         # error can round to exactly 0.0, so only a negative one is impossible
         from homharm import checks
-        cfg_patch = {"tolerances": {"parseval": -1.0}}
-        report = checks.run_suite("transforms", {"bandwidth": 3, "seed": 1,
-                                                 **cfg_patch})
-        assert not report.passed
+        monkeypatch.setitem(checks.SUITES, "transforms", [
+            (name, fn, -1.0 if name == "parseval" else tol)
+            for name, fn, tol in checks.SUITES["transforms"]])
+        assert main(["check", "--suite", "transforms", "--bandwidth", "3",
+                     "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in lines if not l.startswith("PASS")] == [
+            ["FAIL", "parseval"], ["CHECK", "FAILURES"]]
 
     def test_usage_errors(self, capsys):
         for argv in (["--suite", "nope"], ["--bandwidth", "0"],
@@ -272,7 +494,7 @@ class TestCli:
             suite: [(name, must_not_run, tol) for name, _, tol in entries]
             for suite, entries in checks.SUITES.items()})
         for bad in ({"bandwidth": 1}, {"trials": 0}, {"oversample": 0},
-                    {"seed": -1}):
+                    {"seed": -1}, {"bandwith": 3}, {"tolerances": {}}):
             with pytest.raises(checks.CheckConfigError, match=next(iter(bad))):
                 checks.run_suite("all", bad)
         with pytest.raises(checks.CheckConfigError, match="unknown suite"):
@@ -342,8 +564,10 @@ class TestCli:
         from homharm import checks
 
         name = self._break_one_check(monkeypatch)
-        cfg = {"bandwidth": 3, "seed": 1, "tolerances": {name: math.inf}}
-        report = checks.run_suite("transforms", cfg)
+        (_, broken_fn, _), *rest = checks.SUITES["transforms"]
+        monkeypatch.setitem(checks.SUITES, "transforms",
+                            [(name, broken_fn, math.inf), *rest])
+        report = checks.run_suite("transforms", {"bandwidth": 3, "seed": 1})
         assert len(report.checks) == len(checks.SUITES["transforms"])
         broken = [c for c in report.checks if c.error is not None]
         assert [c.name for c in broken] == [name]
