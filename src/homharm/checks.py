@@ -202,7 +202,11 @@ def _check_parseval(rng, cfg):
     grid = quadrature_grid("SO3", B)
     blocks = _rand_blocks(rng, B)
     samples = so3_ft_inverse(blocks, grid)
-    spatial = float(np.sum(np.abs(samples) ** 2 * grid.weights[None, :]))
+    n = 2 * B
+    power = np.abs(samples.reshape(-1, n, n, n)) ** 2     # [c, alpha, beta, gamma]
+    # the beta weights by one product per (c, alpha), then a pairwise sum: a
+    # single einsum accumulates in order and loses digits as B grows
+    spatial = float(np.sum(grid.beta_weights @ power)) / n ** 2
     spectral = blocks.norm_squared()
     return _rel(abs(spatial - spectral), spectral)
 
@@ -235,12 +239,14 @@ def _check_sht_aliasing(rng, cfg):
 
 
 def _check_lift_off_column(rng, cfg):
+    """The lift's spectrum outside column k, as an amplitude: the square
+    root of the off-column share of the Plancherel energy."""
     B = cfg["bandwidth"]
 
     def off_column(f):
         k = f.field_type.order
         blocks = so3_ft_forward(lift(f).flat(), quadrature_grid("SO3", B))
-        return blocks.off_column_energy(k) / blocks.norm_squared()
+        return math.sqrt(blocks.off_column_energy(k) / blocks.norm_squared())
 
     return _worst_over_orders(rng, B, off_column)
 
@@ -411,13 +417,14 @@ def _check_prior_pipeline(rng, cfg):
     out_point = point_sphere_nonlin(feats, ActivationSpec("relu"), B)
     # group path: the same signal as a scalar field, lifted and activated
     grid = quadrature_grid("S2", B)
-    S = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
+    S = real_sph_harm_matrix(lmax, *grid.nodes.T)
+    w = grid.weights
     coeff_vec = np.concatenate([feats[l][0, :, 0] for l in range(lmax + 1)])
     f = TensorField(grid, FieldType("SO2", 0), (S @ coeff_vec)[None, :])
     acted = activate(lift(f), ActivationSpec("relu"))
     back = project_column(acted, 0).flat()[0]
-    real_out = np.einsum("n,nd,n->d", back.real, S, grid.weights)
-    imag_leak = np.abs(np.einsum("n,nd,n->d", back.imag, S, grid.weights)).max()
+    real_out = np.einsum("n,nd,n->d", back.real, S, w)
+    imag_leak = np.abs(np.einsum("n,nd,n->d", back.imag, S, w)).max()
     point_vec = np.concatenate([out_point[l][0, :, 0] for l in range(lmax + 1)])
     worst = max(np.abs(real_out - point_vec).max(), imag_leak)
     return _rel(worst, np.abs(point_vec).max())
@@ -466,9 +473,10 @@ def _check_se3_steerability(rng, cfg):
 
 def _check_se3_orthogonality(rng, cfg):
     grid = quadrature_grid("S2", 8)
-    dirs = np.stack([np.sin(grid.nodes[:, 1]) * np.cos(grid.nodes[:, 0]),
-                     np.sin(grid.nodes[:, 1]) * np.sin(grid.nodes[:, 0]),
-                     np.cos(grid.nodes[:, 1])], axis=1)
+    alpha, beta = grid.nodes.T
+    w = grid.weights
+    dirs = np.stack([np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
+                     np.cos(beta)], axis=1)
     radii = np.array([0.0, 2.0])
     flat = np.array([1.0, 1.0])
     worst = 0.0
@@ -478,7 +486,7 @@ def _check_se3_orthogonality(rng, cfg):
             SE3KernelBasis(l_in, l_out, t, radii, flat), dirs) for t in ts}
         for t1 in ts:
             for t2 in range(t1 + 1, ts.stop):
-                ip = np.einsum("nij,nij,n->", Ks[t1], Ks[t2], grid.weights)
+                ip = np.einsum("nij,nij,n->", Ks[t1], Ks[t2], w)
                 worst = max(worst, abs(float(ip)))
     return worst
 

@@ -140,7 +140,9 @@ def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
 class QuadratureGrid:
     """Equiangular sampling grid with Haar weights normalized to sum 1.
 
-    nodes holds one coordinate tuple per sample:
+    The grid is the value (space, bandwidth): it stores nothing else and
+    compares by value.  nodes and weights are built on each access, one
+    coordinate tuple and one weight per sample:
       S2     -> (alpha, beta), 2B x 2B samples
       SO3    -> (alpha, beta, gamma), 2B x 2B x 2B samples
 
@@ -149,12 +151,27 @@ class QuadratureGrid:
 
     space: str
     bandwidth: int
-    nodes: np.ndarray
-    weights: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (2 * self.bandwidth) ** (2 if self.space == "S2" else 3)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """[n_nodes, 2 or 3] angles, built on each access."""
+        axes = [self.alphas, self.betas] + [self.gammas] * (self.space == "SO3")
+        return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")],
+                        axis=1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """[n_nodes] Haar weights, built on each access: 1/2B per alpha
+        (and per gamma) times the colatitude weight."""
+        n, wb = 2 * self.bandwidth, self.beta_weights
+        if self.space == "S2":
+            return (np.full((n, 1), 1.0 / n) * wb[None, :]).ravel()
+        return (np.full((n, 1, 1), 1.0 / n) * wb[None, :, None]
+                * np.full((1, 1, n), 1.0 / n)).ravel()
 
     @property
     def alphas(self) -> np.ndarray:
@@ -195,33 +212,9 @@ def _beta_weights(B: int) -> np.ndarray:
 
 
 def quadrature_grid(space: str, bandwidth: int) -> QuadratureGrid:
-    """Equiangular quadrature grid with degree-exact beta weights.
-
-    Built once per (space, bandwidth): repeated calls return the same grid,
-    whose node and weight arrays are read-only.
-    """
+    """Equiangular quadrature grid with degree-exact beta weights."""
     if bandwidth < 1:
         raise ValueError("bandwidth must be >= 1")
     if space not in ("S2", "SO3"):
         raise ValueError(f"unknown space {space!r}")
-    return _grid(space, bandwidth)
-
-
-@functools.lru_cache(maxsize=32)
-def _grid(space: str, B: int) -> QuadratureGrid:
-    n = 2 * B
-    alphas = np.pi * np.arange(n) / B
-    betas = np.pi * np.arange(n) / n
-    wb = _beta_weights(B)
-    if space == "S2":
-        A, Bt = np.meshgrid(alphas, betas, indexing="ij")
-        nodes = np.stack([A.ravel(), Bt.ravel()], axis=1)
-        weights = (np.full((n, 1), 1.0 / n) * wb[None, :]).ravel()
-    else:
-        A, Bt, G = np.meshgrid(alphas, betas, alphas, indexing="ij")
-        nodes = np.stack([A.ravel(), Bt.ravel(), G.ravel()], axis=1)
-        weights = (np.full((n, 1, 1), 1.0 / n) * wb[None, :, None]
-                   * np.full((1, 1, n), 1.0 / n)).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureGrid(space, B, nodes, weights)
+    return QuadratureGrid(space, bandwidth)

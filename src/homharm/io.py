@@ -178,8 +178,12 @@ def _decode(doc, path: str) -> list:
     shapes = _check_doc(doc, path)
     noun = "points" if doc["space"] == "R3points" else "nodes"
     blocks = []
-    for idx, (block, (_, n, dim)) in enumerate(zip(doc["data"], shapes)):
-        where = f"{path}: data[{idx}]"
+    for idx, (block, shape) in enumerate(zip(doc["data"], shapes)):
+        # JSON drops the axes after the first empty one of a zero-size block
+        if 0 in shape and block == np.zeros(shape + (2,)).tolist():
+            blocks.append(np.zeros(shape, dtype=complex))
+            continue
+        where, (_, n, dim) = f"{path}: data[{idx}]", shape
         arr = _float_array(block, 4, 2, where,
                            "[channel][node][dim] of [re, im] pairs")
         if arr.shape[1:3] != (n, dim):
@@ -339,7 +343,7 @@ def _table(rows: list, orders: list, shapes: list, path: str) -> list:
             raise FieldFormatError(f"{path}: field {fi} has no row for cell "
                                    f"{cell}")
         block = np.empty((len(found), 2))
-        block[list(found)] = [v[1:] for v in found.values()]
+        block[list(found)] = np.reshape([v[1:] for v in found.values()], (-1, 2))
         data.append(block.reshape(*shape, 2).tolist())
     return data
 
@@ -418,10 +422,13 @@ def kernel_spec_to_json(kernel: SparseKernelSpec) -> str:
 def kernel_spec_from_json(text: str) -> SparseKernelSpec:
     doc = _require(_json(text, "kernel spec"),
                    ("m_in", "m_out", "bandwidth", "coeffs"), "kernel spec")
+    for key in ("m_in", "m_out", "bandwidth"):
+        if type(doc[key]) is not int:       # a JSON integer, as in _check_doc
+            raise FieldFormatError(f"kernel spec: {key} must be an integer, "
+                                   f"got {doc[key]!r}")
     coeffs = _unpairs(_float_array(doc["coeffs"], 4, 2, "kernel spec: coeffs",
                                    "[c_out][c_in][degree] of [re, im] pairs"))
-    return SparseKernelSpec(int(doc["m_in"]), int(doc["m_out"]),
-                            int(doc["bandwidth"]), coeffs)
+    return SparseKernelSpec(doc["m_in"], doc["m_out"], doc["bandwidth"], coeffs)
 
 
 def activation_spec_to_json(spec: ActivationSpec) -> str:
@@ -433,6 +440,14 @@ def activation_spec_to_json(spec: ActivationSpec) -> str:
 def activation_spec_from_json(text: str) -> ActivationSpec:
     doc = _require(_json(text, "activation spec"), ("kind",),
                    "activation spec")
-    weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-               for W, b in doc.get("weights", [])]
-    return ActivationSpec(doc["kind"], weights)
+    kinds = ActivationSpec._KINDS
+    if doc["kind"] not in kinds:
+        raise FieldFormatError(f"activation spec: kind must be one of "
+                               f"{', '.join(kinds)}, got {doc['kind']!r}")
+    try:                    # ActivationSpec raises on per_point_mlp of no pairs
+        return ActivationSpec(doc["kind"], [
+            (np.asarray(W, dtype=float), np.asarray(b, dtype=float))
+            for W, b in doc.get("weights", [])])
+    except (TypeError, ValueError) as e:
+        raise FieldFormatError(f"activation spec: weights must be a list of "
+                               f"numeric [W, b] pairs: {e}") from e

@@ -51,9 +51,10 @@ class ActivationSpec:
 
     kind: str = "relu"
     weights: list = field(default_factory=list)   # [(W, b), ...] real arrays
+    _KINDS = ("relu", "gelu", "tanh", "per_point_mlp")
 
     def __post_init__(self):
-        if self.kind not in ("relu", "gelu", "tanh", "per_point_mlp"):
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == "per_point_mlp" and not self.weights:
             raise ValueError("per_point_mlp requires weight matrices")
@@ -204,8 +205,7 @@ def _shared_grid(fields: list):
         raise ValueError("need at least one field")
     grid = fields[0].grid
     for f in fields[1:]:
-        if f.grid is not grid and (f.grid.space != grid.space
-                                   or f.grid.bandwidth != grid.bandwidth):
+        if f.grid != grid:
             raise ValueError("all fields must share a grid")
         if f.channels != fields[0].channels:
             raise ValueError("all fields must have the same channel count, "
@@ -407,7 +407,7 @@ def point_sphere_nonlin(features: list, spec: ActivationSpec,
     if lmax >= bandwidth:
         raise ValueError("feature order reaches the sphere bandwidth")
     grid = quadrature_grid("S2", bandwidth)
-    Y = real_sph_harm_matrix(lmax, grid.nodes[:, 0], grid.nodes[:, 1])
+    Y = real_sph_harm_matrix(lmax, *grid.nodes.T)
     Yw = Y * grid.weights[:, None]
     dim = Y.shape[1]
     n_pts, _, n_ch = features[orders[0]].shape

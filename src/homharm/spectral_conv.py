@@ -199,7 +199,7 @@ def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorF
     for l in kernel.degrees:
         col = _fold(deltas[l][0], kernel.m_out)[:, kernel.m_in + l]
         profile[:2 * l + 2] += np.multiply.outer(col, kernel.coeff(l).ravel())
-    s = _zyz_matrix(grid.nodes[:, 0], grid.nodes[:, 1], 0.0)       # s(x)
+    s = _zyz_matrix(*grid.nodes.T, 0.0)                           # s(x)
     fw = field.flat() * grid.weights
     rows = max(1, _ORACLE_FLOATS // (n * (2 * L + 2)))
     out = np.empty((kernel.c_out, n), dtype=complex)

@@ -8,6 +8,7 @@ fails the suite."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from homharm import checks, harmonics, spectral_conv
 
@@ -112,3 +113,29 @@ def test_rotations_are_drawn_block_by_block():
             tracemalloc.stop()
 
     assert peak(320) <= 1.25 * peak(32)
+
+
+def test_off_column_amplitude_of_1e_6_fails(monkeypatch):
+    """lift-off-column-energy compares an amplitude with its tolerance: a
+    lift whose spectrum leaks 1e-6 of its amplitude outside column k fails,
+    where the energy ratio (1e-12) would pass a 1e-10 tolerance."""
+    forward = checks.so3_ft_forward
+
+    def leaky(samples, grid):
+        blocks = forward(samples, grid)
+        top = blocks.blocks[-1]                     # degree B - 1
+        col = np.argmax(np.sum(np.abs(top) ** 2, axis=(0, 1)))  # column k
+        top[0, 0, (col + 1) % top.shape[2]] += 1e-6 * np.sqrt(
+            blocks.norm_squared() / top.shape[2])
+        return blocks
+
+    def off_column():
+        report = checks.run_suite("all", {"bandwidth": 4, "seed": 1})
+        return next(c for c in report.checks
+                    if c.name == "lift-off-column-energy")
+
+    assert off_column().passed
+    monkeypatch.setattr(checks, "so3_ft_forward", leaky)
+    result = off_column()
+    assert result.error is None and not result.passed
+    assert result.measured_error == pytest.approx(1e-6, rel=1e-3)

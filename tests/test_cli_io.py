@@ -258,6 +258,30 @@ class TestSpecSerialization:
         with pytest.raises(FieldFormatError, match=match):
             reader(text)
 
+    @pytest.mark.parametrize("key", ["m_in", "m_out", "bandwidth"])
+    @pytest.mark.parametrize("value", ['"x"', "1.7", "true"],
+                             ids=["string", "float", "bool"])
+    def test_kernel_integers_are_json_integers(self, key, value):
+        doc = kernel_spec_to_json(SparseKernelSpec(1, 1, 3,
+                                                   np.ones((1, 1, 2))))
+        text = re.sub(rf'"{key}":-?\d+', f'"{key}":{value}', doc)
+        with pytest.raises(FieldFormatError,
+                           match=f"kernel spec: {key} must be an integer"):
+            kernel_spec_from_json(text)
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"kind": "swish"}', "kind"),
+        ('{"kind": "relu", "weights": 5}', "weights"),
+        ('{"kind": "per_point_mlp", "weights": [[[[1.0]], [0.0], [1.0]]]}',
+         "weights"),
+        ('{"kind": "per_point_mlp", "weights": [[[["a"]], [0.0]]]}', "weights"),
+        ('{"kind": "per_point_mlp", "weights": []}', "weights"),
+    ], ids=["unknown-kind", "weights-not-a-list", "entry-not-a-pair",
+            "non-numeric", "mlp-without-weights"])
+    def test_activation_errors_name_the_key(self, text, key):
+        with pytest.raises(FieldFormatError, match=f"activation spec: {key}"):
+            activation_spec_from_json(text)
+
 
 def _saved_doc(tmp_path, space: str) -> dict:
     """A valid field document of the space, as its saver writes it."""
@@ -313,6 +337,15 @@ JSON_CORPUS = {
         d, ("data", 0, 0, 1, 0, 1), 0.5), False),
     "cloud-position-nan": ("R3points", lambda d: _set(
         d, ("positions", 2, 1), math.nan), False),
+    # zero-size blocks as JSON writes them: an empty nest
+    "s2-no-channels": ("S2", lambda d: d.update(channels=0, data=[[], []]),
+                       True),
+    "cloud-no-points": ("R3points", lambda d: d.update(
+        positions=[], data=[[[], []], [[], []]]), True),
+    "cloud-no-points-one-node": ("R3points", lambda d: d.update(
+        positions=[], data=[[[[]], [[]]], [[], []]]), False),
+    "cloud-no-points-ragged": ("R3points", lambda d: d.update(
+        positions=[], data=[[[], [[[0.0, 0.0]]]], [[], []]]), False),
 }
 CSV_CORPUS = {
     "s2": ("S2", None, True),
@@ -411,6 +444,31 @@ class TestOneDecoder:
         assert back.read_bytes() == saved.read_bytes()
         if space == "S2":                     # the -0.0 real part survives
             assert "\n0,0,0,0,0,-0.0,1.0\n" in csv.read_text()
+
+    def test_zero_size_blocks_load_and_convert(self, tmp_path):
+        # JSON writes a zero-size block as an empty nest: [] for no channels,
+        # one [] per channel for no points
+        grid = quadrature_grid("S2", 2)
+        save_fields(tmp_path / "f.json", [
+            TensorField(grid, FieldType("SO2", k), np.zeros((0, 16, 1)))
+            for k in (1, 0)])
+        save_point_cloud(tmp_path / "p.json", PointCloud(
+            np.zeros((0, 3)), [np.zeros((0, 1, 2)), None, np.zeros((0, 5, 2))]))
+        assert '"data":[[],[]]' in (tmp_path / "f.json").read_text()
+        assert '"data":[[[],[]],[[],[]]]' in (tmp_path / "p.json").read_text()
+        for name in ("f", "p"):
+            saved, back = tmp_path / f"{name}.json", tmp_path / f"{name}2.json"
+            convert_field(saved, tmp_path / f"{name}.csv")
+            convert_field(tmp_path / f"{name}.csv", back)
+            assert back.read_bytes() == saved.read_bytes()
+            if name == "f":
+                assert [f.samples.shape for f in load_fields(back)] == [
+                    (0, 16, 1)] * 2
+            else:
+                cloud = load_point_cloud(back)
+                assert cloud.positions.shape == (0, 3)
+                assert [None if f is None else f.shape
+                        for f in cloud.features] == [(0, 1, 2), None, (0, 5, 2)]
 
     @pytest.mark.parametrize("space", ["S2", "SO3"])
     def test_huge_header_is_rejected_before_any_grid(self, tmp_path, space):

@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homharm.groups import (Rotation3, _zyz_angles, _zyz_matrix, project_s2,
+from homharm.groups import (QuadratureGrid, Rotation3, _beta_weights,
+                            _zyz_angles, _zyz_matrix, project_s2,
                             quadrature_grid, section_s2, twist_s2)
 
 rng = np.random.default_rng(101)
@@ -129,6 +133,53 @@ class TestQuadratureGrid:
         assert np.dot(wb, polys[0]) == pytest.approx(1.0, abs=1e-13)
         for l in range(1, 2 * B):
             assert np.dot(wb, polys[l]) == pytest.approx(0.0, abs=1e-13)
+
+    def test_grid_is_its_space_and_bandwidth(self):
+        grid = quadrature_grid("SO3", 4)
+        assert [f.name for f in dataclasses.fields(grid)] == ["space",
+                                                              "bandwidth"]
+        assert grid == quadrature_grid("SO3", 4) == QuadratureGrid("SO3", 4)
+        assert grid != quadrature_grid("S2", 4)
+        assert len({grid, quadrature_grid("SO3", 4)}) == 1
+
+    @staticmethod
+    def stored_arrays(space, B):
+        """The node and weight arrays as grids stored them before they were
+        built on access: the expressions of that build, verbatim."""
+        n = 2 * B
+        alphas = np.pi * np.arange(n) / B
+        betas = np.pi * np.arange(n) / n
+        wb = _beta_weights(B)
+        if space == "S2":
+            A, Bt = np.meshgrid(alphas, betas, indexing="ij")
+            nodes = np.stack([A.ravel(), Bt.ravel()], axis=1)
+            weights = (np.full((n, 1), 1.0 / n) * wb[None, :]).ravel()
+        else:
+            A, Bt, G = np.meshgrid(alphas, betas, alphas, indexing="ij")
+            nodes = np.stack([A.ravel(), Bt.ravel(), G.ravel()], axis=1)
+            weights = (np.full((n, 1, 1), 1.0 / n) * wb[None, :, None]
+                       * np.full((1, 1, n), 1.0 / n)).ravel()
+        return nodes, weights
+
+    @pytest.mark.parametrize("space", ["S2", "SO3"])
+    @pytest.mark.parametrize("B", [1, 3, 4, 7])
+    def test_nodes_and_weights_keep_their_bits(self, space, B):
+        grid = quadrature_grid(space, B)
+        nodes, weights = self.stored_arrays(space, B)
+        assert grid.nodes.tobytes() == nodes.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
+        assert nodes.shape == (grid.n_nodes, 2 if space == "S2" else 3)
+
+    def test_large_grid_holds_nothing(self):
+        # no per-node array is built: 897 MiB traced when SO(3) grids at
+        # B = 128 stored their nodes and weights
+        tracemalloc.start()
+        try:
+            assert quadrature_grid("SO3", 128).n_nodes == 256 ** 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):

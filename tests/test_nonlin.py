@@ -286,7 +286,7 @@ class TestFiberLocalNonlinearity:
         scale = max(np.abs(w.samples).max() for w in want)
         for g, w, m in zip(got, want, out_orders):
             assert g.field_type == FieldType("SO2", m)
-            assert g.grid is w.grid and g.samples.shape == w.samples.shape
+            assert g.grid == w.grid and g.samples.shape == w.samples.shape
             assert np.abs(g.samples - w.samples).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("oversample", [1, 2])
