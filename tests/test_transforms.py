@@ -295,6 +295,44 @@ class TestPlanCache:
         assert info["keys"] == [(6, 4, 6), (6, 5, 6)]
         assert info["bytes"] == 2 * 3456
 
+    def test_so3_transform_over_the_bound_keeps_other_plans(self, monkeypatch):
+        # each plan of a B = 6 SO(3) transform (3456 bytes) is over a 2 KiB
+        # bound, so under the one rule none is stored and none evicts the S2
+        # plan (1024 bytes); column -k misses too, as k stored nothing
+        monkeypatch.setattr(transforms, "_PLAN_BYTES", 2048)
+        monkeypatch.setattr(transforms, "_plans", OrderedDict())
+        monkeypatch.setattr(transforms, "_plan_counts",
+                            {"hits": 0, "misses": 0, "bytes": 0})
+        s2 = quadrature_grid("S2", 4)
+        f = TensorField(s2, FieldType("SO2", 0),
+                        rng.standard_normal((1, s2.n_nodes)))
+        spin_coeffs(f)
+        so3 = quadrature_grid("SO3", 6)
+        for _ in range(2):
+            before = _plan_cache_info()
+            so3_ft_forward(rng.standard_normal(so3.n_nodes), so3)
+            after = _plan_cache_info()
+            assert after["keys"] == before["keys"]
+            assert after["bytes"] == before["bytes"] == 1024
+            assert after["misses"] - before["misses"] == 11
+        spin_coeffs(f)
+        assert _plan_cache_info()["hits"] == after["hits"] + 1
+        assert _plan_cache_info()["keys"] == [(4, 0, 4)]
+
+    def test_so3_transform_stores_one_plan_per_order(self, monkeypatch):
+        # forward misses once per order |k| < 4 and hits for each -k; the
+        # inverse of its blocks hits all 7 columns
+        monkeypatch.setattr(transforms, "_plans", OrderedDict())
+        monkeypatch.setattr(transforms, "_plan_counts",
+                            {"hits": 0, "misses": 0, "bytes": 0})
+        so3 = quadrature_grid("SO3", 6)
+        blocks = so3_ft_forward(rng.standard_normal(so3.n_nodes), so3, 4)
+        so3_ft_inverse(blocks, so3)
+        info = _plan_cache_info()
+        assert (info["misses"], info["hits"]) == (4, 3 + 7)
+        assert info["keys"] == [(6, k, 4) for k in range(4)]
+        assert info["bytes"] == 4 * 16 * 6 * 4 * 4      # 16 B L^2 each
+
     def test_plan_is_built_in_place(self, monkeypatch):
         # the recursion's degrees are written into the plan as they come, so
         # the build holds only O(B^2) temporaries beside the plan (the whole
