@@ -140,8 +140,8 @@ def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
 class QuadratureGrid:
     """Equiangular sampling grid with Haar weights normalized to sum 1.
 
-    The grid is the value (space, bandwidth): it stores nothing else and
-    compares by value.  nodes and weights are built on each access, one
+    The grid is the value (space, bandwidth), checked on construction: it
+    stores nothing else and compares by value.  nodes and weights are built on each access, one
     coordinate tuple and one weight per sample:
       S2     -> (alpha, beta), 2B x 2B samples
       SO3    -> (alpha, beta, gamma), 2B x 2B x 2B samples
@@ -151,6 +151,12 @@ class QuadratureGrid:
 
     space: str
     bandwidth: int
+
+    def __post_init__(self):
+        if self.bandwidth < 1:
+            raise ValueError("bandwidth must be >= 1")
+        if self.space not in ("S2", "SO3"):
+            raise ValueError(f"unknown space {self.space!r}")
 
     @property
     def n_nodes(self) -> int:
@@ -213,8 +219,4 @@ def _beta_weights(B: int) -> np.ndarray:
 
 def quadrature_grid(space: str, bandwidth: int) -> QuadratureGrid:
     """Equiangular quadrature grid with degree-exact beta weights."""
-    if bandwidth < 1:
-        raise ValueError("bandwidth must be >= 1")
-    if space not in ("S2", "SO3"):
-        raise ValueError(f"unknown space {space!r}")
     return QuadratureGrid(space, bandwidth)

@@ -179,8 +179,11 @@ def _decode(doc, path: str) -> list:
     noun = "points" if doc["space"] == "R3points" else "nodes"
     blocks = []
     for idx, (block, shape) in enumerate(zip(doc["data"], shapes)):
-        # JSON drops the axes after the first empty one of a zero-size block
-        if 0 in shape and block == np.zeros(shape + (2,)).tolist():
+        # JSON drops the axes after the first empty one of a zero-size block;
+        # _check_doc has matched a list's length to channels, so this reads
+        # no more than the file holds
+        if 0 in shape and isinstance(block, list) and all(
+                c == [] for c in block):
             blocks.append(np.zeros(shape, dtype=complex))
             continue
         where, (_, n, dim) = f"{path}: data[{idx}]", shape

@@ -60,6 +60,12 @@ class ActivationSpec:
             raise ValueError("per_point_mlp requires weight matrices")
         self.weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
                         for W, b in self.weights]
+        for i, (W, b) in enumerate(self.weights):
+            if W.ndim != 2 or b.shape != W.shape[:1] or (
+                    i and W.shape[1] != len(self.weights[i - 1][1])):
+                raise ValueError(f"MLP layer {i}: W must be a matrix, b a "
+                                 f"vector of its rows, and W's columns the "
+                                 f"rows of the layer before")
 
     def apply_real(self, x: np.ndarray, out: np.ndarray | None = None
                    ) -> np.ndarray:

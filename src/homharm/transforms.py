@@ -46,19 +46,20 @@ sign (-1)^(m+k).  So orders k and -k share one plan.
 Plan cache: it holds at most ``_PLAN_BYTES`` (64 MiB) and evicts the least
 recently used plan; only a plan smaller than the bound is stored, so one
 plan never flushes all the others: a plan of 16 B L^2 >= 64 MiB (e.g.
-B = L >= 162 or B = 256, L >= 128) is rebuilt on every call.  Every caller
-follows this one rule.  An SO(3) transform at bandwidth L reads the L plans
-(B, |n|, L) of its columns n, 16 B L^3 bytes in all, and runs column -n
-right after column n, so -n hits the plan that n has just stored.
-``spin_coeffs``, ``spin_synthesis``, ``resample``, the SHT and SO(3)
-transform pairs and everything built on them read this cache.
-``_plan_cache_info()`` reports its hits, misses, bytes held and keys.
-Building a plan runs the column recursion ``harmonics._wigner_d_columns``
-and writes each degree into the plan as it is yielded, so the build holds
-O(B L) floats beside the plan.  The recursion reads
-``harmonics._interior_constants``, the beta-independent recursion constants
-of each (degree l, column range); that cache keeps its most recent 4096
-keys, O(l) floats per column: every column up to B = 64 (7.5 MiB there).
+B = L >= 162 or B = 256, L >= 128) is rebuilt on every call.  An SO(3)
+transform at bandwidth L reads the L plans (B, |n|, L) of its columns n,
+each once for both signs, 16 B L^3 bytes in all; unless they take less than
+the bound together (up to B = L = 45), it builds them without storing them,
+so the plans of other calls survive.  ``spin_coeffs``, ``spin_synthesis``,
+``resample``, the SHT and SO(3) transform pairs and everything built on
+them read this cache.  ``_plan_cache_info()`` reports its hits, misses,
+bytes held and keys.  Building a plan runs the column recursion
+``harmonics._wigner_d_columns`` and writes each degree into the plan as it
+is yielded, so the build holds O(B L) floats beside the plan.  The
+recursion reads ``harmonics._interior_constants``, the beta-independent
+recursion constants of each (degree l, column range); that cache keeps its
+most recent 4096 keys, O(l) floats per column: every column up to B = 64
+(7.5 MiB there).
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
@@ -234,12 +235,13 @@ def _freqs(B: int, L: int, reverse: bool) -> np.ndarray:
     return index
 
 
-def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None) -> np.ndarray:
+def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None,
+               store: bool = True) -> np.ndarray:
     """The read-only plan P[p, r, j] = d^l_{m|k|}(beta_j), [L, L, 2B], of
     order |k| and degrees l < L (default B), with (l, m) of item p and row r
-    as in _layout, zero where l < |k|; cached on (B, |k|, L) if it takes
-    less than _PLAN_BYTES.  Each degree's rows are written as the recursion
-    yields them.
+    as in _layout, zero where l < |k|; cached on (B, |k|, L) if store is
+    true and it takes less than _PLAN_BYTES.  Each degree's rows are written
+    as the recursion yields them.
     """
     B = grid.bandwidth
     k, L = abs(k), B if L is None else L
@@ -257,7 +259,7 @@ def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None) -> np.ndarray
             plan[rows[l * l:(l + 1) ** 2]] = d[:, :, 0].T
     plan = plan.reshape(L, L, 2 * B)
     plan.setflags(write=False)
-    if plan.nbytes < _PLAN_BYTES:
+    if store and plan.nbytes < _PLAN_BYTES:
         _plans[key] = plan
         _plan_counts["bytes"] += plan.nbytes
         while _plan_counts["bytes"] > _PLAN_BYTES:
@@ -277,12 +279,14 @@ def _plan_cache_info() -> dict:
 
 
 def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
-                   L: int | None = None) -> np.ndarray:
+                   L: int | None = None, plan: np.ndarray | None = None
+                   ) -> np.ndarray:
     """a^l_m = sum_{i,j} w_j e^{i m alpha_i} d^l_{mk}(beta_j) f[c, i, j] / 2B.
 
     f holds samples [channels, alpha, beta].  Returns the degrees
     l = |k|..L-1 (L <= B, default B) as flat coefficients
-    [channels, L^2 - k^2] at l^2 + l + m - k^2.
+    [channels, L^2 - k^2] at l^2 + l + m - k^2.  plan, if given, is
+    _spin_plan(grid, k, L).
     """
     B = grid.bandwidth
     L = B if L is None else L
@@ -291,8 +295,9 @@ def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
     # the plan's frequencies [c, h, p, j] -> [p, j, h, c], weighted by w_j
     X = np.multiply(F[:, _freqs(B, L, k < 0)].transpose(2, 3, 1, 0),
                     grid.beta_weights[:, None, None], order="C")
-    Y = np.matmul(_spin_plan(grid, k, L),
-                  X.view(float).reshape(L, 2 * B, 4 * C))   # [p, r, (h, c)]
+    if plan is None:
+        plan = _spin_plan(grid, k, L)
+    Y = np.matmul(plan, X.view(float).reshape(L, 2 * B, 4 * C))  # [p, r, (h, c)]
     slot, sign, _ = _slots(L, k)
     a = Y.view(complex).reshape(2 * L * L, C)[slot].T
     if sign is not None:
@@ -300,11 +305,13 @@ def _spin_analysis(f: np.ndarray, grid: QuadratureGrid, k: int,
     return a
 
 
-def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int) -> np.ndarray:
+def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int,
+                    plan: np.ndarray | None = None) -> np.ndarray:
     """f[c, i, j] = sum_l (2l+1) sum_m a^l_m e^{-i m alpha_i} d^l_{mk}(beta_j).
 
     a holds flat coefficients [channels, L^2 - k^2] for l = |k|..L-1, L <= B,
     as _spin_analysis returns them.  Returns samples [channels, alpha, beta].
+    plan, if given, is _spin_plan(grid, k, L).
     """
     B = grid.bandwidth
     C = a.shape[0]
@@ -312,7 +319,9 @@ def _spin_synthesis(a: np.ndarray, grid: QuadratureGrid, k: int) -> np.ndarray:
     slot, _, weight = _slots(L, k)
     X = np.zeros((2 * L * L, C), dtype=complex)     # [(p, r, h), c]
     X[slot] = (a * weight).T
-    Y = np.matmul(_spin_plan(grid, k, L).transpose(0, 2, 1),
+    if plan is None:
+        plan = _spin_plan(grid, k, L)
+    Y = np.matmul(plan.transpose(0, 2, 1),
                   X.view(float).reshape(L, L, 4 * C))       # [p, j, (h, c)]
     # [p, j, h, c] -> [c, h, p, j] at the rows of its frequencies
     F = np.zeros((C, 2 * B, 2 * B), dtype=complex)
@@ -337,6 +346,14 @@ def _flat(coeffs: list, k: int, channels: int) -> np.ndarray:
                                      if c is None else c
                                      for l, c in enumerate(coeffs)
                                      if l >= abs(k)], axis=1)
+
+
+def _so3_store(B: int, L: int) -> bool:
+    """Whether the L plans (|k| < L) of one SO(3) transform at bandwidth L,
+    16 B L^3 bytes, take less than the cache bound together; if not, they
+    are built without being stored, so they do not evict the plans of other
+    calls."""
+    return 16 * B * L ** 3 < _PLAN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +413,12 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
     f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
     G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
     blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
+    store = _so3_store(B, bandwidth)
     for k in range(bandwidth):
-        for col in sorted({k, -k}, reverse=True):   # -k reads the plan of k
-            a = _degrees(_spin_analysis(G[..., col % n], grid, col, bandwidth),
-                         col)
+        plan = _spin_plan(grid, k, bandwidth, store)
+        for col in sorted({k, -k}):
+            a = _degrees(_spin_analysis(G[..., col % n], grid, col, bandwidth,
+                                        plan), col)
             for l in range(k, bandwidth):
                 blocks.blocks[l][:, :, col + l] = a[l]
     return blocks
@@ -419,10 +438,12 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     n = 2 * B
     C = blocks.channels
     G = np.zeros((C, n, n, n), dtype=complex)   # [c, alpha, beta, n mod 2B]
+    store = _so3_store(B, L)
     for k in range(L):
-        for col in sorted({k, -k}, reverse=True):   # -k reads the plan of k
+        plan = _spin_plan(grid, k, L, store)
+        for col in sorted({k, -k}):
             G[..., col % n] = _spin_synthesis(
-                np.concatenate(blocks.column(col), axis=1), grid, col)
+                np.concatenate(blocks.column(col), axis=1), grid, col, plan)
     np.fft.fft(G, axis=-1, out=G)               # [c, alpha, beta, gamma]
     return G.reshape(C, n ** 3)
 

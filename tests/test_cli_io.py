@@ -276,8 +276,14 @@ class TestSpecSerialization:
          "weights"),
         ('{"kind": "per_point_mlp", "weights": [[[["a"]], [0.0]]]}', "weights"),
         ('{"kind": "per_point_mlp", "weights": []}', "weights"),
+        ('{"kind": "per_point_mlp", "weights": [[1.0, 2.0]]}', "weights"),
+        ('{"kind": "per_point_mlp", "weights": [[[[1.0]], [0.0, 0.0]]]}',
+         "weights"),
+        ('{"kind": "per_point_mlp", "weights": '
+         '[[[[1.0, 2.0]], [0.0]], [[[1.0, 2.0]], [0.0]]]}', "weights"),
     ], ids=["unknown-kind", "weights-not-a-list", "entry-not-a-pair",
-            "non-numeric", "mlp-without-weights"])
+            "non-numeric", "mlp-without-weights", "scalar-layer",
+            "bias-not-of-the-rows", "layers-do-not-chain"])
     def test_activation_errors_name_the_key(self, text, key):
         with pytest.raises(FieldFormatError, match=f"activation spec: {key}"):
             activation_spec_from_json(text)
@@ -486,6 +492,25 @@ class TestOneDecoder:
             tracemalloc.stop()
         assert peak < 2 ** 20
         assert main(["convert", str(path), str(tmp_path / "f.csv")]) == 3
+
+    @pytest.mark.parametrize("block", [5, {"re": 0}])
+    def test_huge_channels_of_no_points_are_rejected_unbuilt(self, tmp_path,
+                                                             block):
+        # a cloud of no points has zero size at any channel count, so the
+        # header's 10^9 channels must not be materialised to compare
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "space": "R3points", "positions": [],
+            "field_orders": [0], "channels": 10 ** 9, "data": [block]}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldFormatError):
+                load_point_cloud(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert main(["convert", str(path), str(tmp_path / "c.csv")]) == 3
 
 
 def test_console_script_is_cli_main():

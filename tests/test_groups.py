@@ -184,3 +184,8 @@ class TestQuadratureGrid:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             quadrature_grid("S2", 0)
+
+    @pytest.mark.parametrize("space, B", [("S3", 4), ("SO3", 0), ("S2", -1)])
+    def test_constructor_validates(self, space, B):
+        with pytest.raises(ValueError):
+            QuadratureGrid(space, B)
