@@ -241,14 +241,9 @@ def _check_sht_aliasing(rng, cfg):
 def _check_lift_off_column(rng, cfg):
     """The lift's spectrum outside column k, as an amplitude: the square
     root of the off-column share of the Plancherel energy."""
-    B = cfg["bandwidth"]
-
-    def off_column(f):
-        k = f.field_type.order
-        blocks = so3_ft_forward(lift(f).flat(), quadrature_grid("SO3", B))
-        return math.sqrt(blocks.off_column_energy(k) / blocks.norm_squared())
-
-    return _worst_over_orders(rng, B, off_column)
+    grid = quadrature_grid("SO3", cfg["bandwidth"])
+    return _worst_over_orders(rng, cfg["bandwidth"], lambda f: so3_ft_forward(
+        lift(f).flat(), grid).off_column(f.field_type.order))
 
 
 def _check_lift_mackey(rng, cfg):
@@ -590,8 +585,8 @@ def _vjp_setup(rng, B: int):
     ker = _rand_kernel(rng, B, 1, -1, c_out=2, c_in=2)
     blocks = lift_spectrum(_rand_field(rng, B, 1, channels=2))
     cot = SpectralBlocks.zeros(B, 2)
-    for l in kernel_degrees(1, -1, B):
-        cot.blocks[l][:, :, l - 1] = _cplx(rng, 2, 2 * l + 1)
+    cot.set_column(-1, [None] + [_cplx(rng, 2, 2 * l + 1)
+                                 for l in kernel_degrees(1, -1, B)])
     return ker, blocks, cot
 
 

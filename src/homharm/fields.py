@@ -250,12 +250,8 @@ def regular_action(g: Rotation3, gf: GroupFunction) -> GroupFunction:
 
 
 def lift_spectrum(field: TensorField) -> SpectralBlocks:
-    """SO(3) Fourier blocks of the lifted field (column-sparse at n = k)."""
-    _check_s2_order(field)
-    B = field.grid.bandwidth
-    k = field.field_type.order
+    """SO(3) Fourier blocks of the lifted field: spin_coeffs as column k."""
     coeffs = spin_coeffs(field)
-    blocks = SpectralBlocks.zeros(B, field.channels)
-    for l in range(abs(k), B):
-        blocks.blocks[l][:, :, k + l] = coeffs[l]
+    blocks = SpectralBlocks.zeros(field.grid.bandwidth, field.channels)
+    blocks.set_column(field.field_type.order, coeffs)
     return blocks

@@ -95,12 +95,22 @@ def _dump(doc: dict, path: str):
                                      separators=(",", ":")) + "\n")
 
 
+def _read(path) -> str:
+    """A field or XYZ file's text; undecodable bytes are a FieldFormatError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise FieldFormatError(f"{path}: not a text file: {e}") from e
+
+
 def _json(text: str, where: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FieldFormatError(f"{where}: invalid JSON at line {e.lineno}, "
                                f"column {e.colno}: {e.msg}") from e
+    except (RecursionError, ValueError) as e:   # too deep, or a number too long
+        raise FieldFormatError(f"{where}: invalid JSON: {e}") from e
 
 
 def _require(doc, keys, where: str):
@@ -229,7 +239,7 @@ def save_fields(path: str, fields: list):
 
 def load_fields(path: str) -> list:
     """Read a field file back into TensorFields or GroupFunctions."""
-    doc = _json(Path(path).read_text(), path)
+    doc = _json(_read(path), path)
     blocks = _decode(doc, path)
     space = doc["space"]
     if space == "R3points":
@@ -254,7 +264,7 @@ def save_point_cloud(path: str, cloud: PointCloud):
 
 
 def load_point_cloud(path: str) -> PointCloud:
-    doc = _json(Path(path).read_text(), path)
+    doc = _json(_read(path), path)
     blocks = _decode(doc, path)
     if doc["space"] != "R3points":
         raise FieldFormatError(f"{path}: expected space R3points, got "
@@ -271,7 +281,7 @@ def load_xyz(path: str) -> np.ndarray:
     'label x y z' line per atom; an optional leading count line, which must
     match the atom lines, and the comment line after it are skipped."""
     positions = []
-    lines = Path(path).read_text().splitlines()
+    lines = _read(path).splitlines()
     count = int(lines[0]) if lines and lines[0].strip().isdecimal() else None
     start = 0 if count is None else 2
     for ln, line in enumerate(lines[start:], start=start + 1):
@@ -396,10 +406,10 @@ def convert_field(in_path: str, out_path: str):
     src = in_path.lower()
     dst = out_path.lower()
     if src.endswith(".json") and dst.endswith(".csv"):
-        text = _field_doc_to_csv(_json(Path(in_path).read_text(), in_path), in_path)
+        text = _field_doc_to_csv(_json(_read(in_path), in_path), in_path)
         Path(out_path).write_text(text)
     elif src.endswith(".csv") and dst.endswith(".json"):
-        doc = _csv_to_field_doc(Path(in_path).read_text(), in_path)
+        doc = _csv_to_field_doc(_read(in_path), in_path)
         _decode(doc, in_path)
         _dump(doc, out_path)
     else:
@@ -447,7 +457,7 @@ def activation_spec_from_json(text: str) -> ActivationSpec:
     if doc["kind"] not in kinds:
         raise FieldFormatError(f"activation spec: kind must be one of "
                                f"{', '.join(kinds)}, got {doc['kind']!r}")
-    try:                    # ActivationSpec raises on per_point_mlp of no pairs
+    try:                    # ActivationSpec raises on weights unfit for the kind
         return ActivationSpec(doc["kind"], [
             (np.asarray(W, dtype=float), np.asarray(b, dtype=float))
             for W, b in doc.get("weights", [])])

@@ -56,8 +56,8 @@ class ActivationSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "per_point_mlp" and not self.weights:
-            raise ValueError("per_point_mlp requires weight matrices")
+        if (self.kind == "per_point_mlp") != bool(len(self.weights)):
+            raise ValueError("weights are for per_point_mlp, which needs them")
         self.weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
                         for W, b in self.weights]
         for i, (W, b) in enumerate(self.weights):
@@ -273,8 +273,8 @@ def project_kernel(gf: GroupFunction, kernel: GroupFunction,
     gamma = 0 section.
 
     The kernel must satisfy the one-sided Mackey constraint for the output
-    order (its spectrum column-sparse at n = out_order); a relative
-    off-column norm above 1e-8 is an error.
+    order (its spectrum column-sparse at n = out_order); an off-column
+    amplitude above OFF_COLUMN_TOL is an error.
     """
     B = gf.grid.bandwidth
     if kernel.grid.bandwidth != B:
@@ -282,17 +282,11 @@ def project_kernel(gf: GroupFunction, kernel: GroupFunction,
     if kernel.channels != 1:
         raise ValueError("projection kernel must be single-channel")
     k_hat = so3_ft_forward(kernel.flat(), kernel.grid)
-    total = k_hat.norm_squared()
-    off = k_hat.off_column_energy(out_order)
-    if total > 0 and off / total > 1e-8 ** 2:
-        raise ValueError("kernel violates the Mackey constraint for order "
-                         f"{out_order} (relative residual {off / total:.3e})")
+    k_hat.require_column(out_order, "projection kernel")
     l_hat = so3_ft_forward(gf.flat(), gf.grid)
-    coeffs: list = [None] * B
-    for l in range(abs(out_order), B):
-        kcol = k_hat.blocks[l][0, :, out_order + l]          # [2l+1]
-        # out_hat^l_{m, m_out} = sum_j l_hat^l_{mj} k_hat^l_{j, m_out}
-        coeffs[l] = np.einsum("cmj,j->cm", l_hat.blocks[l], kcol)
+    # out_hat^l_{m, m_out} = sum_j l_hat^l_{mj} k_hat^l_{j, m_out}
+    coeffs = [None if c is None else np.einsum("cmj,j->cm", b, c[0])
+              for b, c in zip(l_hat.blocks, k_hat.column(out_order))]
     return field_from_spin_coeffs(coeffs, out_order, quadrature_grid("S2", B))
 
 

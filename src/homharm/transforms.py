@@ -73,7 +73,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class ShtCoeffs:
         return self.data[0].shape[0]
 
 
+OFF_COLUMN_TOL = 1e-8   # the largest off_column amplitude of a column-sparse spectrum
+
 
 @dataclass
 class SpectralBlocks:
@@ -107,6 +109,9 @@ class SpectralBlocks:
 
     blocks[l] has shape [channels, 2l+1, 2l+1] with row m and column n
     indexed as m + l, n + l, for every degree l < bandwidth.
+    The lift of an order-k field is nonzero only in column n = k, which
+    holds its spin coefficients; a column is a list indexed by l of
+    [channels, 2l+1] arrays, None below |n|, as ``spin_coeffs`` returns it.
     """
 
     bandwidth: int
@@ -115,7 +120,6 @@ class SpectralBlocks:
     @property
     def channels(self) -> int:
         return self.blocks[0].shape[0]
-
 
     @staticmethod
     def zeros(bandwidth: int, channels: int) -> "SpectralBlocks":
@@ -129,23 +133,33 @@ class SpectralBlocks:
                          for l, b in enumerate(self.blocks)))
 
     def column(self, n: int) -> list:
-        """Column-sparse view: the n-column of every block with l >= |n|
-        (the blocks of lower degree have no column n).
+        """Column n: views [channels, 2l+1] of each block, None below |n|."""
+        return [None if l < abs(n) else b[:, :, n + l]
+                for l, b in enumerate(self.blocks)]
 
-        Returns a list over l >= |n| of arrays [channels, 2l+1].
-        """
-        return [self.blocks[l][:, :, n + l]
-                for l in range(abs(n), self.bandwidth)]
+    def set_column(self, n: int, coeffs: list):
+        """Write column n from a list indexed by l, skipping None entries."""
+        for l in range(abs(n), len(coeffs)):
+            if coeffs[l] is not None:
+                self.blocks[l][:, :, n + l] = coeffs[l]
 
-    def off_column_energy(self, n: int) -> float:
-        """Energy (Plancherel-weighted) outside column n, for sparsity checks."""
-        total = 0.0
+    def off_column(self, n: int) -> float:
+        """The amplitude outside column n: the square root of the off-column
+        share of the Plancherel energy, 0 for all-zero blocks."""
+        total, off = self.norm_squared(), 0.0
         for l, b in enumerate(self.blocks):
             e = (2 * l + 1) * np.sum(np.abs(b) ** 2, axis=(0, 1))
             if abs(n) <= l:
                 e[n + l] = 0.0
-            total += float(np.sum(e))
-        return total
+            off += float(np.sum(e))
+        return sqrt(off / total) if total > 0 else 0.0
+
+    def require_column(self, n: int, what: str):
+        """Raise ValueError if off_column(n) exceeds OFF_COLUMN_TOL."""
+        off = self.off_column(n)
+        if off > OFF_COLUMN_TOL:
+            raise ValueError(f"{what} is not column-sparse at n = {n} "
+                             f"(off-column amplitude {off:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +431,8 @@ def so3_ft_forward(samples, grid: QuadratureGrid,
     for k in range(bandwidth):
         plan = _spin_plan(grid, k, bandwidth, store)
         for col in sorted({k, -k}):
-            a = _degrees(_spin_analysis(G[..., col % n], grid, col, bandwidth,
-                                        plan), col)
-            for l in range(k, bandwidth):
-                blocks.blocks[l][:, :, col + l] = a[l]
+            blocks.set_column(col, _degrees(_spin_analysis(
+                G[..., col % n], grid, col, bandwidth, plan), col))
     return blocks
 
 
@@ -443,7 +455,7 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
         plan = _spin_plan(grid, k, L, store)
         for col in sorted({k, -k}):
             G[..., col % n] = _spin_synthesis(
-                np.concatenate(blocks.column(col), axis=1), grid, col, plan)
+                _flat(blocks.column(col), col, C), grid, col, plan)
     np.fft.fft(G, axis=-1, out=G)               # [c, alpha, beta, gamma]
     return G.reshape(C, n ** 3)
 

@@ -86,14 +86,13 @@ def test_01_transform_exactness():
     report("transform-exactness", err, 1e-10, f"({dt:.2f}s)")
 
 
-def test_02_lift_sparsity():
+def test_02_lift_off_column_amplitude():
     B = 8
     worst = 0.0
     for k in (-2, -1, 0, 1, 2):
         field = random_field(B, k)
         blocks = so3_ft_forward(lift(field).flat(), quadrature_grid("SO3", B))
-        worst = max(worst,
-                    blocks.off_column_energy(k) / blocks.norm_squared())
+        worst = max(worst, blocks.off_column(k))
     report("lifted-field-column-sparsity", worst, 1e-10)
 
 

@@ -281,9 +281,10 @@ class TestSpecSerialization:
          "weights"),
         ('{"kind": "per_point_mlp", "weights": '
          '[[[[1.0, 2.0]], [0.0]], [[[1.0, 2.0]], [0.0]]]}', "weights"),
+        ('{"kind": "tanh", "weights": [[[[1.0]], [0.0]]]}', "weights"),
     ], ids=["unknown-kind", "weights-not-a-list", "entry-not-a-pair",
             "non-numeric", "mlp-without-weights", "scalar-layer",
-            "bias-not-of-the-rows", "layers-do-not-chain"])
+            "bias-not-of-the-rows", "layers-do-not-chain", "tanh-with-weights"])
     def test_activation_errors_name_the_key(self, text, key):
         with pytest.raises(FieldFormatError, match=f"activation spec: {key}"):
             activation_spec_from_json(text)
@@ -672,6 +673,30 @@ class TestCli:
         missing = tmp_path / "missing.json"
         out = tmp_path / "out.csv"
         assert main(["convert", str(missing), str(out)]) == 3
+
+    @pytest.mark.parametrize("name,content", [
+        ("bad.json", b"\xff\xfe\x00bad"),
+        ("bad.csv", b"\xff\xfe\x00bad"),
+        ("deep.json", b"[" * 100_000),
+        ("long.json", b'{"format_version": ' + b"1" * 5000 + b"}"),
+    ], ids=["undecodable-json", "undecodable-csv", "nested-json",
+            "long-integer-json"])
+    def test_unreadable_file_is_a_format_error(self, tmp_path, capsys, name,
+                                               content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        out = tmp_path / ("out.csv" if name.endswith(".json") else "out.json")
+        assert main(["convert", str(path), str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+        if name.endswith(".json"):
+            for load in (load_fields, load_point_cloud):
+                with pytest.raises(FieldFormatError, match=name):
+                    load(path)
+        else:
+            with pytest.raises(FieldFormatError, match=name):
+                load_xyz(path)
 
     @pytest.mark.parametrize("key", ["channels", "bandwidth", "field_orders",
                                      "data"])

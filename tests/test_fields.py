@@ -64,12 +64,21 @@ class TestLiftProject:
             ok, residual = is_mackey(gf, FieldType("SO2", k))
             assert ok and residual <= 1e-10
 
-    def test_lift_spectrum_column_sparse(self):
+    def test_lift_spectrum_off_column_amplitude(self):
         for k in (-2, -1, 0, 1, 2):
             blocks = lift_spectrum(random_field(8, k))
-            assert blocks.off_column_energy(k) <= 1e-10 * blocks.norm_squared()
+            assert blocks.off_column(k) <= 1e-10
 
-    def test_non_mackey_function_fails_both(self):
+    def test_lift_spectrum_column_is_spin_coeffs(self):
+        for k in (-2, -1, 0, 1, 2):
+            field = random_field(6, k, channels=2)
+            col, want = lift_spectrum(field).column(k), spin_coeffs(field)
+            assert len(col) == len(want) == 6
+            for l, (a, b) in enumerate(zip(col, want)):
+                assert (a is None) == (b is None) == (l < abs(k))
+                assert a is None or np.array_equal(a, b)
+
+    def test_non_mackey_function_fails_residual_and_amplitude(self):
         grid = quadrature_grid("SO3", 4)
         vals = rng.standard_normal((1, grid.n_nodes))
         gf = GroupFunction(grid, vals)
@@ -77,7 +86,7 @@ class TestLiftProject:
         assert not ok and residual > 1e-2
         from homharm.transforms import so3_ft_forward
         blocks = so3_ft_forward(gf.flat(), gf.grid)
-        assert blocks.off_column_energy(1) > 1e-2 * blocks.norm_squared()
+        assert blocks.off_column(1) > 1e-1
 
     def test_project_after_lift_is_identity(self):
         field = random_field(6, 2, channels=3)

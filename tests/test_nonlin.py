@@ -72,6 +72,8 @@ class TestActivationSpec:
             ActivationSpec("sigmoid")
         with pytest.raises(ValueError):
             ActivationSpec("per_point_mlp")
+        with pytest.raises(ValueError, match="weights are for per_point_mlp"):
+            ActivationSpec("tanh", weights=[(np.ones((1, 1)), np.zeros(1))])
 
 
 class TestLiftSumActivate:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from homharm import harmonics, spectral_conv
-from homharm.fields import (FieldType, field_from_spin_coeffs,
-                            induced_action, lift_spectrum, spin_coeffs)
+from homharm.fields import (FieldType, GroupFunction, field_from_spin_coeffs,
+                            induced_action, lift, lift_spectrum, spin_coeffs)
 from homharm.groups import Rotation3, _zyz_angles, quadrature_grid
 from homharm.spectral_conv import (SparseKernelSpec, conv_field,
                                    conv_spatial_oracle, conv_spectral,
@@ -13,7 +13,8 @@ from homharm.spectral_conv import (SparseKernelSpec, conv_field,
                                    kernel_to_spatial,
                                    spectral_identity_kernel)
 from homharm.harmonics import _wigner_d_columns
-from homharm.transforms import SpectralBlocks, so3_ft_forward
+from homharm.nonlin import delta_projection_kernel, project_kernel
+from homharm.transforms import SpectralBlocks, so3_ft_forward, so3_ft_inverse
 
 rng = np.random.default_rng(505)
 
@@ -33,6 +34,47 @@ def random_kernel(m_in, m_out, B, c_out=1, c_in=1):
          + 1j * rng.standard_normal((c_out, c_in, n_l)))
     return SparseKernelSpec(m_in, m_out, B, c)
 
+
+def leak(blocks, n, amp):
+    """Raise one entry outside column n of column-sparse blocks, in place,
+    so that their off-column amplitude becomes amp."""
+    l = blocks.bandwidth - 1
+    on = blocks.norm_squared()
+    blocks.blocks[l][0, 0, (n + l + 1) % (2 * l + 1)] = amp * np.sqrt(
+        on / ((1 - amp ** 2) * (2 * l + 1)))
+    return blocks
+
+
+class TestOffColumnBound:
+    """conv_spectral and project_kernel share one column-sparsity bound,
+    1e-8 on the off-column amplitude: 5e-9 passes, 2e-8 fails."""
+
+    @pytest.mark.parametrize("amp,ok", [(5e-9, True), (2e-8, False)])
+    def test_conv_spectral(self, amp, ok):
+        B, m_in = 4, 1
+        blocks = leak(lift_spectrum(random_field(B, m_in)), m_in, amp)
+        assert blocks.off_column(m_in) == pytest.approx(amp, rel=1e-6)
+        kernel = random_kernel(m_in, 0, B)
+        if ok:
+            conv_spectral(blocks, kernel)
+        else:
+            with pytest.raises(ValueError, match="off-column amplitude"):
+                conv_spectral(blocks, kernel)
+
+    @pytest.mark.parametrize("amp,ok", [(5e-9, True), (2e-8, False)])
+    def test_project_kernel(self, amp, ok):
+        B, m = 4, 1
+        delta = delta_projection_kernel(m, B)
+        k_hat = leak(so3_ft_forward(delta.flat(), delta.grid), m, amp)
+        kernel = GroupFunction(delta.grid, so3_ft_inverse(k_hat, delta.grid))
+        assert so3_ft_forward(kernel.flat(), kernel.grid).off_column(
+            m) == pytest.approx(amp, rel=1e-6)
+        gf = lift(random_field(B, m))
+        if ok:
+            project_kernel(gf, kernel, m)
+        else:
+            with pytest.raises(ValueError, match="off-column amplitude"):
+                project_kernel(gf, kernel, m)
 
 class TestKernelSpec:
     def test_degree_range(self):

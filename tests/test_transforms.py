@@ -479,16 +479,45 @@ class TestAccuracyAtB256:
 
 
 class TestSpectralBlocks:
-    def test_norm_and_column_helpers(self):
+    def test_norm_column_and_off_column(self):
         B = 3
         blocks = SpectralBlocks.zeros(B, 1)
         blocks.blocks[1][0, :, 2] = [1.0, 2.0, 3.0]   # column n = 1
         assert blocks.norm_squared() == pytest.approx(3 * 14.0)
         col = blocks.column(1)
-        assert len(col) == B - 1
-        assert np.allclose(col[0][0], [1.0, 2.0, 3.0])
-        assert blocks.off_column_energy(1) == pytest.approx(0.0)
-        assert blocks.off_column_energy(0) == pytest.approx(3 * 14.0)
+        assert len(col) == B and col[0] is None
+        assert np.allclose(col[1][0], [1.0, 2.0, 3.0])
+        assert blocks.off_column(1) == 0.0
+        assert blocks.off_column(0) == pytest.approx(1.0)
+        assert SpectralBlocks.zeros(B, 1).off_column(0) == 0.0
+
+    def test_set_column_round_trips(self):
+        B, n = 4, -2
+        blocks = SpectralBlocks.zeros(B, 2)
+        coeffs = [None] * abs(n) + [rng.standard_normal((2, 2 * l + 1))
+                                    + 1j * rng.standard_normal((2, 2 * l + 1))
+                                    for l in range(abs(n), B)]
+        blocks.set_column(n, coeffs)
+        col = blocks.column(n)
+        assert col[:abs(n)] == [None] * abs(n)
+        for l in range(abs(n), B):
+            assert np.array_equal(col[l], coeffs[l])
+            assert np.array_equal(blocks.blocks[l][:, :, n + l], coeffs[l])
+        assert blocks.off_column(n) == 0.0
+
+    def test_set_column_skips_none(self):
+        B = 4
+        blocks = SpectralBlocks(B, [rng.standard_normal((1, 2 * l + 1, 2 * l + 1))
+                                    + 0j for l in range(B)])
+        before = [b.copy() for b in blocks.blocks]
+        blocks.set_column(1, [None] * B)
+        new = np.ones((1, 5))
+        blocks.set_column(1, [None, None, new, None])
+        for l in (0, 1, 3):
+            assert np.array_equal(blocks.blocks[l], before[l])
+        assert np.array_equal(blocks.blocks[2][:, :, 3], new)
+        rest = np.delete(blocks.blocks[2], 3, axis=2)
+        assert np.array_equal(rest, np.delete(before[2], 3, axis=2))
 
 
 class TestFiberDft:
