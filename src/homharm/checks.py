@@ -56,6 +56,7 @@ class CheckConfigError(ValueError):
     """A check configuration that run_suite rejects before any check runs."""
 
 
+_LEAST = {"bandwidth": 2, "trials": 1, "oversample": 1, "seed": 0}
 _MAX_BANDWIDTH = 128        # the grid of TestAccuracyAtB128
 _MAX_WORK_BANDWIDTH = 256   # bandwidth * oversample, as in the B = 128 layer
 _MAX_TRIALS = 1024          # 32 blocks of _ROTATION_BLOCK per order pair
@@ -202,11 +203,10 @@ def _check_parseval(rng, cfg):
     grid = quadrature_grid("SO3", B)
     blocks = _rand_blocks(rng, B)
     samples = so3_ft_inverse(blocks, grid)
-    n = 2 * B
-    power = np.abs(samples.reshape(-1, n, n, n)) ** 2     # [c, alpha, beta, gamma]
+    power = np.abs(samples.reshape(-1, *grid.shape)) ** 2  # [c, alpha, beta, gamma]
     # the beta weights by one product per (c, alpha), then a pairwise sum: a
     # single einsum accumulates in order and loses digits as B grows
-    spatial = float(np.sum(grid.beta_weights @ power)) / n ** 2
+    spatial = float(np.sum(grid.beta_weights @ power)) / (2 * B) ** 2
     spectral = blocks.norm_squared()
     return _rel(abs(spatial - spectral), spectral)
 
@@ -219,7 +219,7 @@ def _check_sht_aliasing(rng, cfg):
     B = cfg["bandwidth"]
     fine = quadrature_grid("S2", 2 * B)
     coarse = quadrature_grid("S2", B)
-    idx = np.arange(fine.n_nodes).reshape(4 * B, 4 * B)[::2, ::2].ravel()
+    idx = np.arange(fine.n_nodes).reshape(fine.shape)[::2, ::2].ravel()
     low = [_cplx(rng, 1, 2 * l + 1) for l in range(B)]
     high = [_cplx(rng, 1, 2 * l + 1) for l in range(B, 2 * B)]
     zeros = [np.zeros((1, 2 * l + 1), dtype=complex) for l in range(B, 2 * B)]
@@ -689,8 +689,7 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
     else:
         raise CheckConfigError(f"unknown suite {suite!r}; choose from "
                                f"{', '.join(list(SUITES) + ['all'])}")
-    for key, least in (("bandwidth", 2), ("trials", 1), ("oversample", 1),
-                       ("seed", 0)):
+    for key, least in _LEAST.items():
         if cfg[key] < least:
             raise CheckConfigError(f"{key} must be at least {least}, "
                                    f"got {cfg[key]}")

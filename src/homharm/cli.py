@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import SUITES, CheckConfigError, default_config, run_suite
+from .checks import (_LEAST, _MAX_BANDWIDTH, _MAX_TRIALS, _MAX_WORK_BANDWIDTH,
+                     SUITES, CheckConfigError, default_config, run_suite)
 from .io import FieldFormatError, convert_field
 
 EXIT_OK = 0
@@ -30,15 +31,21 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--suite", default="all",
                        help="suite name or 'all' (choices: "
                             + ", ".join(list(SUITES) + ["all"]) + ")")
-    check.add_argument("--bandwidth", type=int, default=8, metavar="B",
-                       help="grid bandwidth, 2 to 128 (default 8)")
-    check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--trials", type=int, default=20,
-                       help="random draws per equivariance check, 1 to 1024 "
-                            "(default 20)")
-    check.add_argument("--oversample", type=int, default=2,
-                       help="activation-grid oversampling factor, with "
-                            "bandwidth x oversample at most 256 (default 2)")
+    config = default_config()
+    check.add_argument("--bandwidth", type=int, default=config["bandwidth"],
+                       metavar="B", help=f"grid bandwidth, {_LEAST['bandwidth']} "
+                       f"to {_MAX_BANDWIDTH} (default %(default)s)")
+    check.add_argument("--seed", type=int, default=config["seed"],
+                       help=f"at least {_LEAST['seed']} (default %(default)s)")
+    check.add_argument("--trials", type=int, default=config["trials"],
+                       help="random draws per equivariance check, "
+                            f"{_LEAST['trials']} to {_MAX_TRIALS} "
+                            "(default %(default)s)")
+    check.add_argument("--oversample", type=int, default=config["oversample"],
+                       help="activation-grid oversampling factor, at least "
+                            f"{_LEAST['oversample']}, with bandwidth x "
+                            f"oversample at most {_MAX_WORK_BANDWIDTH} "
+                            "(default %(default)s)")
     check.add_argument("--report", metavar="PATH",
                        help="write the report to this path")
     check.add_argument("--format", choices=("json", "csv"), default="json",

@@ -21,8 +21,9 @@ import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .harmonics import _rotate
-from .transforms import (SpectralBlocks, _degrees, _flat, _spin_analysis,
-                         _spin_synthesis, so3_ft_forward, so3_ft_inverse)
+from .transforms import (SpectralBlocks, _degrees, _flat, _on_axes,
+                         _require_grid, _spin_analysis, _spin_synthesis,
+                         so3_ft_forward, so3_ft_inverse)
 
 # ---------------------------------------------------------------------------
 # Types
@@ -31,48 +32,49 @@ from .transforms import (SpectralBlocks, _degrees, _flat, _spin_analysis,
 
 @dataclass(frozen=True)
 class FieldType:
-    """Field type: the stabilizer irrep labelling the fiber of the field."""
+    """Field type: the SO(2) irrep of order k labelling the field's fiber."""
 
-    stabilizer: str   # "SO2" or "SO3"
+    stabilizer: str   # "SO2"
     order: int
 
     def __post_init__(self):
-        if self.stabilizer not in ("SO2", "SO3"):
-            raise ValueError("stabilizer must be SO2 or SO3")
-        if self.stabilizer == "SO3" and self.order < 0:
-            raise ValueError("SO(3) irrep order must be nonnegative")
+        if self.stabilizer != "SO2":
+            raise ValueError("stabilizer must be SO2")
 
-    @property
-    def dimension(self) -> int:
-        return 1 if self.stabilizer == "SO2" else 2 * self.order + 1
+
+def _samples(samples, grid: QuadratureGrid, space: str) -> np.ndarray:
+    """The field contract: samples [channels, n_nodes] or
+    [channels, n_nodes, 1] on a grid of the given space, all finite, as
+    complex [channels, n_nodes, 1]."""
+    _require_grid(grid, space)
+    arr = np.asarray(samples, dtype=complex)
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != 3 or arr.shape[1:] != (grid.n_nodes, 1):
+        raise ValueError(f"samples of shape {np.shape(samples)} must hold one "
+                         f"value per node of the grid ({grid.n_nodes} nodes)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("field samples must be finite")
+    return arr
 
 
 @dataclass
 class TensorField:
-    """Channelled samples of a field f: G/H -> V on a quadrature grid."""
+    """Channelled samples of an order-k field on an S2 quadrature grid."""
 
     grid: QuadratureGrid
     field_type: FieldType
-    samples: np.ndarray   # [channels, n_nodes, dim]
+    samples: np.ndarray   # [channels, n_nodes, 1]
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.shape[1] != self.grid.n_nodes or arr.shape[2] != self.field_type.dimension:
-            raise ValueError(f"sample shape {arr.shape} inconsistent with grid "
-                             f"({self.grid.n_nodes} nodes) and field dimension "
-                             f"{self.field_type.dimension}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field samples must be finite")
-        self.samples = arr
+        self.samples = _samples(self.samples, self.grid, "S2")
 
     @property
     def channels(self) -> int:
         return self.samples.shape[0]
 
     def flat(self) -> np.ndarray:
-        """Samples as [channels, n_nodes] (SO(2)-order fields only)."""
+        """Samples as [channels, n_nodes]."""
         return self.samples[:, :, 0]
 
 
@@ -81,21 +83,17 @@ class GroupFunction:
     """Channelled samples of a function on an SO(3) quadrature grid."""
 
     grid: QuadratureGrid
-    samples: np.ndarray   # [channels, n_nodes, dim]
+    samples: np.ndarray   # [channels, n_nodes, 1]
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.shape[1] != self.grid.n_nodes:
-            raise ValueError("sample count does not match the grid")
-        self.samples = arr
+        self.samples = _samples(self.samples, self.grid, "SO3")
 
     @property
     def channels(self) -> int:
         return self.samples.shape[0]
 
     def flat(self) -> np.ndarray:
+        """Samples as [channels, n_nodes]."""
         return self.samples[:, :, 0]
 
 
@@ -105,8 +103,6 @@ class GroupFunction:
 
 
 def _check_s2_order(field: TensorField):
-    if field.grid.space != "S2" or field.field_type.stabilizer != "SO2":
-        raise ValueError("expected an SO(2)-order field on an S2 grid")
     if abs(field.field_type.order) >= field.grid.bandwidth:
         raise ValueError("field order must satisfy |k| < grid bandwidth")
 
@@ -116,21 +112,17 @@ def lift(field: TensorField) -> GroupFunction:
     f_up(alpha, beta, gamma) = exp(-i k gamma) f(alpha, beta).
     """
     _check_s2_order(field)
-    B = field.grid.bandwidth
-    group_grid = quadrature_grid("SO3", B)
-    n = 2 * B
-    k = field.field_type.order
-    phase = np.exp(-1j * k * group_grid.gammas)
-    vals = field.flat().reshape(-1, n, n, 1) * phase[None, None, None, :]
-    return GroupFunction(group_grid, vals.reshape(-1, n ** 3))
+    group_grid = quadrature_grid("SO3", field.grid.bandwidth)
+    phase = np.exp(-1j * field.field_type.order * group_grid.gammas)
+    vals = _on_axes(field.samples, field.grid)[..., None] * phase
+    return GroupFunction(group_grid, vals.reshape(-1, group_grid.n_nodes))
 
 
 def project(gf: GroupFunction, field_type: FieldType) -> TensorField:
     """Restrict a (near-)Mackey function to the gamma = 0 slice."""
-    B = gf.grid.bandwidth
-    n = 2 * B
-    vals = gf.flat().reshape(-1, n, n, n)[:, :, :, 0]
-    return TensorField(quadrature_grid("S2", B), field_type, vals.reshape(-1, n * n))
+    grid = quadrature_grid("S2", gf.grid.bandwidth)
+    vals = _on_axes(gf.samples, gf.grid)[..., 0]
+    return TensorField(grid, field_type, vals.reshape(-1, grid.n_nodes))
 
 
 def is_mackey(gf: GroupFunction, field_type: FieldType,
@@ -146,8 +138,7 @@ def is_mackey(gf: GroupFunction, field_type: FieldType,
     residual.  One roll of the grid, O(B^3), where testing every shift
     would take 2B - 1.
     """
-    n = 2 * gf.grid.bandwidth
-    vals = gf.flat().reshape(-1, n, n, n)
+    vals = _on_axes(gf.samples, gf.grid)
     scale = max(1.0, float(np.abs(vals).max()))
     theta = gf.grid.gammas[1]
     shifted = np.roll(vals, -1, axis=3)   # m(g * h_theta)
@@ -169,8 +160,7 @@ def spin_coeffs(field: TensorField) -> list:
     """
     _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
-    n = 2 * grid.bandwidth
-    return _degrees(_spin_analysis(field.flat().reshape(-1, n, n), grid, k), k)
+    return _degrees(_spin_analysis(_on_axes(field.samples, grid), grid, k), k)
 
 
 def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray:
@@ -205,8 +195,7 @@ def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     """
     _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
-    n = 2 * grid.bandwidth
-    a = _spin_analysis(field.flat().reshape(-1, n, n), grid, k,
+    a = _spin_analysis(_on_axes(field.samples, grid), grid, k,
                        min(grid.bandwidth, new_bandwidth))
     coeffs = _degrees(a, k)
     return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))

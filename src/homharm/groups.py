@@ -1,5 +1,5 @@
-"""SO(3) rotations, the coset section, projection and twist of
-S^2 = SO(3)/SO(2), and Haar-weighted quadrature grids.
+"""SO(3) rotations and Haar-weighted quadrature grids on S^2 = SO(3)/SO(2)
+and SO(3).
 
 Conventions used throughout the package:
 
@@ -105,34 +105,6 @@ class Rotation3:
 
 
 # ---------------------------------------------------------------------------
-# The S^2 section, coset projection and twist
-# ---------------------------------------------------------------------------
-
-def section_s2(alpha: float, beta: float) -> Rotation3:
-    """Coset section for S^2 = SO(3)/SO(2): the gamma = 0 representative."""
-    return Rotation3(float(_wrap(alpha)), float(beta), 0.0)
-
-
-def project_s2(g: Rotation3) -> tuple[float, float]:
-    """Coset projection SO(3) -> S^2 (image of the north pole); gamma drops."""
-    return g.alpha, g.beta
-
-
-def twist_s2(g: Rotation3, x: tuple[float, float]) -> float:
-    """Twist angle h(g, x) in SO(2), defined by g s(x) = s(g x) h(g, x).
-
-    Returned as the rotation angle about the z axis.
-    """
-    gs = g.compose(section_s2(*x))
-    gx = project_s2(gs)
-    h = section_s2(*gx).inverse().compose(gs)
-    # h must be a z-rotation; after canonicalization its angle sits in alpha
-    if h.beta > 1e-9 and np.pi - h.beta > 1e-9:
-        raise ValueError("twist did not land in the stabilizer")
-    return float(_wrap(h.alpha + h.gamma))
-
-
-# ---------------------------------------------------------------------------
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
@@ -141,12 +113,13 @@ class QuadratureGrid:
     """Equiangular sampling grid with Haar weights normalized to sum 1.
 
     The grid is the value (space, bandwidth), checked on construction: it
-    stores nothing else and compares by value.  nodes and weights are built on each access, one
-    coordinate tuple and one weight per sample:
+    stores nothing else and compares by value.  nodes and weights are built
+    on each access, one coordinate tuple and one weight per sample:
       S2     -> (alpha, beta), 2B x 2B samples
       SO3    -> (alpha, beta, gamma), 2B x 2B x 2B samples
 
-    Node ordering is row-major over (alpha, beta[, gamma]).
+    Node ordering is row-major over (alpha, beta[, gamma]), the axes of
+    shape: samples [channels, n_nodes] reshape to [channels, *shape].
     """
 
     space: str
@@ -159,8 +132,13 @@ class QuadratureGrid:
             raise ValueError(f"unknown space {self.space!r}")
 
     @property
+    def shape(self) -> tuple:
+        """The node axes: (2B, 2B) on S2, (2B, 2B, 2B) on SO3."""
+        return (2 * self.bandwidth,) * (2 if self.space == "S2" else 3)
+
+    @property
     def n_nodes(self) -> int:
-        return (2 * self.bandwidth) ** (2 if self.space == "S2" else 3)
+        return (2 * self.bandwidth) ** len(self.shape)
 
     @property
     def nodes(self) -> np.ndarray:

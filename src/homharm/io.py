@@ -228,10 +228,12 @@ def _save(path: str, header: dict, orders: list, blocks: list):
 
 
 def save_fields(path: str, fields: list):
-    """Write TensorFields (shared S2 grid) or GroupFunctions (SO3) as JSON."""
+    """Write TensorFields or GroupFunctions, all on one grid, as JSON."""
     if not fields:
         raise ValueError("nothing to save")
     grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("fields of one file must share one grid")
     _save(path, {"space": grid.space, "bandwidth": grid.bandwidth},
           [None if isinstance(f, GroupFunction) else f.field_type.order
            for f in fields], [f.samples for f in fields])

@@ -172,17 +172,18 @@ def _require_grid(grid: QuadratureGrid, space: str):
         raise ValueError(f"expected a {space} grid, got {grid.space}")
 
 
-def _as_channels(samples: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Coerce samples to complex [channels, n_nodes] (squeezing a unit dim)."""
+def _on_axes(samples: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Samples [n_nodes], [channels, n_nodes] or [channels, n_nodes, 1] as
+    complex [channels, *grid.shape]."""
     arr = np.asarray(samples)
     if arr.ndim == 3 and arr.shape[-1] == 1:
         arr = arr[..., 0]
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != n_nodes:
-        raise ValueError(f"samples must have {n_nodes} nodes per channel, "
+    if arr.ndim != 2 or arr.shape[1] != grid.n_nodes:
+        raise ValueError(f"samples must have {grid.n_nodes} nodes per channel, "
                          f"got shape {np.asarray(samples).shape}")
-    return arr.astype(complex, copy=False)
+    return arr.astype(complex, copy=False).reshape(-1, *grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +386,9 @@ def _sht_relabel(B: int) -> tuple:
 def sht_forward(samples, grid: QuadratureGrid) -> ShtCoeffs:
     """Forward SHT: coefficients <Y^l_m, f> by quadrature; exact for l < B."""
     _require_grid(grid, "S2")
-    B = grid.bandwidth
-    f = _as_channels(samples, 4 * B * B).reshape(-1, 2 * B, 2 * B)
-    mirror, scale = _sht_relabel(B)
-    return ShtCoeffs(B, _degrees(_spin_analysis(f, grid, 0)[:, mirror] * scale, 0))
+    mirror, scale = _sht_relabel(grid.bandwidth)
+    a = _spin_analysis(_on_axes(samples, grid), grid, 0)
+    return ShtCoeffs(grid.bandwidth, _degrees(a[:, mirror] * scale, 0))
 
 
 def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
@@ -397,12 +397,11 @@ def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
     Returns complex samples [channels, n_nodes].
     """
     _require_grid(grid, "S2")
-    B = grid.bandwidth
-    if coeffs.bandwidth > B:
+    if coeffs.bandwidth > grid.bandwidth:
         raise ValueError("coefficient bandwidth exceeds grid bandwidth")
     mirror, scale = _sht_relabel(coeffs.bandwidth)
     a = np.concatenate(coeffs.data, axis=1)[:, mirror] / scale
-    return _spin_synthesis(a, grid, 0).reshape(coeffs.channels, 4 * B * B)
+    return _spin_synthesis(a, grid, 0).reshape(coeffs.channels, grid.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -410,29 +409,24 @@ def sht_inverse(coeffs: ShtCoeffs, grid: QuadratureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def so3_ft_forward(samples, grid: QuadratureGrid,
-                   bandwidth: int | None = None) -> SpectralBlocks:
-    """f_hat^l_{mn} = integral of f(g) conj(D^l_{mn}(g)) over normalized Haar.
+def so3_ft_forward(samples, grid: QuadratureGrid) -> SpectralBlocks:
+    """f_hat^l_{mn} = integral of f(g) conj(D^l_{mn}(g)) over normalized Haar,
+    for every degree l < B.
 
     Separable evaluation: inverse FFT along gamma, then the spin analysis of
     each gamma frequency n as column n.
     """
     _require_grid(grid, "SO3")
-    B = grid.bandwidth
-    if bandwidth is None:
-        bandwidth = B
-    if bandwidth > B:
-        raise ValueError("requested bandwidth exceeds grid bandwidth")
-    n = 2 * B
-    f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
-    G = np.fft.ifft(f, axis=3)              # gamma frequency n at index n mod 2B
-    blocks = SpectralBlocks.zeros(bandwidth, f.shape[0])
-    store = _so3_store(B, bandwidth)
-    for k in range(bandwidth):
-        plan = _spin_plan(grid, k, bandwidth, store)
+    B, n = grid.bandwidth, grid.shape[2]
+    # [c, alpha, beta, gamma frequency n at index n mod 2B]
+    G = np.fft.ifft(_on_axes(samples, grid), axis=3)
+    blocks = SpectralBlocks.zeros(B, G.shape[0])
+    store = _so3_store(B, B)
+    for k in range(B):
+        plan = _spin_plan(grid, k, B, store)
         for col in sorted({k, -k}):
             blocks.set_column(col, _degrees(_spin_analysis(
-                G[..., col % n], grid, col, bandwidth, plan), col))
+                G[..., col % n], grid, col, B, plan), col))
     return blocks
 
 
@@ -447,17 +441,17 @@ def so3_ft_inverse(blocks: SpectralBlocks, grid: QuadratureGrid) -> np.ndarray:
     L = blocks.bandwidth
     if L > B:
         raise ValueError("block bandwidth exceeds grid bandwidth")
-    n = 2 * B
+    n = grid.shape[2]
     C = blocks.channels
-    G = np.zeros((C, n, n, n), dtype=complex)   # [c, alpha, beta, n mod 2B]
+    G = np.zeros((C, *grid.shape), dtype=complex)   # [c, alpha, beta, n mod 2B]
     store = _so3_store(B, L)
     for k in range(L):
         plan = _spin_plan(grid, k, L, store)
         for col in sorted({k, -k}):
             G[..., col % n] = _spin_synthesis(
                 _flat(blocks.column(col), col, C), grid, col, plan)
-    np.fft.fft(G, axis=-1, out=G)               # [c, alpha, beta, gamma]
-    return G.reshape(C, n ** 3)
+    np.fft.fft(G, axis=-1, out=G)                   # [c, alpha, beta, gamma]
+    return G.reshape(C, grid.n_nodes)
 
 
 def fiber_dft(samples, grid: QuadratureGrid, order: int) -> np.ndarray:
@@ -467,11 +461,9 @@ def fiber_dft(samples, grid: QuadratureGrid, order: int) -> np.ndarray:
     returns complex samples [channels, 4B^2] on the matching S^2 grid.
     """
     _require_grid(grid, "SO3")
-    B = grid.bandwidth
-    if abs(order) >= 2 * B:
+    n = grid.shape[2]
+    if abs(order) >= n:
         raise ValueError("fiber order outside the grid's resolvable range")
-    n = 2 * B
-    f = _as_channels(samples, n ** 3).reshape(-1, n, n, n)
     phase = np.exp(1j * order * grid.gammas) / n
-    out = np.einsum("cijk,k->cij", f, phase)
-    return out.reshape(-1, n * n)
+    out = np.einsum("cijk,k->cij", _on_axes(samples, grid), phase)
+    return out.reshape(out.shape[0], n * n)

@@ -3,14 +3,14 @@ a block of rotations at once: it still fails on a convolution that is not
 equivariant, sends every drawn rotation through both sides in bounded
 blocks, draws them block by block, and runs no Wigner-d recursion once
 Delta = d(pi/2) is cached; a wrong quarter-turn phase in the rotation chain
-fails the suite."""
+or a wrong quadrature weight fails the suite."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homharm import checks, harmonics, spectral_conv
+from homharm import checks, groups, harmonics, spectral_conv
 
 NAME = "conv-commutes-with-action"
 
@@ -97,6 +97,31 @@ def test_conjugated_quarter_turns_fail_the_suite(monkeypatch):
     report = checks.run_suite("all", cfg)
     failed = {c.name for c in report.checks if not c.passed}
     assert not report.passed and "se3-steerability" in failed
+
+
+def test_wrong_quadrature_weight_fails_the_suite(monkeypatch):
+    """One colatitude weight off by a relative 1e-6 breaks every quadrature:
+    the transform checks, which read 0 or about 1e-15 on the true weights,
+    each measure above 1e-8 against their 1e-10 tolerance."""
+    cfg = {"bandwidth": 8, "seed": 1}
+    names = {"parseval", "sht-round-trip", "so3-round-trip",
+             "sht-aliasing-detection", "delta-kernel-projection"}
+    report = checks.run_suite("all", cfg)
+    assert report.passed
+    assert {c.name: c.measured_error for c in report.checks}["parseval"] == 0.0
+    true_weights = groups._beta_weights
+
+    def wrong_weights(B):
+        w = true_weights(B).copy()
+        w[1] *= 1 + 1e-6           # w[0] is 0 (beta = 0), so scale the next
+        w.setflags(write=False)
+        return w
+
+    monkeypatch.setattr(groups, "_beta_weights", wrong_weights)
+    report = checks.run_suite("all", cfg)
+    failed = {c.name: c.measured_error for c in report.checks if not c.passed}
+    assert names <= set(failed)
+    assert min(failed[name] for name in names) > 1e-8
 
 
 def test_rotations_are_drawn_block_by_block():

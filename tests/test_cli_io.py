@@ -523,6 +523,26 @@ def test_console_script_is_cli_main():
 
 
 class TestCli:
+    def test_parser_reads_defaults_and_bounds_from_checks(self, capsys):
+        from homharm import checks
+        from homharm.cli import _build_parser
+        args = _build_parser().parse_args(["check"])
+        config = checks.default_config()
+        assert {key: getattr(args, key) for key in config} == config
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        least = checks._LEAST
+        for phrase in (f"{least['bandwidth']} to {checks._MAX_BANDWIDTH} "
+                       f"(default {config['bandwidth']})",
+                       f"{least['trials']} to {checks._MAX_TRIALS} "
+                       f"(default {config['trials']})",
+                       f"at most {checks._MAX_WORK_BANDWIDTH} "
+                       f"(default {config['oversample']})",
+                       f"at least {least['seed']} (default {config['seed']})"):
+            assert phrase in text
+
     def test_check_reports_are_byte_identical(self, tmp_path):
         args = ["check", "--suite", "transforms", "--bandwidth", "3",
                 "--seed", "7"]

@@ -37,15 +37,17 @@ def sph_harm(l, m, alpha, beta):
 
 
 class TestFieldTypes:
-    def test_dimensions(self):
-        assert FieldType("SO2", -3).dimension == 1
-        assert FieldType("SO3", 2).dimension == 5
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             FieldType("SO4", 0)
         with pytest.raises(ValueError):
             FieldType("SO3", -1)
+
+    def test_only_so2_fibers(self):
+        # one value per node: an SO(3)-stabilizer fiber has no field here
+        assert FieldType("SO2", -3) == FieldType("SO2", -3)
+        with pytest.raises(ValueError):
+            FieldType("SO3", 1)
 
     def test_sample_shape_checked(self):
         grid = quadrature_grid("S2", 3)
@@ -55,6 +57,79 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             TensorField(grid, FieldType("SO2", 0),
                         np.full((1, grid.n_nodes), np.nan))
+
+
+def _tensor_field(samples, B=2):
+    return TensorField(quadrature_grid("S2", B), FieldType("SO2", 1), samples)
+
+
+def _group_function(samples, B=2):
+    return GroupFunction(quadrature_grid("SO3", B), samples)
+
+
+class TestFieldContract:
+    """Both field types hold one finite complex value per grid node, as
+    [channels, n_nodes, 1], through the one check fields._samples."""
+
+    @pytest.mark.parametrize("make, n", [(_tensor_field, 16),
+                                         (_group_function, 64)])
+    def test_both_types_store_one_value_per_node(self, make, n):
+        real = np.random.default_rng(5).standard_normal((2, n))
+        for samples in (real, real[:, :, None], real + 0j):
+            f = make(samples)
+            assert f.samples.shape == (2, n, 1)
+            assert f.samples.dtype == complex
+            assert np.array_equal(f.flat(), real)
+
+    @pytest.mark.parametrize("make, n", [(_tensor_field, 16),
+                                         (_group_function, 64)])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "dim-2", "nodes+1",
+                                     "one-axis", "four-axes"])
+    def test_both_types_reject_the_same_samples(self, make, n, bad):
+        samples = {"nan": np.full((1, n), np.nan),
+                   "inf": np.full((1, n, 1), np.inf),
+                   "dim-2": np.zeros((1, n, 2)),
+                   "nodes+1": np.zeros((1, n + 1)),
+                   "one-axis": np.zeros(n),
+                   "four-axes": np.zeros((1, n, 1, 1))}[bad]
+        with pytest.raises(ValueError):
+            make(samples)
+
+    def test_each_type_on_its_space(self):
+        with pytest.raises(ValueError, match="S2 grid"):
+            TensorField(quadrature_grid("SO3", 2), FieldType("SO2", 0),
+                        np.zeros((1, 64)))
+        with pytest.raises(ValueError, match="SO3 grid"):
+            GroupFunction(quadrature_grid("S2", 2), np.zeros((1, 16)))
+
+    @pytest.mark.parametrize("fields", [
+        [_tensor_field(np.arange(32.0).reshape(2, 16) / 7)],
+        [_tensor_field(np.zeros((0, 16))), _tensor_field(np.zeros((0, 16, 1)))],
+        [_tensor_field(np.ones((1, 16)) * (1 + 2j)),
+         TensorField(quadrature_grid("S2", 2), FieldType("SO2", -1),
+                     np.zeros((1, 16)))],
+        [_group_function(np.sin(np.arange(192.0)).reshape(3, 64))],
+        [_group_function(np.zeros((0, 64))), _group_function(np.ones((0, 64)))],
+    ], ids=["s2", "s2-no-channels", "s2-two-orders", "so3", "so3-no-channels"])
+    def test_every_field_saved_loads_back(self, tmp_path, fields):
+        from homharm.io import load_fields, save_fields
+        path = tmp_path / "f.json"
+        save_fields(path, fields)
+        back = load_fields(path)
+        assert [type(f) for f in back] == [type(f) for f in fields]
+        for a, b in zip(back, fields):
+            assert a.grid == b.grid
+            assert getattr(a, "field_type", None) == getattr(b, "field_type", None)
+            assert np.array_equal(a.samples, b.samples)
+
+    def test_one_file_holds_one_grid(self, tmp_path):
+        from homharm.io import save_fields
+        with pytest.raises(ValueError, match="one grid"):
+            save_fields(tmp_path / "f.json", [_tensor_field(np.zeros((1, 16))),
+                                              _tensor_field(np.zeros((1, 36)), 3)])
+        with pytest.raises(ValueError, match="one grid"):
+            save_fields(tmp_path / "g.json", [_tensor_field(np.zeros((1, 16))),
+                                              _group_function(np.zeros((1, 64)))])
 
 
 class TestLiftProject:
@@ -180,8 +255,8 @@ class TestActions:
         assert np.abs(out.samples - field.samples).max() < 1e-12
 
     def test_scalar_action_moves_points(self):
-        # for k = 0 the action is just composition with g^{-1} on the sphere
-        from homharm.groups import project_s2, section_s2
+        # for k = 0 the action is just composition with g^{-1} on the sphere:
+        # g^{-1} x is the (alpha, beta) of g^{-1} times x's gamma = 0 rotation
         field = random_field(8, 0)
         g = random_rotation()
         moved = induced_action(g, field)
@@ -193,7 +268,8 @@ class TestActions:
         errs = []
         for idx in rng.integers(0, grid.n_nodes, 10):
             alpha, beta = grid.nodes[idx]
-            y = project_s2(gi.compose(section_s2(alpha, beta)))
+            h = gi.compose(Rotation3(alpha, beta, 0.0))
+            y = (h.alpha, h.beta)
             val = 0.0
             for l in range(8):
                 for m in range(-l, l + 1):

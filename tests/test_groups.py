@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from homharm.groups import (QuadratureGrid, Rotation3, _beta_weights,
-                            _zyz_angles, _zyz_matrix, project_s2,
-                            quadrature_grid, section_s2, twist_s2)
+                            _zyz_angles, _zyz_matrix, quadrature_grid)
 
 rng = np.random.default_rng(101)
 
@@ -86,27 +85,6 @@ class TestVectorizedZYZ:
         assert np.all(angles[2][[20, 21, 22, 23]] == 0.0)
 
 
-class TestSectionsAndTwist:
-    def test_section_hits_the_point(self):
-        # s(x) applied to the north pole gives x
-        alpha, beta = 1.1, 0.6
-        v = section_s2(alpha, beta).matrix() @ [0.0, 0.0, 1.0]
-        expect = [np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
-                  np.cos(beta)]
-        assert np.allclose(v, expect, atol=1e-14)
-
-    def test_twist_defining_identity(self):
-        """g s(x) = s(gx) h(g, x) with h a z-rotation."""
-        for _ in range(20):
-            g = random_rotation()
-            x = (rng.uniform(0, 2 * np.pi), rng.uniform(0.1, np.pi - 0.1))
-            theta = twist_s2(g, x)
-            gs = g.compose(section_s2(*x))
-            gx = project_s2(gs)
-            recon = section_s2(*gx).compose(Rotation3.rz(theta))
-            assert np.allclose(recon.matrix(), gs.matrix(), atol=1e-10)
-
-
 class TestQuadratureGrid:
     @pytest.mark.parametrize("space", ["S2", "SO3"])
     def test_weights_sum_to_one(self, space):
@@ -117,6 +95,19 @@ class TestQuadratureGrid:
         B = 5
         assert quadrature_grid("S2", B).n_nodes == (2 * B) ** 2
         assert quadrature_grid("SO3", B).n_nodes == (2 * B) ** 3
+
+    @pytest.mark.parametrize("space", ["S2", "SO3"])
+    def test_shape_is_the_node_axes(self, space):
+        # nodes are row-major over (alpha, beta[, gamma]): reshaped to
+        # shape, axis i runs over the i-th angle alone
+        grid = quadrature_grid(space, 3)
+        assert grid.shape == (6,) * (2 if space == "S2" else 3)
+        nodes = grid.nodes.reshape(*grid.shape, -1)
+        for i, angles in enumerate([grid.alphas, grid.betas, grid.gammas]
+                                   [:len(grid.shape)]):
+            view = np.moveaxis(nodes[..., i], i, 0).reshape(len(angles), -1)
+            assert np.array_equal(view, np.repeat(angles[:, None],
+                                                  view.shape[1], axis=1))
 
     def test_beta_weights_integrate_legendre(self):
         """The colatitude weights integrate Legendre polynomials of degree

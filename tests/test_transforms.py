@@ -142,18 +142,6 @@ class TestSo3Ft:
         assert f.shape == (C, (2 * B) ** 3)
         assert peak < 1.5 * f.nbytes
 
-    def test_truncated_forward(self):
-        B = 5
-        grid = quadrature_grid("SO3", B)
-        blocks = random_blocks(B)
-        f = so3_ft_inverse(blocks, grid)
-        low = so3_ft_forward(f, grid, bandwidth=3)
-        assert low.bandwidth == 3
-        for l in range(3):
-            assert np.allclose(low.blocks[l], blocks.blocks[l], atol=1e-12)
-        with pytest.raises(ValueError):
-            so3_ft_forward(f, grid, bandwidth=B + 1)
-
 
 class TestSynthesisAgainstDirectSums:
     """Every grid synthesis runs through one spin transform pair; check it at
@@ -289,12 +277,12 @@ class TestPlanCache:
         monkeypatch.setattr(transforms, "_plan_counts",
                             {"hits": 0, "misses": 0, "bytes": 0})
         so3 = quadrature_grid("SO3", 6)
-        blocks = so3_ft_forward(rng.standard_normal(so3.n_nodes), so3, 4)
+        blocks = so3_ft_forward(rng.standard_normal(so3.n_nodes), so3)
         so3_ft_inverse(blocks, so3)
         info = _plan_cache_info()
-        assert (info["misses"], info["hits"]) == (4, 4)
-        assert info["keys"] == [(6, k, 4) for k in range(4)]
-        assert info["bytes"] == 4 * 16 * 6 * 4 * 4      # 16 B L^2 each
+        assert (info["misses"], info["hits"]) == (6, 6)
+        assert info["keys"] == [(6, k, 6) for k in range(6)]
+        assert info["bytes"] == 6 * 16 * 6 * 6 * 6      # 16 B L^2 each
 
     def test_plan_is_built_in_place(self):
         # the recursion's degrees are written into the plan as they come, so
