@@ -19,7 +19,9 @@ A field file is valid when _check_doc accepts its header, each block has
 the shape that header implies, every value is finite and point-cloud values
 are real.  _decode is that definition; both loaders and both directions of
 convert_field run it.  A CSV file holds the header in '# key=value'
-comments, then one row per (field, channel, node, dim) cell.
+comments, then one row per (field, channel, node, dim) cell.  A block of
+no nodes has no rows, so a CSV file may imply at most one empty channel
+entry per byte of the file, summed over such blocks.
 
 Floats are serialized with Python's shortest round-trip repr, which is
 lossless at double precision (at most 17 significant digits).
@@ -397,6 +399,14 @@ def _csv_to_field_doc(text: str, path: str) -> dict:
         doc.setdefault("positions", [])
     doc["data"] = [None] * len(doc.get("field_orders", []))   # header first
     shapes = _check_doc(doc, path)
+    # a block of no nodes has no rows, so the file's size bounds the empty
+    # channel entries it implies
+    empty = sum(c for c, n, _ in shapes if n == 0)
+    size = len(text.encode())
+    if empty > size:
+        raise FieldFormatError(f"{path}: the header implies {empty} empty "
+                               f"channel entries of no points, more than the "
+                               f"file's {size} bytes")
     doc["data"] = _table(rows, doc["field_orders"], shapes, path)
     return doc
 

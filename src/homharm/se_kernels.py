@@ -12,8 +12,10 @@ with S^t the real harmonics of degree t and G a real coupling tensor, the
 Clebsch-Gordan coupling moved to the real bases; G is built once per
 (t, l_in, l_out) and cached.  The point convolution evaluates its edge
 geometry (neighbour list, radii, real harmonics up to the largest t) once
-per call and shares it across all terms; se3_kernel_eval_many and the
-convolution build kernel matrices with the same private helper.
+and shares it across all terms; it keeps the last cloud's geometry, so
+layers stacked over one set of positions build it once.
+se3_kernel_eval_many and the convolution build kernel matrices with the
+same private helper.
 """
 
 from __future__ import annotations
@@ -212,6 +214,44 @@ def _edges(pos: np.ndarray, radius: float):
     return np.concatenate(ii), np.concatenate(jj)
 
 
+# the last call's ((radius, t_max, positions), (i, j, r, at_origin, S))
+_geometry: tuple | None = None
+_geometry_counts = {"hits": 0, "misses": 0}
+
+
+def _cloud_geometry(pos: np.ndarray, radius: float, t_max: int) -> tuple:
+    """The edges (i, j) of _edges and their _edge_geometry (r, at_origin, S),
+    read-only, from a one-entry memo of the last call.  The key is
+    (radius, t_max, a copy of the positions); positions match bit for bit,
+    so moving them in place is a miss.  A miss drops the held entry before
+    building the new one, so at most one is ever held."""
+    global _geometry
+    pos = np.asarray(pos, dtype=float)
+    memo = _geometry                       # read once: another thread may drop it
+    if memo is not None:
+        (radius0, t_max0, pos0), held = memo
+        if (radius0 == radius and t_max0 == t_max
+                and np.array_equal(pos0.view(np.int64), pos.view(np.int64))):
+            _geometry_counts["hits"] += 1
+            return held
+    _geometry = None
+    _geometry_counts["misses"] += 1
+    i, j = _edges(pos, radius)
+    held = (i, j, *_edge_geometry(pos[j] - pos[i], t_max))
+    key = pos.copy()
+    for arr in (key, *held):
+        arr.setflags(write=False)
+    _geometry = (radius, t_max, key), held
+    return held
+
+
+def _geometry_cache_info() -> dict:
+    """Hits and misses of the edge-geometry memo, and the bytes it holds."""
+    memo = _geometry
+    held = () if memo is None else (memo[0][2], *memo[1])
+    return {**_geometry_counts, "bytes": sum(arr.nbytes for arr in held)}
+
+
 def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
     """Point convolution: f_out^{l_out}(x_i) = sum over neighbors j != i
     within the radius of K(x_j - x_i) f_in^{l_in}(x_j), per basis term,
@@ -221,14 +261,15 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
     [c_out, c_in] channel-mixing matrix.  The edges (i, j) form one flat
     list sorted by i, then j, found _ROW_BLOCK rows of distances at a time.
     Their geometry (radii and the real harmonics up to the largest t of the
-    terms) is evaluated once per call, and the input features are gathered
-    once per input order.  A term's messages are its kernel matrices on the
-    edges times the channel-mixed gathered features; they are summed per
-    output order over the edges and then into the points i in edge order
-    (one reduction per output order), so accumulation is deterministic.
-    Points with no neighbors produce zeros.
+    terms) is evaluated once and kept until a call with other positions,
+    radius or largest t (_cloud_geometry), and the input features are
+    gathered once per input order.  A term's messages are its kernel
+    matrices on the edges times the channel-mixed gathered features; they
+    are summed per output order over the edges and then into the points i
+    in edge order (one reduction per output order), so accumulation is
+    deterministic.  Points with no neighbors produce zeros.
     """
-    if radius <= 0:
+    if not radius > 0:                                   # NaN too
         raise ValueError("neighbor radius must be positive")
     if not terms:
         raise ValueError("point convolution needs at least one kernel term")
@@ -242,9 +283,8 @@ def tfn_point_conv(cloud: PointCloud, terms: list, radius: float) -> list:
             raise ValueError("channel-mixing matrix shape mismatch")
         weights.append(weight)
     out: list = [None] * (max(t[0].l_out for t in terms) + 1)
-    pos = cloud.positions
-    i, j = _edges(pos, radius)
-    geometry = _edge_geometry(pos[j] - pos[i], max(t[0].t for t in terms))
+    i, j, *geometry = _cloud_geometry(cloud.positions, radius,
+                                      max(t[0].t for t in terms))
     gathered = {l: cloud.features[l][j] for l in {b.l_in for b, _ in terms}}
     msgs: dict = {}
     for (basis, _), weight in zip(terms, weights):

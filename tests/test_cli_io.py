@@ -513,6 +513,52 @@ class TestOneDecoder:
         assert peak < 2 ** 20
         assert main(["convert", str(path), str(tmp_path / "c.csv")]) == 3
 
+    @staticmethod
+    def _no_point_csv(path, channels: int, orders: str) -> int:
+        path.write_text("\n".join([
+            "# format_version=1", "# space=R3points", f"# channels={channels}",
+            f"# field_orders={orders}",
+            "field_index,order,channel,node,dim,re,im"]) + "\n")
+        return path.stat().st_size
+
+    def test_channels_of_no_points_are_bounded_by_the_csv(self, tmp_path):
+        # a 113-byte CSV of no points claiming 10^6 channels has no rows to
+        # match them, so its size bounds the empty entries JSON would write
+        path, out = tmp_path / "c.csv", tmp_path / "c.json"
+        self._no_point_csv(path, 10 ** 6, "0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldFormatError,
+                               match="10+ empty channel entries"):
+                convert_field(path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 and not out.exists()
+        assert main(["convert", str(path), str(out)]) == 3
+        assert not out.exists()
+
+    def test_no_point_csv_bound_is_one_entry_per_byte(self, tmp_path):
+        path, out = tmp_path / "c.csv", tmp_path / "c.json"
+        size = self._no_point_csv(path, 50, "0,2")     # 2 blocks, 2 digits
+        assert self._no_point_csv(path, size // 2, "0,2") == size
+        convert_field(path, out)
+        assert json.loads(out.read_text())["data"] == [[[]] * (size // 2)] * 2
+        out.unlink()
+        self._no_point_csv(path, size // 2 + 1, "0,2")
+        with pytest.raises(FieldFormatError, match="empty channel entries"):
+            convert_field(path, out)
+        assert not out.exists()
+
+    def test_three_channels_of_no_points_round_trip(self, tmp_path):
+        saved, csv, back = (tmp_path / "c.json", tmp_path / "c.csv",
+                            tmp_path / "back.json")
+        save_point_cloud(saved, PointCloud(np.zeros((0, 3)), [
+            np.zeros((0, 1, 3)), np.zeros((0, 3, 3)), np.zeros((0, 5, 3))]))
+        convert_field(saved, csv)
+        convert_field(csv, back)
+        assert back.read_bytes() == saved.read_bytes()
+
 
 def test_console_script_is_cli_main():
     tomllib = pytest.importorskip("tomllib")

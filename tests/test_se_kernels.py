@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,8 +246,13 @@ class TestTfnConv:
         assert np.abs(out[0][0]).max() > 0.0
 
     def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            tfn_point_conv(random_cloud(3), [], radius=0.0)
+        cloud = random_cloud(3)
+        terms = make_terms(1, 1, 2)
+        for radius in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                tfn_point_conv(cloud, terms, radius=radius)
+        with pytest.raises(ValueError, match="must be positive"):
+            se3_layer(cloud, terms, np.nan, ActivationSpec("tanh"), bandwidth=4)
 
     def test_no_terms(self):
         cloud = PointCloud(np.eye(3), [np.ones((3, 1, 1))])
@@ -263,6 +272,21 @@ class TestTfnConv:
 
 
 class TestSe3Layer:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_point_clouds(self, n):
+        cloud = PointCloud(np.zeros((n, 3)), [np.ones((n, 2 * l + 1, 2))
+                                              for l in range(2)])
+        terms = make_terms(1, 2, 2, c_out=3)
+        hits = se_kernels._geometry_cache_info()["hits"]
+        for _ in range(2):             # the second call is a memo hit, E = 0
+            out = se3_layer(cloud, terms, 1.5, ActivationSpec("gelu"),
+                            bandwidth=4)
+            assert [f.shape for f in out] == [(n, 2 * l + 1, 3)
+                                              for l in range(3)]
+            assert all(np.abs(f).max(initial=0.0) == 0.0 for f in out)
+        assert se_kernels._geometry_cache_info()["hits"] == hits + 1
+        assert len(se_kernels._geometry[1][0]) == 0
+
     def test_layer_equivariance(self):
         cloud = random_cloud(24, lmax=1, channels=2, scale=0.05, spread=1.0)
         terms = make_terms(1, 1, 2, scale=0.05)
@@ -385,3 +409,130 @@ class TestTfnConvEdgeGeometry:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestGeometryMemo:
+    """tfn_point_conv keeps the last call's edges and edge geometry."""
+
+    @staticmethod
+    def counts():
+        info = se_kernels._geometry_cache_info()
+        return info["hits"], info["misses"]
+
+    def test_repeat_is_a_bit_identical_hit(self, monkeypatch):
+        cloud = random_cloud(40, lmax=2, channels=2, spread=1.5)
+        terms = make_terms(2, 2, 2)
+        hits, misses = self.counts()
+        first = tfn_point_conv(cloud, terms, radius=1.5)
+        again = tfn_point_conv(cloud, terms, radius=1.5)
+        assert self.counts() == (hits + 1, misses + 1)
+        monkeypatch.setattr(se_kernels, "_geometry", None)
+        fresh = tfn_point_conv(cloud, terms, radius=1.5)
+        for a, b, c in zip(first, again, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_moved_positions_radius_or_degree_miss(self):
+        cloud = random_cloud(30, lmax=2, channels=2, spread=1.5)
+        terms = make_terms(2, 2, 2)
+        low = make_terms(1, 1, 2)                   # largest t = 2, not 4
+        tfn_point_conv(cloud, terms, radius=1.5)
+
+        def miss(terms, radius):
+            hits, misses = self.counts()
+            out = tfn_point_conv(cloud, terms, radius=radius)
+            assert self.counts() == (hits, misses + 1)
+            return out
+
+        miss(terms, 1.25)                           # another radius
+        miss(low, 1.25)                             # another largest t
+        cloud.positions[3, 0] = 0.5                 # moved in place
+        got = miss(low, 1.25)
+        for a, b in zip(got, brute_force_conv(cloud, low, radius=1.25)):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_negative_zero_is_another_position(self):
+        pos = np.zeros((2, 3))
+        pos[1] = [0.0, 0.5, 0.0]
+        cloud = PointCloud(pos, [np.ones((2, 1, 1))])
+        terms = make_terms(0, 0, 1, c_out=1)
+        tfn_point_conv(cloud, terms, radius=1.0)
+        cloud.positions[0, 1] = -0.0
+        hits, misses = self.counts()
+        tfn_point_conv(cloud, terms, radius=1.0)
+        assert self.counts() == (hits, misses + 1)
+
+    def test_held_arrays_are_read_only(self):
+        cloud = random_cloud(20, lmax=1, channels=2, spread=1.0)
+        tfn_point_conv(cloud, make_terms(1, 1, 2), radius=1.5)
+        (_, _, pos), held = se_kernels._geometry
+        assert len(held) == 5 and held[0].size > 0
+        for arr in (pos, *held):
+            assert not arr.flags.writeable
+        assert pos is not cloud.positions
+
+    def test_a_miss_holds_one_entry(self, monkeypatch):
+        cloud = random_cloud(25, lmax=1, channels=2, spread=1.0)
+        terms = make_terms(1, 1, 2)
+        tfn_point_conv(cloud, terms, radius=1.5)
+        real_edges = se_kernels._edges
+
+        def edges(pos, radius):
+            assert se_kernels._geometry is None      # dropped before the build
+            return real_edges(pos, radius)
+
+        monkeypatch.setattr(se_kernels, "_edges", edges)
+        tfn_point_conv(cloud, terms, radius=1.0)
+        (_, _, pos), held = se_kernels._geometry
+        assert se_kernels._geometry_cache_info()["bytes"] == sum(
+            arr.nbytes for arr in (pos, *held))
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+_FAULTS_PER_LAYER = """
+import resource
+import numpy as np
+from homharm.nonlin import ActivationSpec
+from homharm.se_kernels import PointCloud, SE3KernelBasis, se3_layer
+
+rng = np.random.default_rng(3)
+n, radius = 256, 1.5
+cloud = PointCloud(rng.uniform(0.0, 6.5, (n, 3)),
+                   [rng.standard_normal((n, 2 * l + 1, 4)) for l in range(3)])
+radii = np.linspace(0.0, radius, 7)
+terms = [(SE3KernelBasis(li, lo, t, radii, rng.standard_normal(7)),
+          0.01 * rng.standard_normal((4, 4)))
+         for li in range(3) for lo in range(3)
+         for t in range(abs(li - lo), li + lo + 1)]
+spec = ActivationSpec("gelu")
+faults = []
+for _ in range(7):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    se3_layer(cloud, terms, radius, spec, 8)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[3:]))
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is glibc's")
+def test_repeated_layers_fault_no_pages():
+    """In a fresh interpreter, a 256-point se3_layer repeated over one cloud
+    reuses the heap pages of the last call; with glibc's trim threshold set
+    by the environment, homharm leaves the policy alone and pages fault."""
+    src = str(Path(se_kernels.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+
+    def faults(**policy):
+        done = subprocess.run([sys.executable, "-c", _FAULTS_PER_LAYER],
+                              env={**env, "PYTHONPATH": src, **policy},
+                              capture_output=True, text=True, check=True)
+        return int(done.stdout)
+
+    assert faults() < 50
+    assert faults(MALLOC_TRIM_THRESHOLD_="131072") > 500
