@@ -8,8 +8,9 @@ random draws of existing ones.  Wall times are printed for humans but
 serialized as null so report bytes stay stable.
 
 run_suite is the one gate for a configuration: it raises CheckConfigError
-for an unknown suite or config key, bandwidth < 2, trials < 1, oversample
-< 1 or seed < 0 before any check runs, so every check may assume B >= 2.
+for an unknown suite or config key, a value that is not an integer (Python
+or NumPy; bool is not), bandwidth < 2, trials < 1, oversample < 1 or
+seed < 0 before any check runs, so every check may assume B >= 2.
 (At B = 1 every S^2 field is a constant, so no order-1 field, kernel or
 cotangent exists.)
 It also rejects bandwidth > 128 and bandwidth * oversample > 256, the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -689,6 +691,10 @@ def run_suite(suite: str, config: dict | None = None) -> CheckReport:
     else:
         raise CheckConfigError(f"unknown suite {suite!r}; choose from "
                                f"{', '.join(list(SUITES) + ['all'])}")
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise CheckConfigError(f"{key} must be an integer, got {value!r}")
+        cfg[key] = int(value)
     for key, least in _LEAST.items():
         if cfg[key] < least:
             raise CheckConfigError(f"{key} must be at least {least}, "

@@ -168,17 +168,22 @@ def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray
 
     coeffs may come from a grid of different bandwidth; degrees above the
     target grid's resolvable range must be absent, and at least one degree
-    must be present (it sets the channel count).
+    must be present; each present degree l is a [C, 2l+1] block, with the
+    channel count C of the first.
     """
     present = [l for l, c in enumerate(coeffs) if c is not None]
     if not present:
         raise ValueError("no spin coefficients to synthesize")
     if present[-1] >= grid.bandwidth:
         raise ValueError("coefficients exceed the target grid bandwidth")
-    channels = coeffs[present[0]].shape[0]
-    f = _spin_synthesis(_flat(coeffs[:present[-1] + 1], order, channels), grid,
+    C = np.shape(coeffs[present[0]])[:1]
+    for l in present:
+        if np.shape(coeffs[l]) != (*C, 2 * l + 1):
+            raise ValueError(f"spin coefficients of degree {l} have shape "
+                             f"{np.shape(coeffs[l])}, not {(*C, 2 * l + 1)}")
+    f = _spin_synthesis(_flat(coeffs[:present[-1] + 1], order, C[0]), grid,
                         order)
-    return f.reshape(channels, grid.n_nodes)
+    return f.reshape(C[0], grid.n_nodes)
 
 
 def field_from_spin_coeffs(coeffs: list, order: int,

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,10 @@ class Rotation3:
 class QuadratureGrid:
     """Equiangular sampling grid with Haar weights normalized to sum 1.
 
-    The grid is the value (space, bandwidth), checked on construction: it
-    stores nothing else and compares by value.  nodes and weights are built
-    on each access, one coordinate tuple and one weight per sample:
+    The grid is the value (space, bandwidth), checked on construction (B an
+    integer >= 1, a NumPy integer stored as int): it stores nothing else and
+    compares by value.  nodes and weights are built on each access, one
+    coordinate tuple and one weight per sample:
       S2     -> (alpha, beta), 2B x 2B samples
       SO3    -> (alpha, beta, gamma), 2B x 2B x 2B samples
 
@@ -126,8 +128,10 @@ class QuadratureGrid:
     bandwidth: int
 
     def __post_init__(self):
-        if self.bandwidth < 1:
-            raise ValueError("bandwidth must be >= 1")
+        B = self.bandwidth
+        if isinstance(B, bool) or not isinstance(B, numbers.Integral) or B < 1:
+            raise ValueError(f"bandwidth must be an integer >= 1, got {B!r}")
+        object.__setattr__(self, "bandwidth", int(B))
         if self.space not in ("S2", "SO3"):
             raise ValueError(f"unknown space {self.space!r}")
 

@@ -30,7 +30,7 @@ from .groups import Rotation3
 
 @functools.lru_cache(maxsize=None)
 def _degree_constants(l: int) -> tuple:
-    """The beta-independent constants of degree l >= 1, as read-only vectors.
+    """The beta-independent constants of degree l >= 0, as read-only vectors.
 
     root[n + l] = sqrt(C(2l, l + n)) and sign[n + l] = (-1)^(l - n) for
     n = -l..l serve the closed boundary form; m = -(l-1)..l-1 with
@@ -49,112 +49,93 @@ def _degree_constants(l: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _interior_constants(l: int, lo: int, hi: int) -> tuple:
-    """E, a u_m u_n and c v_m v_n of degree l >= 2 on the interior rows
-    m = -(l-1)..l-1 and the interior columns n = lo..hi, read-only; the last
-    cut to the rows and columns |.| <= l-2 of delta^{l-1} (empty when no
-    column has |n| <= l-2).  E = A - C - 1 at beta = 0 for the recursion
-    d^l = A d^{l-1} - C d^{l-2}, in the cancellation-free form
+def _interior_constants(l: int, k: int) -> tuple:
+    """E, a u_m u_k and c v_m v_k of degree l >= 2 and column |k| < l over
+    the interior rows m = -(l-1)..l-1 (the last over |m| <= l-2), read-only.
+    E = A - C - 1 at beta = 0 for d^l = A d^{l-1} - C d^{l-2}, in the
+    cancellation-free form
 
-        (m-n)^2 / (Rm Rn) * (l(l-1) / ((l-1)^2 - mn + Qm Qn)
-                             + l^2 / (l^2 - mn + Rm Rn)),
+        (m-k)^2 / (Rm Rk) * (l(l-1) / ((l-1)^2 - mk + Qm Qk)
+                             + l^2 / (l^2 - mk + Rm Rk)),
 
-    exactly 0 at m = n; the first denominator vanishes only at
-    m = n = +-(l-1).
+    exactly 0 at m = k; the first denominator vanishes only at m = k = +-(l-1).
     """
     _, _, m, Q, R, u, v = _degree_constants(l)
-    j = slice(lo + l - 1, hi + l)
-    n, Qn, Rn = m[j], Q[j], R[j]
-    m, Qm, Rm = m[:, None], Q[:, None], R[:, None]
-    mn = m * n
-    den = (l - 1) ** 2 - mn + Qm * Qn
-    consts = ((m - n) ** 2 * (l * (l - 1) / np.where(den > 0, den, 1.0)
-                              + l * l / (l * l - mn + Rm * Rn)) / (Rm * Rn),
-              (2 * l - 1) * l * np.outer(u, u[j]),
-              (l / (l - 1) * np.outer(v, v[j]))[1:-1, max(lo, 2 - l) - lo:
-                                                 min(hi, l - 2) - lo + 1])
+    j, mk = k + l - 1, m * k
+    den, RR = (l - 1) ** 2 - mk + Q * Q[j], R * R[j]
+    consts = ((m - k) ** 2 * (l * (l - 1) / np.where(den > 0, den, 1.0)
+                              + l * l / (l * l - mk + RR)) / RR,
+              (2 * l - 1) * l * (u * u[j]), l / (l - 1) * (v[1:-1] * v[j]))
     for arr in consts:
         arr.setflags(write=False)
     return consts
 
 
-def _wigner_d_columns(lmax: int, betas, lo: int, hi: int):
-    """Columns n = lo..hi of the small-d matrices d^l(beta), l = 0..lmax.
+def _wigner_d_column(lmax: int, betas, k: int):
+    """Column n = k of d^l(beta) for l = 0..lmax: [n_beta, 2l+1] over
+    m = -l..l per degree in order, or None below |k|; degree l does not
+    depend on lmax, and only the last two degrees are held.
 
-    Yields, for l = 0..lmax in order, a real array [n_beta, 2l+1, n_cols]
-    over m = -l..l and the columns max(lo, -l)..min(hi, l), or None where
-    degree l has none of them (l < min |n|).  Degree l does not depend on
-    lmax.  Only the last two degrees are held, so a caller that stores each
-    degree as it comes holds nothing else of size O(lmax^2).
+    Degree |k| and the rows |m| = l take the closed form in half-angle
+    sines/cosines, h_n = sqrt(C(2l, l+n)) cos^(l+n)(beta/2) sin^(l-n)(beta/2);
+    the interior rows follow the upward three-term recursion in l, written
+    for delta^l = d^l - d^{l-1}:
 
-    Entries with |m| = l or |n| = l use the closed boundary form in
-    half-angle sines/cosines.  Interior entries follow the three-term
-    recursion in l (upward, the numerically dominant direction), written for
-    the difference delta^l = d^l - d^{l-1}:
-
-        delta^l_{mn} = (E_{mn} - t a u_m u_n) d^{l-1}_{mn}
-                       + c v_m v_n delta^{l-1}_{mn}
+        delta^l_{mk} = (E_m - t a u_m u_k) d^{l-1}_{mk} + c v_m v_k delta^{l-1}_{mk}
 
     with t = 1 - cos(beta), a = (2l-1) l, c = l/(l-1) and the constants of
     _interior_constants.  The plain recursion loses O(l^2) ulps near the
     poles, where its two characteristic roots meet at 1; this form does not.
-    The interior columns of degree l are the columns of degree l-1, so each
-    step carries d^{l-1} whole and adds the boundary columns n = +-l that
-    lie in lo..hi.  Betas above pi/2 are computed at pi - beta and
-    reflected with d^l_{mn}(pi - beta) = (-1)^(l+n) d^l_{-m,n}(beta), so t
-    stays small; each degree is reflected as it is yielded, on a copy, as
-    the recursion reads the unreflected one.
+    Betas above pi/2 run at pi - beta, so t stays small, and each degree is
+    reflected on a copy as it is yielded: d^l_{mk}(pi - beta) =
+    (-1)^(l+k) d^l_{-m,k}(beta).
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     flip = betas > np.pi / 2
-    betas = np.where(flip, np.pi - betas, betas)
+    betas, flipped = np.where(flip, np.pi - betas, betas), flip.any()
     c, s = np.cos(betas / 2.0), np.sin(betas / 2.0)
-    e = np.arange(2 * lmax + 1)
-    cp, sp = c[:, None] ** e, s[:, None] ** e
-    t = (2.0 * s * s)[:, None, None]                      # 1 - cos(beta)
-    first = max(1, lo, -hi)                       # the first degree from 1 on
-    if lo <= 0 <= hi:
-        prev = np.ones((len(betas), 1, 1))
-        yield prev
-    else:
-        yield from [None] * min(first, lmax + 1)
+    cp, sp = (x[:, None] ** np.arange(2 * lmax + 1) for x in (c, s))
+    t = (2.0 * s * s)[:, None]                            # 1 - cos(beta)
+    yield from [None] * min(abs(k), lmax + 1)
     delta = -t                                    # d^1_00 - d^0_00
-    for l in range(first, lmax + 1):
-        a, b = max(lo, -l), min(hi, l)            # the columns of degree l
+    for l in range(abs(k), lmax + 1):
         root, sign = _degree_constants(l)[:2]
-        h = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]  # d^l_{ln} = sign_n h_n
-        cols = slice(a + l, b + l + 1)
-        d = np.empty((len(betas), 2 * l + 1, b - a + 1))
-        d[:, -1] = sign[cols] * h[:, cols]                        # m = l
-        d[:, 0] = h[:, ::-1][:, cols]                             # m = -l
-        if b == l:
-            d[:, 1:-1, -1] = h[:, 1:-1]                           # n = l
-        if a == -l:
-            d[:, 1:-1, 0] = sign[1:-1] * h[:, -2:0:-1]            # n = -l
-        f, g = max(a, 1 - l), min(b, l - 1)       # interior: the columns of d^{l-1}
-        if f <= g and l == 1:
-            d[:, 1, -a] = np.cos(betas)                           # d^1_00
-        elif f <= g:
-            E, aUU, cVV = _interior_constants(l, f, g)
-            step = (E - t * aUU) * prev
-            if cVV.size:
-                i = max(f, 2 - l) - f
-                step[:, 1:-1, i:i + cVV.shape[1]] += cVV * delta
-            d[:, 1:-1, f - a:g - a + 1] = prev + step
-            delta = step
+        if l == abs(k):           # d^l_{ml} = h_m, d^l_{m,-l} = sign_m h_{-m}
+            h = root * cp[:, :2 * l + 1] * sp[:, 2 * l::-1]
+            d = h if k >= 0 else sign * h[:, ::-1]
+        else:                     # d^l_{lk} = sign_k h_k, d^l_{-l,k} = h_{-k}
+            d = np.empty((len(betas), 2 * l + 1))
+            d[:, -1] = sign[k + l] * (root[k + l] * cp[:, k + l] * sp[:, l - k])
+            d[:, 0] = root[l - k] * cp[:, l - k] * sp[:, l + k]
+            if l == 1:
+                d[:, 1] = np.cos(betas)                           # d^1_00
+            else:
+                E, aUU, cVV = _interior_constants(l, k)
+                step = (E - t * aUU) * prev
+                if l > abs(k) + 1:
+                    step[:, 1:-1] += cVV * delta
+                d[:, 1:-1] = prev + step
+                delta = step
         prev = d
-        if flip.any():
+        if flipped:
             d = d.copy()
-            d[flip] = d[flip][:, ::-1] * sign[cols]
+            d[flip] = d[flip][:, ::-1] * sign[k + l]
         yield d
 
 
 def wigner_d_stack(lmax: int, betas) -> list[np.ndarray]:
     """All small-d matrices d^l(beta) for l = 0..lmax at each beta: a list
-    indexed by l of real arrays [n_beta, 2l+1, 2l+1], the columns
-    -lmax..lmax of _wigner_d_columns.
-    """
-    return list(_wigner_d_columns(lmax, betas, -lmax, lmax))
+    indexed by l of real arrays [n_beta, 2l+1, 2l+1], every column k run by
+    _wigner_d_column (the mirror d^l_{m,-k} = (-1)^(m+k) d^l_{-m,k} would
+    turn the +0.0 of an exact cancellation into -0.0)."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    stack = [np.empty((len(betas), 2 * l + 1, 2 * l + 1))
+             for l in range(lmax + 1)]
+    for k in range(-lmax, lmax + 1):
+        for l, d in enumerate(_wigner_d_column(lmax, betas, k)):
+            if d is not None:
+                stack[l][:, :, l + k] = d
+    return stack
 
 
 def wigner_D_matrix(l: int, g: Rotation3) -> np.ndarray:

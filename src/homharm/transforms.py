@@ -53,13 +53,12 @@ the bound together (up to B = L = 45), it builds them without storing them,
 so the plans of other calls survive.  ``spin_coeffs``, ``spin_synthesis``,
 ``resample``, the SHT and SO(3) transform pairs and everything built on
 them read this cache.  ``_plan_cache_info()`` reports its hits, misses,
-bytes held and keys.  Building a plan runs the column recursion
-``harmonics._wigner_d_columns`` and writes each degree into the plan as it
+bytes held and keys.  Building a plan runs the one-column recursion
+``harmonics._wigner_d_column`` and writes each degree into the plan as it
 is yielded, so the build holds O(B L) floats beside the plan.  The
-recursion reads ``harmonics._interior_constants``, the beta-independent
-recursion constants of each (degree l, column range); that cache keeps its
-most recent 4096 keys, O(l) floats per column: every column up to B = 64
-(7.5 MiB there).
+recursion reads ``harmonics._interior_constants``, O(l) beta-independent
+floats per (degree l, column k); that cache keeps its most recent 4096
+keys: every column up to B = 64 (4.6 MiB there).
 
 The SO(3) transform is an FFT along gamma, then the pair at k = n on each
 gamma frequency n (the Kostelec-Rockmore layout on the Driscoll-Healy grid),
@@ -78,7 +77,7 @@ from math import isqrt, sqrt
 import numpy as np
 
 from .groups import QuadratureGrid
-from .harmonics import _wigner_d_columns
+from .harmonics import _wigner_d_column
 
 # ---------------------------------------------------------------------------
 # Coefficient containers
@@ -269,9 +268,9 @@ def _spin_plan(grid: QuadratureGrid, k: int, L: int | None = None,
     _plan_counts["misses"] += 1
     rows = _layout(L)[0] // 2
     plan = np.zeros((L * L, 2 * B))
-    for l, d in enumerate(_wigner_d_columns(L - 1, grid.betas, k, k)):
+    for l, d in enumerate(_wigner_d_column(L - 1, grid.betas, k)):
         if d is not None:
-            plan[rows[l * l:(l + 1) ** 2]] = d[:, :, 0].T
+            plan[rows[l * l:(l + 1) ** 2]] = d.T
     plan = plan.reshape(L, L, 2 * B)
     plan.setflags(write=False)
     if store and plan.nbytes < _PLAN_BYTES:

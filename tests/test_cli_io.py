@@ -644,11 +644,22 @@ class TestCli:
             suite: [(name, must_not_run, tol) for name, _, tol in entries]
             for suite, entries in checks.SUITES.items()})
         for bad in ({"bandwidth": 1}, {"trials": 0}, {"oversample": 0},
-                    {"seed": -1}, {"bandwith": 3}, {"tolerances": {}}):
+                    {"seed": -1}, {"bandwith": 3}, {"tolerances": {}},
+                    {"bandwidth": 8.5}, {"bandwidth": "8"}, {"seed": 1.5},
+                    {"trials": 2.5}, {"oversample": 1.5}, {"bandwidth": True},
+                    {"seed": np.float64(1.0)}):
             with pytest.raises(checks.CheckConfigError, match=next(iter(bad))):
                 checks.run_suite("all", bad)
         with pytest.raises(checks.CheckConfigError, match="unknown suite"):
             checks.run_suite("nope")
+
+    def test_numpy_integer_config_reports_like_int(self):
+        from homharm import checks
+
+        want = checks.run_suite("transforms", {"bandwidth": 2, "seed": 3})
+        got = checks.run_suite("transforms", {"bandwidth": np.int64(2),
+                                              "seed": np.uint8(3)})
+        assert got.to_json_bytes() == want.to_json_bytes()
 
     def test_upper_bounds_are_usage_errors(self, capsys, monkeypatch):
         # the gate rejects these before anything is allocated or run

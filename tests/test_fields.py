@@ -9,7 +9,7 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             regular_action, resample, spin_coeffs,
                             spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
-from homharm.harmonics import _wigner_d_columns
+from homharm.harmonics import _wigner_d_column
 
 rng = np.random.default_rng(404)
 
@@ -32,7 +32,7 @@ def random_rotation():
 def sph_harm(l, m, alpha, beta):
     """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta) at one point, with
     d^l_{m0} from the recursion's column n = 0."""
-    d = list(_wigner_d_columns(l, [beta], 0, 0))[l][0, l + m, 0]
+    d = list(_wigner_d_column(l, [beta], 0))[l][0, l + m]
     return np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d
 
 
@@ -208,6 +208,19 @@ class TestSpinCoefficients:
     def test_synthesis_needs_a_coefficient_block(self):
         with pytest.raises(ValueError, match="no spin coefficients"):
             spin_synthesis([None] * 3, 0, quadrature_grid("S2", 3))
+
+    def test_synthesis_rejects_misaligned_blocks(self):
+        # blocks [1,1], [1,3], [1,6], [1,6] hold the 16 columns of B = 4,
+        # k = 0, but degree 2 is one column too wide and degree 3 is shifted
+        grid = quadrature_grid("S2", 4)
+        coeffs = [np.ones((1, n)) for n in (1, 3, 6, 6)]
+        for synth in (spin_synthesis, field_from_spin_coeffs):
+            with pytest.raises(ValueError, match="degree 2"):
+                synth(coeffs, 0, grid)
+        with pytest.raises(ValueError, match="degree 1"):   # channels differ
+            spin_synthesis([np.ones((2, 1)), np.ones((1, 3))], 0, grid)
+        with pytest.raises(ValueError, match="degree 0"):   # one channel axis
+            spin_synthesis([np.ones(1)], 0, grid)
 
 
 class TestActions:

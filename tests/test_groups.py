@@ -176,7 +176,14 @@ class TestQuadratureGrid:
         with pytest.raises(ValueError):
             quadrature_grid("S2", 0)
 
-    @pytest.mark.parametrize("space, B", [("S3", 4), ("SO3", 0), ("S2", -1)])
+    @pytest.mark.parametrize("space, B", [("S3", 4), ("SO3", 0), ("S2", -1),
+                                          ("S2", 2.5), ("SO3", 4.0),
+                                          ("S2", True), ("S2", "4")])
     def test_constructor_validates(self, space, B):
         with pytest.raises(ValueError):
             QuadratureGrid(space, B)
+
+    def test_numpy_integer_bandwidth_is_an_int(self):
+        grid = quadrature_grid("S2", np.int64(3))
+        assert grid == quadrature_grid("S2", 3)
+        assert type(grid.bandwidth) is int

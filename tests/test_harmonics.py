@@ -9,7 +9,7 @@ from homharm import harmonics
 from homharm.checks import run_suite
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import (_fold, _fold_basis, _rotate, _wigner_D_blocks,
-                               _wigner_d_columns, cg_matrix, clebsch_gordan,
+                               _wigner_d_column, cg_matrix, clebsch_gordan,
                                real_basis_change, real_sph_harm_matrix,
                                sph_harm_matrix, wigner_D_matrix, wigner_D_real,
                                wigner_d_stack)
@@ -22,19 +22,12 @@ def wigner_d(l, beta):
     return wigner_d_stack(l, [beta])[l][0]
 
 
-def d_column(lmax, betas, k):
-    """Column n = k of d^l(beta), l = 0..lmax: [n_beta, 2l+1] per degree,
-    None below |k|; the column view of the recursion."""
-    return [None if d is None else d[:, :, 0]
-            for d in _wigner_d_columns(lmax, betas, k, k)]
-
-
 def sph_harm(l, m, alpha, beta):
     """Y^l_m = sqrt(2l+1) exp(i m alpha) d^l_{m0}(beta), with d^l_{m0} from
     the recursion's column n = 0; a complex scalar for scalar angles."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    d = d_column(l, np.ravel(beta), 0)[l][:, l + m]
+    d = list(_wigner_d_column(l, np.ravel(beta), 0))[l][:, l + m]
     val = np.sqrt(2 * l + 1) * np.exp(1j * m * alpha) * d.reshape(beta.shape)
     return val if val.shape else complex(val)
 
@@ -216,7 +209,7 @@ class TestWignerDColumn:
         for k in sorted({-l, -1, 0, 1, l}):
             if abs(k) > l:
                 continue
-            col = d_column(l, betas, k)[l]
+            col = list(_wigner_d_column(l, betas, k))[l]
             for j, beta in enumerate(betas):
                 ref = d_matrix_oracle(l, beta)[:, l + k]
                 assert np.abs(col[j] - ref).max() < 5e-13
@@ -229,16 +222,53 @@ class TestWignerDColumn:
                             (64, edges)):
             stack = wigner_d_stack(lmax, betas)
             for k in range(-lmax, lmax + 1):
-                cols = d_column(lmax, betas, k)
+                cols = list(_wigner_d_column(lmax, betas, k))
                 assert all(c is None for c in cols[:abs(k)])
                 for l in range(abs(k), lmax + 1):
                     assert np.array_equal(cols[l], stack[l][:, :, l + k]), (lmax, k, l)
 
+    def test_mirror_holds_up_to_the_sign_of_zero(self):
+        # d^l_{mn} = (-1)^(m+n) d^l_{-m,-n} in value; where an exact
+        # cancellation leaves +0.0 in both columns the mirror reads -0.0, so
+        # the stack runs every column and any bits that differ are zeros
+        for betas in ([np.pi / 2], [0.0, 0.3, 1.7, np.pi]):
+            for l, D in enumerate(wigner_d_stack(64, betas)):
+                m = np.arange(-l, l + 1)
+                mirror = (-1.0) ** (m[:, None] + m) * D[:, ::-1, ::-1]
+                assert np.array_equal(D, mirror), l
+                assert not D[D.view(np.int64) != mirror.view(np.int64)].any()
+
+    def test_exact_at_the_poles(self, monkeypatch):
+        # d^l(0) = I and d^l_{mn}(pi) = (-1)^(l-n) delta_{m,-n} exactly, for
+        # every column up to degree 200 (pi runs the reflection from 0): the
+        # stacks, and each column as _wigner_d_column yields it to them
+        def pole(l, k, beta):
+            col = np.zeros(2 * l + 1)
+            if beta == 0.0:
+                col[l + k] = 1.0
+            else:
+                col[l - k] = (-1.0) ** (l - k)
+            return col
+
+        column = harmonics._wigner_d_column
+
+        def checked(lmax, betas, k):
+            for l, d in enumerate(column(lmax, betas, k)):
+                assert (d is None) == (l < abs(k))
+                assert d is None or np.array_equal(d[0], pole(l, k, betas[0]))
+                yield d
+
+        monkeypatch.setattr(harmonics, "_wigner_d_column", checked)
+        for beta in (0.0, np.pi):
+            for l, D in enumerate(wigner_d_stack(200, [beta])):
+                want = np.stack([pole(l, k, beta) for k in range(-l, l + 1)], 1)
+                assert np.array_equal(D[0], want), (beta, l)
+
     def test_prefix(self):
         betas = rng.uniform(0, np.pi, 5)
         for k in (-3, 0, 2):
-            short = d_column(10, betas, k)
-            long = d_column(20, betas, k)
+            short = list(_wigner_d_column(10, betas, k))
+            long = list(_wigner_d_column(20, betas, k))
             assert len(short) == 11
             for a, b in zip(short, long[:11]):
                 assert (a is None and b is None) or np.array_equal(a, b)
@@ -248,7 +278,7 @@ class TestWignerDColumn:
         # runs on the difference d^l - d^{l-1}, so no region loses accuracy
         betas = np.array([0.0, 0.004, 0.05, 0.9, 1.7, 2.6, np.pi - 0.01, np.pi])
         for k in (-200, -57, -1, 0, 3, 150, 200):
-            cols = d_column(200, betas, k)
+            cols = list(_wigner_d_column(200, betas, k))
             for l in range(abs(k), 201):
                 norms = np.sum(cols[l] ** 2, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-13, (k, l)

@@ -12,7 +12,7 @@ from homharm.spectral_conv import (SparseKernelSpec, conv_field,
                                    conv_vjp, kernel_degrees,
                                    kernel_to_spatial,
                                    spectral_identity_kernel)
-from homharm.harmonics import _wigner_d_columns
+from homharm.harmonics import _wigner_d_column
 from homharm.nonlin import delta_projection_kernel, project_kernel
 from homharm.transforms import SpectralBlocks, so3_ft_forward, so3_ft_inverse
 
@@ -231,12 +231,12 @@ def per_node_oracle(field, kernel):
     for node in range(grid.n_nodes):
         a_q, b_q, g_q = per_node_relative_euler(alphas[node], betas[node],
                                                 alphas, betas)
-        d_cols = list(_wigner_d_columns(kernel.bandwidth - 1, b_q,
-                                        kernel.m_out, kernel.m_out))
+        d_cols = list(_wigner_d_column(kernel.bandwidth - 1, b_q,
+                                       kernel.m_out))
         kap = np.zeros((kernel.c_out, kernel.c_in, grid.n_nodes), dtype=complex)
         phase_a = np.exp(-1j * kernel.m_in * a_q)
         for l in kernel.degrees:
-            d = d_cols[l][:, kernel.m_in + l, 0]
+            d = d_cols[l][:, kernel.m_in + l]
             kap += kernel.coeff(l)[:, :, None] * (phase_a * d)[None, None, :]
         integrand = kap * np.exp(-1j * kernel.m_out * g_q)[None, None, :]
         out[:, node] = np.einsum("oip,ip,p->o", integrand, fin, grid.weights)
@@ -277,7 +277,7 @@ class TestOnePassOracle:
         kernel = random_kernel(1, 2, 4, c_out=2, c_in=2)
         harmonics._delta(3)
         want = conv_spatial_oracle(field, kernel).flat()
-        monkeypatch.setattr(harmonics, "_wigner_d_columns", fail)
+        monkeypatch.setattr(harmonics, "_wigner_d_column", fail)
         monkeypatch.setattr(harmonics, "wigner_d_stack", fail)
         assert np.array_equal(conv_spatial_oracle(field, kernel).flat(), want)
 
