@@ -417,7 +417,7 @@ def _check_prior_pipeline(rng, cfg):
     S = real_sph_harm_matrix(lmax, *grid.nodes.T)
     w = grid.weights
     coeff_vec = np.concatenate([feats[l][0, :, 0] for l in range(lmax + 1)])
-    f = TensorField(grid, FieldType("SO2", 0), (S @ coeff_vec)[None, :])
+    f = TensorField(grid, FieldType(0), (S @ coeff_vec)[None, :])
     acted = activate(lift(f), ActivationSpec("relu"))
     back = project_column(acted, 0).flat()[0]
     real_out = np.einsum("n,nd,n->d", back.real, S, w)

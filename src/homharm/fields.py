@@ -21,9 +21,9 @@ import numpy as np
 
 from .groups import QuadratureGrid, Rotation3, quadrature_grid
 from .harmonics import _rotate
-from .transforms import (SpectralBlocks, _degrees, _flat, _on_axes,
-                         _require_grid, _spin_analysis, _spin_synthesis,
-                         so3_ft_forward, so3_ft_inverse)
+from .transforms import (SpectralBlocks, _check_degrees, _degrees, _flat,
+                         _on_axes, _require_grid, _spin_analysis,
+                         _spin_synthesis, so3_ft_forward, so3_ft_inverse)
 
 # ---------------------------------------------------------------------------
 # Types
@@ -34,67 +34,55 @@ from .transforms import (SpectralBlocks, _degrees, _flat, _on_axes,
 class FieldType:
     """Field type: the SO(2) irrep of order k labelling the field's fiber."""
 
-    stabilizer: str   # "SO2"
     order: int
 
+
+class _Samples:
+    """The field contract of TensorField (S2 grids) and GroupFunction (SO3
+    grids): samples [channels, n_nodes] or [channels, n_nodes, 1] on a grid
+    of the class's space, all finite, stored as complex
+    [channels, n_nodes, 1]."""
+
+    _space = ""
+
     def __post_init__(self):
-        if self.stabilizer != "SO2":
-            raise ValueError("stabilizer must be SO2")
+        _require_grid(self.grid, self._space)
+        n, arr = self.grid.n_nodes, np.asarray(self.samples, dtype=complex)
+        if arr.ndim == 2:
+            arr = arr[:, :, None]
+        if arr.ndim != 3 or arr.shape[1:] != (n, 1):
+            raise ValueError(f"samples of shape {np.shape(self.samples)} must "
+                             f"hold one value per node of the grid ({n} nodes)")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("field samples must be finite")
+        self.samples = arr
 
+    @property
+    def channels(self) -> int:
+        return self.samples.shape[0]
 
-def _samples(samples, grid: QuadratureGrid, space: str) -> np.ndarray:
-    """The field contract: samples [channels, n_nodes] or
-    [channels, n_nodes, 1] on a grid of the given space, all finite, as
-    complex [channels, n_nodes, 1]."""
-    _require_grid(grid, space)
-    arr = np.asarray(samples, dtype=complex)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3 or arr.shape[1:] != (grid.n_nodes, 1):
-        raise ValueError(f"samples of shape {np.shape(samples)} must hold one "
-                         f"value per node of the grid ({grid.n_nodes} nodes)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field samples must be finite")
-    return arr
+    def flat(self) -> np.ndarray:
+        """Samples as [channels, n_nodes]."""
+        return self.samples[:, :, 0]
 
 
 @dataclass
-class TensorField:
+class TensorField(_Samples):
     """Channelled samples of an order-k field on an S2 quadrature grid."""
 
+    _space = "S2"
     grid: QuadratureGrid
     field_type: FieldType
     samples: np.ndarray   # [channels, n_nodes, 1]
 
-    def __post_init__(self):
-        self.samples = _samples(self.samples, self.grid, "S2")
-
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
-
-    def flat(self) -> np.ndarray:
-        """Samples as [channels, n_nodes]."""
-        return self.samples[:, :, 0]
-
 
 @dataclass
-class GroupFunction:
+class GroupFunction(_Samples):
     """Channelled samples of a function on an SO(3) quadrature grid."""
 
+    _space = "SO3"
     grid: QuadratureGrid
     samples: np.ndarray   # [channels, n_nodes, 1]
-
-    def __post_init__(self):
-        self.samples = _samples(self.samples, self.grid, "SO3")
-
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
-
-    def flat(self) -> np.ndarray:
-        """Samples as [channels, n_nodes]."""
-        return self.samples[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +90,8 @@ class GroupFunction:
 # ---------------------------------------------------------------------------
 
 
-def _check_s2_order(field: TensorField):
-    if abs(field.field_type.order) >= field.grid.bandwidth:
+def _check_s2_order(k: int, grid: QuadratureGrid):
+    if abs(k) >= grid.bandwidth:
         raise ValueError("field order must satisfy |k| < grid bandwidth")
 
 
@@ -111,7 +99,7 @@ def lift(field: TensorField) -> GroupFunction:
     """Lift an order-k field on S^2 to its Mackey function on SO(3):
     f_up(alpha, beta, gamma) = exp(-i k gamma) f(alpha, beta).
     """
-    _check_s2_order(field)
+    _check_s2_order(field.field_type.order, field.grid)
     group_grid = quadrature_grid("SO3", field.grid.bandwidth)
     phase = np.exp(-1j * field.field_type.order * group_grid.gammas)
     vals = _on_axes(field.samples, field.grid)[..., None] * phase
@@ -158,38 +146,29 @@ def spin_coeffs(field: TensorField) -> list:
     Returns a list indexed by l (entries below |k| are None) of arrays
     [channels, 2l+1].
     """
-    _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
+    _check_s2_order(k, grid)
     return _degrees(_spin_analysis(_on_axes(field.samples, grid), grid, k), k)
 
 
 def spin_synthesis(coeffs: list, order: int, grid: QuadratureGrid) -> np.ndarray:
     """Synthesize samples of an order-k field from its spin coefficients.
 
-    coeffs may come from a grid of different bandwidth; degrees above the
-    target grid's resolvable range must be absent, and at least one degree
-    must be present; each present degree l is a [C, 2l+1] block, with the
-    channel count C of the first.
+    coeffs may come from a grid of different bandwidth; it must keep the
+    rule of transforms._check_degrees at the target grid's bandwidth and
+    hold at least one present degree.
     """
-    present = [l for l, c in enumerate(coeffs) if c is not None]
-    if not present:
+    C, L = _check_degrees(coeffs, order, grid.bandwidth)
+    if not L:
         raise ValueError("no spin coefficients to synthesize")
-    if present[-1] >= grid.bandwidth:
-        raise ValueError("coefficients exceed the target grid bandwidth")
-    C = np.shape(coeffs[present[0]])[:1]
-    for l in present:
-        if np.shape(coeffs[l]) != (*C, 2 * l + 1):
-            raise ValueError(f"spin coefficients of degree {l} have shape "
-                             f"{np.shape(coeffs[l])}, not {(*C, 2 * l + 1)}")
-    f = _spin_synthesis(_flat(coeffs[:present[-1] + 1], order, C[0]), grid,
-                        order)
-    return f.reshape(C[0], grid.n_nodes)
+    f = _spin_synthesis(_flat(coeffs[:L], order, C), grid, order)
+    return f.reshape(C, grid.n_nodes)
 
 
 def field_from_spin_coeffs(coeffs: list, order: int,
                            grid: QuadratureGrid) -> TensorField:
     samples = spin_synthesis(coeffs, order, grid)
-    return TensorField(grid, FieldType("SO2", order), samples)
+    return TensorField(grid, FieldType(order), samples)
 
 
 def resample(field: TensorField, new_bandwidth: int) -> TensorField:
@@ -198,12 +177,14 @@ def resample(field: TensorField, new_bandwidth: int) -> TensorField:
     Coarsening silently truncates degrees >= new bandwidth: only the degrees
     kept are analysed, from the plan of those degrees.
     """
-    _check_s2_order(field)
     grid, k = field.grid, field.field_type.order
+    new_grid = quadrature_grid("S2", new_bandwidth)
+    _check_s2_order(k, grid)
+    _check_s2_order(k, new_grid)
     a = _spin_analysis(_on_axes(field.samples, grid), grid, k,
                        min(grid.bandwidth, new_bandwidth))
-    coeffs = _degrees(a, k)
-    return field_from_spin_coeffs(coeffs, k, quadrature_grid("S2", new_bandwidth))
+    f = _spin_synthesis(a, new_grid, k).reshape(field.channels, -1)
+    return TensorField(new_grid, field.field_type, f)
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def load_fields(path: str) -> list:
     grid = quadrature_grid(space, doc["bandwidth"])
     if space == "SO3":
         return [GroupFunction(grid, block) for block in blocks]
-    return [TensorField(grid, FieldType("SO2", order), block)
+    return [TensorField(grid, FieldType(order), block)
             for order, block in zip(doc["field_orders"], blocks)]
 
 

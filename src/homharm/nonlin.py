@@ -250,12 +250,10 @@ def project_column(gf: GroupFunction, out_order: int) -> TensorField:
 
     Inverts the lift on order-m components: project_column(lift(f), k) = f.
     """
-    B = gf.grid.bandwidth
-    if abs(out_order) >= B:
-        raise ValueError("output order must satisfy |m| < bandwidth")
+    _check_s2_order(out_order, gf.grid)
     samples = fiber_dft(gf.flat(), gf.grid, out_order)
-    return TensorField(quadrature_grid("S2", B), FieldType("SO2", out_order),
-                       samples)
+    return TensorField(quadrature_grid("S2", gf.grid.bandwidth),
+                       FieldType(out_order), samples)
 
 
 def delta_projection_kernel(out_order: int, bandwidth: int) -> GroupFunction:
@@ -352,10 +350,8 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     if not isinstance(oversample, (int, np.integer)) or oversample < 1:
         raise ValueError("oversample factor must be a positive integer")
     B = _shared_grid(fields_in).bandwidth
-    for f in fields_in:
-        _check_s2_order(f)
-    if any(abs(m) >= B for m in out_orders):
-        raise ValueError("output order must satisfy |m| < bandwidth")
+    for k in [f.field_type.order for f in fields_in] + list(out_orders):
+        _check_s2_order(k, fields_in[0].grid)
     if not out_orders:
         return []
     B_work = B * oversample
@@ -378,7 +374,7 @@ def nonlinearity(fields_in: list, spec: ActivationSpec, out_orders: list,
     del rows                # nor the rows through the output resampling
     fields_out = []
     for j, m in enumerate(out_orders):
-        f = TensorField(grid, FieldType("SO2", m), proj[:, :, j])
+        f = TensorField(grid, FieldType(m), proj[:, :, j])
         fields_out.append(resample(f, B) if B_work != B else f)
     return fields_out
 

@@ -204,7 +204,7 @@ def conv_spatial_oracle(field: TensorField, kernel: SparseKernelSpec) -> TensorF
         kap = kap.view(complex).reshape(len(a_q), n, kernel.c_out, kernel.c_in)
         phase = np.exp(-1j * (kernel.m_in * a_q + kernel.m_out * g_q))
         out[:, i:i + rows] = np.einsum("xpoi,xp,ip->ox", kap, phase, fw)
-    return TensorField(grid, FieldType("SO2", kernel.m_out), out)
+    return TensorField(grid, FieldType(kernel.m_out), out)
 
 
 # ---------------------------------------------------------------------------

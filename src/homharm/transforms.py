@@ -137,10 +137,12 @@ class SpectralBlocks:
                 for l, b in enumerate(self.blocks)]
 
     def set_column(self, n: int, coeffs: list):
-        """Write column n from a list indexed by l, skipping None entries."""
-        for l in range(abs(n), len(coeffs)):
-            if coeffs[l] is not None:
-                self.blocks[l][:, :, n + l] = coeffs[l]
+        """Write column n from a list indexed by l, skipping None entries;
+        a list that breaks _check_degrees' rule raises and writes nothing."""
+        _check_degrees(coeffs, n, self.bandwidth, self.channels)
+        for l, c in enumerate(coeffs):
+            if c is not None:
+                self.blocks[l][:, :, n + l] = c
 
     def off_column(self, n: int) -> float:
         """The amplitude outside column n: the square root of the off-column
@@ -350,6 +352,25 @@ def _degrees(a: np.ndarray, k: int) -> list:
     L = isqrt(k * k + a.shape[1])
     return [None] * abs(k) + [a[:, l * l - k * k:(l + 1) ** 2 - k * k]
                               for l in range(abs(k), L)]
+
+
+def _check_degrees(coeffs: list, k: int, bandwidth: int,
+                   channels: int | None = None) -> tuple:
+    """The rule for a list indexed by l of order-k coefficients in a spectrum
+    of the given bandwidth: each entry is None or a [C, 2l+1] array, one C
+    for all (channels, if given), none present below |k| or from bandwidth
+    on.  Returns (C, L), L one past the last present degree (0 if none)."""
+    C, L = channels, 0
+    for l, c in enumerate(coeffs):
+        if c is not None:
+            C = np.shape(c)[0] if C is None and np.ndim(c) else C
+            if not abs(k) <= l < bandwidth or np.shape(c) != (C, 2 * l + 1):
+                raise ValueError(
+                    f"spin coefficients of order {k} at bandwidth {bandwidth} "
+                    f"are [{C}, 2l+1] blocks at degrees {abs(k)} <= l < "
+                    f"{bandwidth}; degree {l} has shape {np.shape(c)}")
+            L = l + 1
+    return C, L
 
 
 def _flat(coeffs: list, k: int, channels: int) -> np.ndarray:

@@ -25,7 +25,7 @@ rng = np.random.default_rng(808)
 
 def random_s2_fields(B=3, channels=2):
     grid = quadrature_grid("S2", B)
-    return [TensorField(grid, FieldType("SO2", k),
+    return [TensorField(grid, FieldType(k),
                         rng.standard_normal((channels, grid.n_nodes))
                         + 1j * rng.standard_normal((channels, grid.n_nodes)))
             for k in (0, 1)]
@@ -457,7 +457,7 @@ class TestOneDecoder:
         # one [] per channel for no points
         grid = quadrature_grid("S2", 2)
         save_fields(tmp_path / "f.json", [
-            TensorField(grid, FieldType("SO2", k), np.zeros((0, 16, 1)))
+            TensorField(grid, FieldType(k), np.zeros((0, 16, 1)))
             for k in (1, 0)])
         save_point_cloud(tmp_path / "p.json", PointCloud(
             np.zeros((0, 3)), [np.zeros((0, 1, 2)), None, np.zeros((0, 5, 2))]))

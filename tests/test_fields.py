@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from homharm.fields import (FieldType, GroupFunction, TensorField,
                             spin_synthesis)
 from homharm.groups import Rotation3, quadrature_grid
 from homharm.harmonics import _wigner_d_column
+from homharm.transforms import (SpectralBlocks, _check_degrees, _degrees,
+                                _spin_analysis)
 
 rng = np.random.default_rng(404)
 
@@ -38,29 +42,29 @@ def sph_harm(l, m, alpha, beta):
 
 class TestFieldTypes:
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            FieldType("SO4", 0)
-        with pytest.raises(ValueError):
-            FieldType("SO3", -1)
+        # the stabilizer is always SO(2), so it is not an argument
+        with pytest.raises(TypeError):
+            FieldType("SO2", 0)
+        with pytest.raises(TypeError):
+            FieldType(stabilizer="SO2", order=1)
 
     def test_only_so2_fibers(self):
-        # one value per node: an SO(3)-stabilizer fiber has no field here
-        assert FieldType("SO2", -3) == FieldType("SO2", -3)
-        with pytest.raises(ValueError):
-            FieldType("SO3", 1)
+        # one value per node: the order of an SO(2) irrep is the whole type
+        assert [f.name for f in dataclasses.fields(FieldType)] == ["order"]
+        assert FieldType(-3) == FieldType(order=-3) != FieldType(3)
 
     def test_sample_shape_checked(self):
         grid = quadrature_grid("S2", 3)
         with pytest.raises(ValueError):
-            TensorField(grid, FieldType("SO2", 0),
+            TensorField(grid, FieldType(0),
                         np.zeros((1, grid.n_nodes + 1)))
         with pytest.raises(ValueError):
-            TensorField(grid, FieldType("SO2", 0),
+            TensorField(grid, FieldType(0),
                         np.full((1, grid.n_nodes), np.nan))
 
 
 def _tensor_field(samples, B=2):
-    return TensorField(quadrature_grid("S2", B), FieldType("SO2", 1), samples)
+    return TensorField(quadrature_grid("S2", B), FieldType(1), samples)
 
 
 def _group_function(samples, B=2):
@@ -69,7 +73,7 @@ def _group_function(samples, B=2):
 
 class TestFieldContract:
     """Both field types hold one finite complex value per grid node, as
-    [channels, n_nodes, 1], through the one check fields._samples."""
+    [channels, n_nodes, 1], through the one check fields._Samples."""
 
     @pytest.mark.parametrize("make, n", [(_tensor_field, 16),
                                          (_group_function, 64)])
@@ -97,7 +101,7 @@ class TestFieldContract:
 
     def test_each_type_on_its_space(self):
         with pytest.raises(ValueError, match="S2 grid"):
-            TensorField(quadrature_grid("SO3", 2), FieldType("SO2", 0),
+            TensorField(quadrature_grid("SO3", 2), FieldType(0),
                         np.zeros((1, 64)))
         with pytest.raises(ValueError, match="SO3 grid"):
             GroupFunction(quadrature_grid("S2", 2), np.zeros((1, 16)))
@@ -106,7 +110,7 @@ class TestFieldContract:
         [_tensor_field(np.arange(32.0).reshape(2, 16) / 7)],
         [_tensor_field(np.zeros((0, 16))), _tensor_field(np.zeros((0, 16, 1)))],
         [_tensor_field(np.ones((1, 16)) * (1 + 2j)),
-         TensorField(quadrature_grid("S2", 2), FieldType("SO2", -1),
+         TensorField(quadrature_grid("S2", 2), FieldType(-1),
                      np.zeros((1, 16)))],
         [_group_function(np.sin(np.arange(192.0)).reshape(3, 64))],
         [_group_function(np.zeros((0, 64))), _group_function(np.ones((0, 64)))],
@@ -136,7 +140,7 @@ class TestLiftProject:
     def test_lift_is_mackey(self):
         for k in (-2, -1, 0, 1, 2):
             gf = lift(random_field(8, k))
-            ok, residual = is_mackey(gf, FieldType("SO2", k))
+            ok, residual = is_mackey(gf, FieldType(k))
             assert ok and residual <= 1e-10
 
     def test_lift_spectrum_off_column_amplitude(self):
@@ -157,7 +161,7 @@ class TestLiftProject:
         grid = quadrature_grid("SO3", 4)
         vals = rng.standard_normal((1, grid.n_nodes))
         gf = GroupFunction(grid, vals)
-        ok, residual = is_mackey(gf, FieldType("SO2", 1))
+        ok, residual = is_mackey(gf, FieldType(1))
         assert not ok and residual > 1e-2
         from homharm.transforms import so3_ft_forward
         blocks = so3_ft_forward(gf.flat(), gf.grid)
@@ -170,7 +174,7 @@ class TestLiftProject:
 
     def test_order_must_fit_bandwidth(self):
         grid = quadrature_grid("S2", 3)
-        field = TensorField(grid, FieldType("SO2", 3),
+        field = TensorField(grid, FieldType(3),
                             np.zeros((1, grid.n_nodes)))
         with pytest.raises(ValueError):
             lift(field)
@@ -209,18 +213,79 @@ class TestSpinCoefficients:
         with pytest.raises(ValueError, match="no spin coefficients"):
             spin_synthesis([None] * 3, 0, quadrature_grid("S2", 3))
 
+    # (coeffs, order, bandwidth, channels, the degree named): lists that
+    # break the coefficient-list rule for a spectrum of that many channels
+    MALFORMED = [
+        # [1,1], [1,3], [1,6], [1,6] hold the 16 columns of B = 4, k = 0, but
+        # degree 2 is one column too wide and degree 3 is shifted
+        ([np.ones((1, n)) for n in (1, 3, 6, 6)], 0, 4, 1, "degree 2"),
+        ([np.ones((2, 1)), np.ones((1, 3))], 0, 4, 2, "degree 1"),  # channels
+        ([np.ones(1)], 0, 4, 1, "degree 0"),                  # no channel axis
+        ([np.ones((1, 1)), np.ones((1, 3)), None], 1, 3, 1, "degree 0"),  # < |k|
+        ([None, np.ones((2, 1))], 0, 3, 2, "degree 1"),   # would broadcast
+        ([None, None, None, np.ones((1, 7))], 0, 3, 1, "degree 3"),  # >= B
+    ]
+
+    @staticmethod
+    def _set_column_error(coeffs, n, B, C):
+        """set_column's error on random blocks, which it must leave as
+        they were."""
+        blocks = SpectralBlocks(B, [rng.standard_normal((C, 2 * l + 1, 2 * l + 1))
+                                    + 0j for l in range(B)])
+        before = [b.copy() for b in blocks.blocks]
+        with pytest.raises(ValueError) as err:
+            blocks.set_column(n, coeffs)
+        for b, b0 in zip(blocks.blocks, before):
+            assert np.array_equal(b, b0)
+        return str(err.value)
+
     def test_synthesis_rejects_misaligned_blocks(self):
-        # blocks [1,1], [1,3], [1,6], [1,6] hold the 16 columns of B = 4,
-        # k = 0, but degree 2 is one column too wide and degree 3 is shifted
-        grid = quadrature_grid("S2", 4)
-        coeffs = [np.ones((1, n)) for n in (1, 3, 6, 6)]
-        for synth in (spin_synthesis, field_from_spin_coeffs):
-            with pytest.raises(ValueError, match="degree 2"):
-                synth(coeffs, 0, grid)
-        with pytest.raises(ValueError, match="degree 1"):   # channels differ
-            spin_synthesis([np.ones((2, 1)), np.ones((1, 3))], 0, grid)
-        with pytest.raises(ValueError, match="degree 0"):   # one channel axis
-            spin_synthesis([np.ones(1)], 0, grid)
+        # both entries of a spin-coefficient list run one rule, so each
+        # malformed list raises the same message from each
+        for coeffs, k, B, C, degree in self.MALFORMED:
+            grid = quadrature_grid("S2", B)
+            for synth in (spin_synthesis, field_from_spin_coeffs):
+                with pytest.raises(ValueError, match=degree) as err:
+                    synth(coeffs, k, grid)
+            assert self._set_column_error(coeffs, k, B, C) == str(err.value)
+
+    def test_set_column_rejects_other_channel_counts(self):
+        # a one-channel list is a valid synthesis input but must not
+        # broadcast over a spectrum of two channels
+        coeffs = [np.ones((1, 1)), np.ones((1, 3))]
+        msg = self._set_column_error(coeffs, 0, 3, 2)
+        assert "[2, 2l+1]" in msg and "degree 0 has shape (1, 1)" in msg
+        assert spin_synthesis(coeffs, 0, quadrature_grid("S2", 3)).shape[0] == 1
+
+    def test_library_lists_keep_the_rule(self):
+        # spin_coeffs and column lists pass both entries unchanged
+        field = random_field(5, -2, channels=2)
+        coeffs = spin_coeffs(field)
+        blocks = lift_spectrum(field)
+        assert _check_degrees(coeffs, -2, 5, 2) == (2, 5)
+        assert _check_degrees(blocks.column(-2), -2, 5) == (2, 5)
+        assert _check_degrees([None] * 7, 1, 5) == (None, 0)
+        again = SpectralBlocks.zeros(5, 2)
+        again.set_column(-2, blocks.column(-2))
+        assert all(np.array_equal(a, b) for a, b in zip(again.blocks, blocks.blocks))
+
+    @pytest.mark.parametrize("B, new_B", [(4, 7), (7, 4), (5, 5), (8, 3)])
+    def test_resample_is_the_flat_composition(self, B, new_B):
+        # resample synthesizes its analysis flat; the bits are those of the
+        # per-degree list composition
+        for k in (0, 1, -1, 2, -2):
+            if abs(k) >= min(B, new_B):
+                with pytest.raises(ValueError, match="order"):
+                    resample(random_field(B, k), new_B)
+                continue
+            field = random_field(B, k, channels=2)
+            a = _spin_analysis(field.flat().reshape(2, 2 * B, 2 * B),
+                               field.grid, k, min(B, new_B))
+            new_grid = quadrature_grid("S2", new_B)
+            old = field_from_spin_coeffs(_degrees(a, k), k, new_grid)
+            got = resample(field, new_B)
+            assert got.grid == new_grid and got.field_type == FieldType(k)
+            assert got.samples.tobytes() == old.samples.tobytes()
 
 
 class TestActions:
@@ -295,5 +360,5 @@ class TestActions:
     def test_mackey_preserved_by_action(self):
         field = random_field(6, 2)
         gf = regular_action(random_rotation(), lift(field))
-        ok, residual = is_mackey(gf, FieldType("SO2", 2), tol=1e-9)
+        ok, residual = is_mackey(gf, FieldType(2), tol=1e-9)
         assert ok, residual

@@ -242,7 +242,7 @@ class TestNonlinearity:
             nonlinearity([random_field(3, 0)], spec, [3], oversample=oversample)
         with pytest.raises(ValueError, match="bandwidth"):
             nonlinearity([random_field(3, 0)], spec, [-3], oversample=oversample)
-        bad = TensorField(quadrature_grid("S2", 3), FieldType("SO2", 3),
+        bad = TensorField(quadrature_grid("S2", 3), FieldType(3),
                           np.zeros((1, 36)))
         with pytest.raises(ValueError, match="bandwidth"):
             nonlinearity([bad], spec, [0], oversample=oversample)
@@ -287,7 +287,7 @@ class TestFiberLocalNonlinearity:
         assert len(got) == len(want)
         scale = max(np.abs(w.samples).max() for w in want)
         for g, w, m in zip(got, want, out_orders):
-            assert g.field_type == FieldType("SO2", m)
+            assert g.field_type == FieldType(m)
             assert g.grid == w.grid and g.samples.shape == w.samples.shape
             assert np.abs(g.samples - w.samples).max() <= 1e-14 * scale
 

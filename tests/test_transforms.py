@@ -193,7 +193,7 @@ class TestPlanCache:
 
     def test_repeated_spin_coeffs_is_a_hit(self):
         grid = quadrature_grid("S2", 7)
-        f = TensorField(grid, FieldType("SO2", 2),
+        f = TensorField(grid, FieldType(2),
                         rng.standard_normal((1, grid.n_nodes)))
         first = spin_coeffs(f)
         before = _plan_cache_info()
@@ -208,9 +208,9 @@ class TestPlanCache:
     def test_order_minus_k_reads_the_plan_of_k(self):
         grid = quadrature_grid("S2", 7)
         samples = rng.standard_normal((1, grid.n_nodes))
-        spin_coeffs(TensorField(grid, FieldType("SO2", 2), samples))
+        spin_coeffs(TensorField(grid, FieldType(2), samples))
         before = _plan_cache_info()
-        spin_coeffs(TensorField(grid, FieldType("SO2", -2), samples))
+        spin_coeffs(TensorField(grid, FieldType(-2), samples))
         after = _plan_cache_info()
         assert (after["hits"], after["misses"]) == (before["hits"] + 1,
                                                     before["misses"])
@@ -258,7 +258,7 @@ class TestPlanCache:
         monkeypatch.setattr(transforms, "_plan_counts",
                             {"hits": 0, "misses": 0, "bytes": 0})
         s2 = quadrature_grid("S2", 4)         # its plan takes 1024 bytes
-        f = TensorField(s2, FieldType("SO2", 0),
+        f = TensorField(s2, FieldType(0),
                         rng.standard_normal((1, s2.n_nodes)))
         spin_coeffs(f)
         so3 = quadrature_grid("SO3", 6)
@@ -309,7 +309,7 @@ class TestWindowedPlans:
         samples = (rng.standard_normal((2, grid.n_nodes))
                    + 1j * rng.standard_normal((2, grid.n_nodes)))
         for k in (0, 1, -1):
-            f = TensorField(grid, FieldType("SO2", k), samples)
+            f = TensorField(grid, FieldType(k), samples)
             full = spin_coeffs(f)
             before = _plan_cache_info()
             resample(f, L)                    # then synthesis on (L, |k|, L)
@@ -392,7 +392,7 @@ class TestSpinPairAgainstPerDegreeSums:
     def test_pair(self, B):
         grid = quadrature_grid("S2", B)
         for k in sorted({0, 1, -1, B - 1, -(B - 1)}):
-            f = TensorField(grid, FieldType("SO2", k),
+            f = TensorField(grid, FieldType(k),
                             rng.standard_normal((2, grid.n_nodes))
                             + 1j * rng.standard_normal((2, grid.n_nodes)))
             got, want = spin_coeffs(f), reference_spin_analysis(f.flat(), grid, k)
@@ -430,7 +430,7 @@ class TestAccuracyAtB128:
             rng.standard_normal((1, 2 * l + 1))
             + 1j * rng.standard_normal((1, 2 * l + 1))
             for l in range(abs(k), self.B)]
-        f = TensorField(grid, FieldType("SO2", k),
+        f = TensorField(grid, FieldType(k),
                         spin_synthesis(coeffs, k, grid))
         back = spin_coeffs(f)
         for l in range(abs(k), self.B):
